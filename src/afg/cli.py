@@ -7,6 +7,11 @@ randomness flows from the single run seed, which is recorded in the JSON
 artifacts, so reruns with the same config are byte-identical apart from
 the timestamp in training-log headers.
 
+``grade`` runs each trained model once over the whole cohort, in length-
+bucketed batches, at the model's first use (the first submission's mark or
+labels) rather than at start-up. So the config and inputs are all checked
+before any model work, and set-up costs no more than reading the files.
+
 Exit codes: 0 ok, 2 configuration problem, 3 bad or empty data,
 4 training diverged.
 """
@@ -21,11 +26,18 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import feedback as fb
 from . import ingest, nn, objectives, scoring, structure
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .textproc import DEFAULT_ABBREVIATIONS, Vocabulary, build_vocab, load_abbreviations
+from .textproc import (
+    DEFAULT_ABBREVIATIONS,
+    Vocabulary,
+    build_vocab,
+    load_abbreviations,
+    segment_sentences,
+)
 
 log = logging.getLogger("afg")
 
@@ -149,9 +161,11 @@ def _emit(args, payload: dict, human: str) -> None:
 # Model specs: trained files or fixed oracles (testing seam)
 # ---------------------------------------------------------------------------
 
-def _load_model_with_vocab(cfg: RunConfig, spec: dict, what: str):
+def _load_model_with_vocab(cfg: RunConfig, spec: dict, what: str, head: str):
     path = _require_path(cfg, spec, "path", f"{what} model file")
     params, config = nn.load_model_file(path)
+    if config.head != head:
+        raise ConfigError(f"{what} model does not have a {head} head")
     vocab = Vocabulary.load(_require_path(cfg, spec, "vocab", f"{what} vocabulary"))
     if len(vocab) != config.vocab_size:
         raise ConfigError(
@@ -160,32 +174,62 @@ def _load_model_with_vocab(cfg: RunConfig, spec: dict, what: str):
     return params, config, vocab
 
 
-def _scorer_from_spec(cfg: RunConfig, spec: dict):
+def _primed(predict: Callable[[Sequence[str]], list], texts: Callable[[], list[str]]):
+    """A text -> output callable that runs ``predict`` over ``texts()`` at first use.
+
+    The first call runs one batched pass over the whole run; later calls
+    are look-ups. A text outside the run gets a pass of its own.
+    """
+    table = None
+
+    def lookup(text: str):
+        nonlocal table
+        if table is None:
+            batch = list(dict.fromkeys(texts()))
+            table = dict(zip(batch, predict(batch)))
+        if text not in table:
+            table[text] = predict([text])[0]
+        return table[text]
+
+    return lookup
+
+
+def _fixed_score(spec: dict) -> float:
+    if "score" not in spec:
+        raise ConfigError("fixed_score scorer needs a 'score'")
+    try:
+        value = float(spec["score"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"fixed score {spec['score']!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"fixed score {value} outside [0, 1]")
+    return value
+
+
+def _scorer_from_spec(cfg: RunConfig, spec: dict, abstracts: Callable[[], list[str]]):
+    """Abstract -> [0,1] score; a model file is primed with ``abstracts()``."""
     kind = spec.get("type", "file")
     if kind == "fixed_score":
-        value = float(spec["score"])
+        value = _fixed_score(spec)
         return lambda text: value
     if kind == "file":
-        params, config, vocab = _load_model_with_vocab(cfg, spec, "scorer")
-        if config.head != nn.REGRESSION:
-            raise ConfigError("scorer model does not have a regression head")
-        return lambda text: nn.predict_score(
-            text, params, vocab, max_sequence_length=config.max_sequence_length
-        )
+        predictor = nn.Predictor(*_load_model_with_vocab(cfg, spec, "scorer", nn.REGRESSION))
+        return _primed(predictor.scores, abstracts)
     raise ConfigError(f"unknown scorer model type {kind!r}")
 
 
-def _classifier_from_spec(cfg: RunConfig, spec: dict):
+def _classifier_from_spec(cfg: RunConfig, spec: dict, sentences: Callable[[], list[str]]):
+    """Sentence -> class probabilities; a model file is primed with ``sentences()``."""
     kind = spec.get("type", "file")
     if kind == "fixed_labels":
         path = _require_path(cfg, spec, "path", "fixed-labels file")
         table = json.loads(path.read_text(encoding="utf-8"))
         return structure.make_fixed_classifier(table)
     if kind == "file":
-        params, config, vocab = _load_model_with_vocab(cfg, spec, "classifier")
-        if config.head != nn.CLASSIFICATION:
-            raise ConfigError("classifier model does not have a classification head")
-        return structure.make_classifier(params, vocab)
+        predictor = nn.Predictor(
+            *_load_model_with_vocab(cfg, spec, "classifier", nn.CLASSIFICATION)
+        )
+        return _primed(predictor.probabilities, sentences)
     raise ConfigError(f"unknown classifier model type {kind!r}")
 
 
@@ -244,9 +288,7 @@ def _finetune_dataset(subs: list[ingest.Submission]) -> list[tuple[str, float]]:
 def cmd_finetune(cfg: RunConfig, args) -> int:
     section = cfg.section("finetune")
     base = section.get("base_model", {})
-    params, config, vocab = _load_model_with_vocab(cfg, base, "base")
-    if config.head != nn.REGRESSION:
-        raise ConfigError("base model does not have a regression head")
+    params, config, vocab = _load_model_with_vocab(cfg, base, "base", nn.REGRESSION)
     subs_path = _require_path(cfg, section, "submissions", "submission file")
     subs = ingest.load_submissions(subs_path)
     if not subs:
@@ -262,8 +304,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
         max_sequence_length=config.max_sequence_length,
     )
 
-    preds = [nn.predict_score(text, params, vocab, config.max_sequence_length)
-             for text, _ in ds.eval]
+    preds = nn.Predictor(params, config, vocab).scores([text for text, _ in ds.eval])
     targets = [y for _, y in ds.eval]
     report = objectives.evaluate_regression(preds, targets)
 
@@ -325,8 +366,8 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
         return int(structure.map_label(label5_list[idx])) if five_class else idx
 
     pred = [
-        to_label3(max(range(n_out), key=nn.classify_sentence(t, params, vocab).__getitem__))
-        for t, _ in ds.eval
+        to_label3(max(range(n_out), key=probs.__getitem__))
+        for probs in nn.Predictor(params, config, vocab).probabilities([t for t, _ in ds.eval])
     ]
     true = [to_label3(int(lbl)) for _, lbl in ds.eval]
     acc = objectives.accuracy(pred, true)
@@ -363,8 +404,21 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     if not subs:
         raise DataError(f"submission file {subs_path} is empty")
     keys = ingest.load_answer_keys(_require_path(cfg, section, "keys", "answer-key file"))
-    score_fn = _scorer_from_spec(cfg, section.get("scorer_model", {}))
-    classify_fn = _classifier_from_spec(cfg, section.get("classifier_model", {}))
+    seen = set()
+    for sub in subs:
+        if sub.submission_id in seen:
+            raise DataError(f"duplicate submission id {sub.submission_id!r}")
+        seen.add(sub.submission_id)
+        if sub.paper_id not in keys:
+            raise DataError(f"no answer key for paper {sub.paper_id!r}")
+    abbreviations = _get_abbreviations(cfg)
+    score_fn = _scorer_from_spec(
+        cfg, section.get("scorer_model", {}), lambda: [s.abstract for s in subs]
+    )
+    classify_fn = _classifier_from_spec(
+        cfg, section.get("classifier_model", {}),
+        lambda: [t for s in subs for t in segment_sentences(s.abstract, abbreviations)],
+    )
     rules = (
         fb.load_rules(_require_path(cfg, section, "rules", "rule config"))
         if "rules" in section
@@ -374,15 +428,12 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     ext = {"terminal": "txt", "html": "html", "markdown": "md"}.get(fmt)
     if ext is None:
         raise ConfigError(f"unknown report format {fmt!r}")
-    abbreviations = _get_abbreviations(cfg)
 
     reports_dir = cfg.out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     marks_out = []
     feedback_out = []
     for sub in sorted(subs, key=lambda s: s.submission_id):
-        if sub.paper_id not in keys:
-            raise DataError(f"no answer key for paper {sub.paper_id!r}")
         sheet = scoring.mark_submission(sub, keys[sub.paper_id], score_fn)
         labeled = structure.classify_abstract(
             sub.abstract, classify_fn, abbreviations=abbreviations
@@ -412,7 +463,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     subs = [s for s in ingest.load_submissions(subs_path) if s.human_marks is not None]
     if not subs:
         raise DataError("no submissions with human marks to evaluate against")
-    score_fn = _scorer_from_spec(cfg, section.get("scorer_model", {}))
+    score_fn = _scorer_from_spec(
+        cfg, section.get("scorer_model", {}), lambda: [s.abstract for s in subs]
+    )
 
     machine01 = [float(score_fn(s.abstract)) for s in subs]
     machine_marks = [scoring.abstract_mark(v) for v in machine01]

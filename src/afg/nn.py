@@ -4,7 +4,23 @@ One encoder architecture serves both tasks, behind either a sigmoid
 regression head (abstract scoring) or a softmax classification head
 (sentence roles). Weights are stored as 32-bit floats; every forward,
 backward and update computation runs in 64-bit, which keeps the
-finite-difference gradient check meaningful.
+finite-difference gradient check meaningful. The forward keeps the dtype
+of the weights it is given, so gradient probes run it at extended precision.
+
+One batched forward serves inference, training and the gradient check.
+Sequences are sorted by length and cut into chunks of at most
+TOKEN_BUDGET padded tokens (rows x longest row). A chunk is a (B, T) id
+array, right-padded, so every row's valid tokens come first:
+  - the forward direction runs over it as is; padded steps come after
+    all valid ones and never feed a valid state;
+  - the backward direction runs over each row's valid prefix reversed,
+    gathered with one index array that leaves the padding at the end,
+    and its outputs are put back in order with the same array;
+  - padded positions score -inf before the attention softmax, so their
+    weight is exactly 0.
+Results come back in input order. Row k of a chunk's cache, cut to the
+row's length, is that sequence's own cache; backprop runs one sequence
+at a time from it, in list order, so gradient sums keep a fixed order.
 
 Layout conventions (fixed, also the serialization order):
   embed [V, E]            token embeddings
@@ -22,7 +38,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -178,40 +194,64 @@ def init_params(config: EncoderConfig) -> ModelParams:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+# Padded tokens (rows x longest row) per batched forward call. It bounds the
+# padding work of a chunk and the memory of its cache.
+TOKEN_BUDGET = 512
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - np.max(x)
+    """Softmax along the last axis; a -inf entry gets weight exactly 0."""
+    z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _lstm_forward(x: np.ndarray, wx, wh, b):
-    """Run one direction; returns hidden states plus the backprop cache."""
-    t_len = x.shape[0]
+    """Run one direction over time-major (T, B, E) inputs.
+
+    Each row's valid steps come before its padding, so no valid state ever
+    depends on a padded step and the recurrence needs no masking. Returns
+    the states and backprop cache as batch-major (B, T[+1], ...) views.
+    """
+    t_len, n, _ = x.shape
     h_dim = wh.shape[0]
-    zx = x @ wx + b
-    hs = np.zeros((t_len + 1, h_dim))
-    cs = np.zeros((t_len + 1, h_dim))
-    gi = np.empty((t_len, h_dim))
-    gf = np.empty((t_len, h_dim))
-    gg = np.empty((t_len, h_dim))
-    go = np.empty((t_len, h_dim))
+    g_lo, g_hi = 2 * h_dim, 3 * h_dim
+    # Step t turns its input pre-activations into its gate activations in
+    # place. Time-major storage keeps each step's rows contiguous.
+    gates = x @ wx
+    gates += b
+    hs = np.zeros((t_len + 1, n, h_dim), dtype=gates.dtype)
+    cs = np.zeros_like(hs)
     for t in range(t_len):
-        z = zx[t] + hs[t] @ wh
-        gi[t] = _sigmoid(z[:h_dim])
-        gf[t] = _sigmoid(z[h_dim : 2 * h_dim])
-        gg[t] = np.tanh(z[2 * h_dim : 3 * h_dim])
-        go[t] = _sigmoid(z[3 * h_dim :])
-        cs[t + 1] = gf[t] * cs[t] + gi[t] * gg[t]
-        hs[t + 1] = go[t] * np.tanh(cs[t + 1])
-    return {"x": x, "hs": hs, "cs": cs, "i": gi, "f": gf, "g": gg, "o": go}
+        z = gates[t]
+        z += hs[t] @ wh
+        g = np.tanh(z[:, g_lo:g_hi])
+        # In-place sigmoid, 1 / (1 + exp(-z)), over all four blocks.
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        z[:, g_lo:g_hi] = g
+        c = cs[t + 1]
+        np.multiply(z[:, h_dim:g_lo], cs[t], out=c)
+        c += z[:, :h_dim] * g
+        h = hs[t + 1]
+        np.tanh(c, out=h)
+        h *= z[:, g_hi:]
+    gates = gates.swapaxes(0, 1)
+    return {
+        "x": x.swapaxes(0, 1), "hs": hs.swapaxes(0, 1), "cs": cs.swapaxes(0, 1),
+        "i": gates[..., :h_dim], "f": gates[..., h_dim:g_lo],
+        "g": gates[..., g_lo:g_hi], "o": gates[..., g_hi:],
+    }
 
 
 def _lstm_backward(dh_out: np.ndarray, cache, wx, wh, grads, prefix: str):
-    """Backprop one direction; returns the gradient wrt the inputs x."""
+    """Backprop one direction of one sequence; returns the gradient wrt the inputs x."""
     x, hs, cs = cache["x"], cache["hs"], cache["cs"]
     gi, gf, gg, go = cache["i"], cache["f"], cache["g"], cache["o"]
     t_len, h_dim = dh_out.shape
@@ -239,20 +279,43 @@ def _lstm_backward(dh_out: np.ndarray, cache, wx, wh, grads, prefix: str):
     return dz_all @ wx.T
 
 
-def _forward_seq(ids: np.ndarray, p: ModelParams):
-    """Full forward pass for one token-id sequence (64-bit params)."""
-    x = p.embed[ids]
-    fw = _lstm_forward(x, p.fw_wx, p.fw_wh, p.fw_b)
-    bw = _lstm_forward(x[::-1], p.bw_wx, p.bw_wh, p.bw_b)
-    h_cat = np.concatenate([fw["hs"][1:], bw["hs"][1:][::-1]], axis=1)
+def _forward(ids: np.ndarray, lengths: np.ndarray, p: ModelParams):
+    """Forward pass over right-padded (B, T) token ids, in the dtype of ``p``.
+
+    Returns the batch cache. Row k of each array, cut to ``lengths[k]``
+    steps, is that sequence's own cache (see ``_seq_cache``).
+    """
+    n, t_len = ids.shape
+    rows = np.arange(n)[:, None]
+    steps = np.arange(t_len)
+    valid = steps < lengths[:, None]
+    # Reverses each row's valid prefix and keeps its padding at the end; the
+    # permutation is its own inverse, so the same array undoes it.
+    rev = np.where(valid, lengths[:, None] - 1 - steps, steps)
+    fw = _lstm_forward(p.embed[ids.T], p.fw_wx, p.fw_wh, p.fw_b)
+    bw = _lstm_forward(p.embed[ids[rows, rev].T], p.bw_wx, p.bw_wh, p.bw_b)
+    h_cat = np.concatenate([fw["hs"][:, 1:], bw["hs"][:, 1:][rows, rev]], axis=2)
     u = np.tanh(h_cat @ p.att_w)
-    scores = u @ p.att_v
-    alpha = _softmax(scores)
-    ctx = alpha @ h_cat
+    alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
+    ctx = (alpha[:, None, :] @ h_cat)[:, 0]
     logits = ctx @ p.head_w + p.head_b
     return {
-        "ids": ids, "fw": fw, "bw": bw, "h_cat": h_cat,
+        "ids": ids, "lengths": lengths, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
+    }
+
+
+def _seq_cache(cache, k: int):
+    """Row ``k`` of a batch cache cut to its length: the cache _backward_seq reads."""
+    n = int(cache["lengths"][k])
+
+    def direction(c):
+        return {name: arr[k, : n + 1 if name in ("hs", "cs") else n] for name, arr in c.items()}
+
+    return {
+        "ids": cache["ids"][k, :n], "fw": direction(cache["fw"]), "bw": direction(cache["bw"]),
+        "h_cat": cache["h_cat"][k, :n], "u": cache["u"][k, :n],
+        "alpha": cache["alpha"][k, :n], "ctx": cache["ctx"][k],
     }
 
 
@@ -277,6 +340,45 @@ def _backward_seq(cache, dlogits: np.ndarray, p: ModelParams, grads):
     np.add.at(grads["embed"], cache["ids"], dx)
 
 
+def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
+    """Indices sorted by length, cut into runs of at most TOKEN_BUDGET padded tokens.
+
+    A sequence longer than the budget is a chunk of its own.
+    """
+    chunk: list[int] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and (len(chunk) + 1) * lengths[i] > TOKEN_BUDGET:
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
+def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool = False):
+    """Logits of ``seqs`` in list order, run over length-sorted padded chunks.
+
+    With ``keep_cache`` the second result is each sequence's own cache, in
+    list order; otherwise it is None and each chunk's cache is dropped once
+    its logits are read.
+    """
+    logits = np.empty((len(seqs), p.head_dim), dtype=p.embed.dtype)
+    caches = [None] * len(seqs) if keep_cache else None
+    for idx in _chunks([len(s) for s in seqs]):
+        lengths = np.array([len(seqs[i]) for i in idx])
+        # Padding reuses id 0: padded steps never reach a valid output.
+        ids = np.zeros((len(idx), lengths.max()), dtype=np.int64)
+        for row, i in enumerate(idx):
+            ids[row, : lengths[row]] = seqs[i]
+        cache = _forward(ids, lengths, p)
+        logits[idx] = cache["logits"]
+        if keep_cache:
+            for row, i in enumerate(idx):
+                caches[i] = _seq_cache(cache, row)
+        del cache  # else it stays alive while the next chunk runs
+    return logits, caches
+
+
 def _prepare_ids(tokens, max_sequence_length: int) -> np.ndarray:
     if isinstance(tokens, TokenSequence):
         ids = np.asarray(tokens.token_ids, dtype=np.int64)
@@ -293,6 +395,10 @@ def _prepare_ids(tokens, max_sequence_length: int) -> np.ndarray:
     return ids
 
 
+def _forward_one(ids: np.ndarray, params: ModelParams):
+    return _forward(ids[None], np.array([ids.shape[0]]), params.astype(np.float64))
+
+
 def encode(
     tokens,
     params: ModelParams,
@@ -300,11 +406,10 @@ def encode(
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ):
     """Encode a token sequence into one attention-pooled context vector."""
-    ids = _prepare_ids(tokens, max_sequence_length)
-    cache = _forward_seq(ids, params.astype(np.float64))
+    cache = _forward_one(_prepare_ids(tokens, max_sequence_length), params)
     if return_weights:
-        return cache["ctx"], cache["alpha"]
-    return cache["ctx"]
+        return cache["ctx"][0], cache["alpha"][0]
+    return cache["ctx"][0]
 
 
 def _tokenize_nonempty(text: str, vocab: Vocabulary) -> TokenSequence:
@@ -323,8 +428,7 @@ def predict_score(
     if params.head_dim != 1:
         raise ValueError("predict_score needs a regression head")
     ids = _prepare_ids(_tokenize_nonempty(text, vocab), max_sequence_length)
-    cache = _forward_seq(ids, params.astype(np.float64))
-    return float(_sigmoid(cache["logits"][0]))
+    return float(_sigmoid(_forward_one(ids, params)["logits"][0, 0]))
 
 
 def classify_sentence(
@@ -337,8 +441,46 @@ def classify_sentence(
     if params.head_dim < 2:
         raise ValueError("classify_sentence needs a classification head")
     ids = _prepare_ids(_tokenize_nonempty(sentence, vocab), max_sequence_length)
-    cache = _forward_seq(ids, params.astype(np.float64))
-    return tuple(float(v) for v in _softmax(cache["logits"]))
+    return tuple(float(v) for v in _softmax(_forward_one(ids, params)["logits"][0]))
+
+
+class Predictor:
+    """A trained model bound to its vocabulary: a list of texts in, outputs out.
+
+    It converts the weights to float64 once and truncates at the model's
+    own ``max_sequence_length``. Texts are tokenized, run in length-sorted
+    chunks of at most TOKEN_BUDGET padded tokens, and returned in input order.
+    """
+
+    def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):
+        validate_shapes(params, config)
+        if len(vocab) != config.vocab_size:
+            raise ValueError(
+                f"vocabulary has {len(vocab)} tokens, model expects {config.vocab_size}"
+            )
+        self.config = config
+        self.vocab = vocab
+        self._p64 = params.astype(np.float64)
+
+    def logits(self, texts: Sequence[str]) -> np.ndarray:
+        """(len(texts), head_dim) head outputs before the sigmoid or softmax."""
+        seqs = [
+            _prepare_ids(_tokenize_nonempty(text, self.vocab), self.config.max_sequence_length)
+            for text in texts
+        ]
+        return _batch_forward(self._p64, seqs)[0]
+
+    def scores(self, texts: Sequence[str]) -> list[float]:
+        """Regression-head scores in (0, 1)."""
+        if self.config.head != REGRESSION:
+            raise ValueError("scores need a regression head")
+        return [float(s) for s in _sigmoid(self.logits(texts)[:, 0])]
+
+    def probabilities(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
+        """Classification-head class probabilities."""
+        if self.config.head != CLASSIFICATION:
+            raise ValueError("probabilities need a classification head")
+        return [tuple(float(v) for v in row) for row in _softmax(self.logits(texts))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +491,19 @@ def _zero_grads(p: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in p.arrays().items()}
 
 
-def _batch_outputs(p: ModelParams, seqs: Sequence[np.ndarray]):
-    return [_forward_seq(ids, p) for ids in seqs]
-
-
-def _regression_loss_and_dlogits(caches, targets: np.ndarray, p_weight: float):
-    logits = np.array([c["logits"][0] for c in caches])
-    preds = _sigmoid(logits)
+def _regression_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, p_weight: float):
+    preds = _sigmoid(logits[:, 0])
     loss = blended_loss(preds, targets, p_weight)
     dpred = blended_loss_grad(preds, targets, p_weight)
-    dlogits = [np.array([dpred[j] * preds[j] * (1.0 - preds[j])]) for j in range(len(caches))]
-    return loss, dlogits, preds
+    return loss, (dpred * preds * (1.0 - preds))[:, None]
 
 
-def _classification_loss_and_dlogits(caches, targets: np.ndarray):
-    n = len(caches)
+def _classification_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray):
+    n = len(logits)
     loss = 0.0
     dlogits = []
-    for j, cache in enumerate(caches):
-        logits = cache["logits"]
-        z = logits - logits.max()
+    for j, row in enumerate(logits):
+        z = row - row.max()
         log_probs = z - math.log(np.exp(z).sum())
         loss -= log_probs[targets[j]]
         grad = np.exp(log_probs)
@@ -386,14 +521,15 @@ def batch_loss_and_grads(
 ):
     """Loss plus parameter gradients for one mini-batch (64-bit params).
 
-    Samples are reduced in list order, which pins the floating-point sum
-    order and with it run-to-run determinism.
+    The forward runs batched; backprop then runs one sequence at a time in
+    list order, which pins the floating-point sum order of the gradients
+    and with it run-to-run determinism.
     """
-    caches = _batch_outputs(p, seqs)
+    logits, caches = _batch_forward(p, seqs, keep_cache=True)
     if task == REGRESSION:
-        loss, dlogits, _ = _regression_loss_and_dlogits(caches, targets, p_weight)
+        loss, dlogits = _regression_loss_and_dlogits(logits, targets, p_weight)
     else:
-        loss, dlogits = _classification_loss_and_dlogits(caches, targets)
+        loss, dlogits = _classification_loss_and_dlogits(logits, targets)
     grads = _zero_grads(p)
     for cache, dl in zip(caches, dlogits):
         _backward_seq(cache, dl, p, grads)
@@ -406,17 +542,15 @@ def batch_loss(p: ModelParams, seqs, targets, task: str, p_weight: float = 0.0):
     Gradient probes evaluate this at extended precision and subtract two
     nearly equal values, so no stage may round back to float64.
     """
-    caches = _batch_outputs(p, seqs)
+    logits, _ = _batch_forward(p, seqs)
     if task == REGRESSION:
-        logits = np.array([c["logits"][0] for c in caches], dtype=p.embed.dtype)
-        preds = _sigmoid(logits)
+        preds = _sigmoid(logits[:, 0])
         return blend_terms(preds, np.asarray(targets, dtype=p.embed.dtype), p_weight)
     loss = p.embed.dtype.type(0.0)
-    for j, cache in enumerate(caches):
-        logits = cache["logits"]
-        z = logits - logits.max()
+    for j, row in enumerate(logits):
+        z = row - row.max()
         loss -= (z - np.log(np.exp(z).sum()))[targets[j]]
-    return loss / len(caches)
+    return loss / len(logits)
 
 
 # ---------------------------------------------------------------------------

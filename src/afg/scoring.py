@@ -193,23 +193,17 @@ def marksheet_from_json(obj: dict) -> MarkSheet:
 ScoreFn = Callable[[str], float]
 
 
-def mark_submission(
-    sub: "Submission",
-    key: "AnswerKey",
-    model,
-    vocab=None,
-) -> MarkSheet:
+def mark_submission(sub: "Submission", key: "AnswerKey", score_fn: ScoreFn) -> MarkSheet:
     """Assemble the full 10-mark sheet for one submission.
 
-    ``model`` is either a callable mapping abstract text to a [0,1] score
-    or trained regression parameters (then ``vocab`` is required).
+    ``score_fn`` maps the abstract text to a [0,1] score: a trained scorer
+    or a fixed stub.
     """
     if sub.paper_id != key.paper_id:
         raise KeyMismatchError(
             f"submission {sub.submission_id} is for paper {sub.paper_id!r}, "
             f"key is for {key.paper_id!r}"
         )
-    score_fn = model if callable(model) else make_scorer(model, vocab)
     score01 = float(score_fn(sub.abstract))
     return MarkSheet(
         q1_impact=score_numeric(sub.impact_factor, key.impact_factor),
@@ -218,12 +212,3 @@ def mark_submission(
         q4_cited=score_numeric(sub.times_cited, key.times_cited),
         abstract_mark=abstract_mark(score01),
     )
-
-
-def make_scorer(params, vocab) -> ScoreFn:
-    """Wrap regression parameters and a vocabulary as a text -> score callable."""
-    from .nn import predict_score
-
-    if vocab is None:
-        raise ValueError("vocab is required when passing model parameters")
-    return lambda text: predict_score(text, params, vocab)

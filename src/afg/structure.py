@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 
 from .errors import DataError
 from .ingest import Label5
-from .nn import ModelParams, classify_sentence
-from .textproc import DEFAULT_ABBREVIATIONS, Vocabulary, segment_sentences
+from .textproc import DEFAULT_ABBREVIATIONS, segment_sentences
 
 
 class Label3(IntEnum):
@@ -71,10 +70,6 @@ class LabeledAbstract:
 SentenceClassifier = Callable[[str], tuple[float, float, float]]
 
 
-def make_classifier(params: ModelParams, vocab: Vocabulary) -> SentenceClassifier:
-    return lambda sentence: classify_sentence(sentence, params, vocab)
-
-
 def make_fixed_classifier(labels_by_text: dict[str, Label3 | str]) -> SentenceClassifier:
     """Classifier stub returning probability 1 for a known sentence's label."""
     table = {
@@ -96,19 +91,10 @@ def make_fixed_classifier(labels_by_text: dict[str, Label3 | str]) -> SentenceCl
 
 def classify_abstract(
     text: str,
-    classifier,
-    vocab: Vocabulary | None = None,
+    classifier: SentenceClassifier,
     abbreviations=DEFAULT_ABBREVIATIONS,
 ) -> LabeledAbstract:
-    """Segment an abstract and label every sentence.
-
-    ``classifier`` is either a sentence -> probability-triple callable or
-    trained classification parameters (then ``vocab`` is required).
-    """
-    if not callable(classifier):
-        if vocab is None:
-            raise ValueError("vocab is required when passing model parameters")
-        classifier = make_classifier(classifier, vocab)
+    """Segment an abstract and label every sentence with ``classifier``."""
     sentences = segment_sentences(text, abbreviations)
     if not sentences:
         raise ValueError("abstract has no sentences after segmentation")

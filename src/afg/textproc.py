@@ -126,7 +126,10 @@ class Vocabulary:
 
 def _safe_lower(word: str) -> str:
     # Per-character lowering keeps a 1:1 index alignment with the original
-    # word (str.lower can change length for a handful of codepoints).
+    # word (str.lower can change length for a handful of codepoints, none
+    # of them ASCII).
+    if word.isascii():
+        return word.lower()
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in word)
 
 
@@ -226,16 +229,21 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     Any word that cannot be fully covered by vocabulary pieces maps to the
     single unknown token spanning the whole word.
     """
-    byte_offsets = [0]
-    for ch in text:
-        byte_offsets.append(byte_offsets[-1] + len(ch.encode("utf-8")))
+    ascii_only = text.isascii()
+    if ascii_only:
+        # One byte per character, and lowering keeps every index.
+        byte_offsets = range(len(text) + 1)
+        text = text.lower()
+    else:
+        byte_offsets = [0]
+        for ch in text:
+            byte_offsets.append(byte_offsets[-1] + len(ch.encode("utf-8")))
 
     ids: list[int] = []
     spans: list[tuple[int, int]] = []
     for match in re.finditer(r"\S+", text):
-        word = match.group()
         w_start = match.start()
-        lowered = _safe_lower(word)
+        lowered = match.group() if ascii_only else _safe_lower(match.group())
         pieces = _match_word(lowered, vocab)
         if pieces is None:
             ids.append(vocab.unk_id)
@@ -250,6 +258,7 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
 def _match_word(word: str, vocab: Vocabulary) -> list[tuple[int, int, str]] | None:
     if len(word) > MAX_WORD_CHARS:
         return None
+    tokens = vocab.token_to_id
     pieces = []
     start = 0
     n = len(word)
@@ -260,7 +269,7 @@ def _match_word(word: str, vocab: Vocabulary) -> list[tuple[int, int, str]] | No
             candidate = word[start:end]
             if start > 0:
                 candidate = CONTINUATION_MARKER + candidate
-            if candidate in vocab:
+            if candidate in tokens:
                 found = candidate
                 break
             end -= 1

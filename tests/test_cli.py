@@ -3,12 +3,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from afg.cli import main
 from afg.ingest import serialize_rct
+from afg.nn import CLASSIFICATION, EncoderConfig, classify_sentence, init_params, save_model_file
+from afg.structure import Label3
 from afg.objectives import weight_p, LossSchedule
 from afg.synthdata import generate_rct_corpus, generate_regression_samples
+from afg.textproc import build_vocab
 
 DATA = Path(__file__).parent / "data"
 
@@ -268,6 +272,77 @@ class TestGrade:
         body["grade"]["submissions"] = str(empty)
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "grade"]) == 3
+
+    def _grade_subs(self, tmp_path, subs) -> Path:
+        path = tmp_path / "subs.json"
+        path.write_text(json.dumps(subs), encoding="utf-8")
+        return path
+
+    def test_missing_answer_key_exits_3_before_writing(self, tmp_path):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs[0]["paper_id"] = "no-such-paper"
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "grade"]) == 3
+        assert not out.exists()
+
+    def test_duplicate_submission_id_exits_3_before_writing(self, tmp_path):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs.append(dict(subs[0], times_cited=3))
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "grade"]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scorer", [
+        {"type": "fixed_score", "score": 1.5},
+        {"type": "fixed_score", "score": -0.25},
+        {"type": "fixed_score", "score": "high"},
+        {"type": "fixed_score"},
+    ])
+    def test_bad_fixed_score_exits_2(self, tmp_path, scorer):
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["scorer_model"] = scorer
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "grade"]) == 2
+        assert not out.exists()
+
+    def test_classifier_truncates_at_the_model_length(self, tmp_path):
+        words = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
+        vocab = build_vocab([" ".join(words)], max_size=200, min_frequency=1)
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                               attention_dim=6, head=CLASSIFICATION, n_classes=3, seed=1,
+                               max_sequence_length=4)
+        params = init_params(config)
+        save_model_file(tmp_path / "clf.afgm", params, config)
+        vocab.save(tmp_path / "clf_vocab.txt")
+        sentence = " ".join(words).capitalize()
+        prefix = " ".join(words[:4]).capitalize()
+        expected = classify_sentence(prefix, params, vocab)
+        best = int(np.argmax(expected))
+        # Seed 1 makes the untruncated sentence get another label.
+        assert int(np.argmax(classify_sentence(sentence, params, vocab))) != best
+
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs[0]["abstract"] = sentence
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        body["grade"]["classifier_model"] = {
+            "type": "file", "path": str(tmp_path / "clf.afgm"),
+            "vocab": str(tmp_path / "clf_vocab.txt"),
+        }
+        cfg = write_config(tmp_path, body)
+        with pytest.warns(UserWarning, match="truncated"):
+            assert main(["--config", str(cfg), "grade"]) == 0
+        labeled = json.loads((out / "feedback.json").read_text())["reports"][0]["labeled_abstract"]
+        assert [s["label"] for s in labeled] == [Label3(best).name]
+        assert labeled[0]["confidence"] == pytest.approx(expected[best], abs=1e-12)
 
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

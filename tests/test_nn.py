@@ -1,9 +1,11 @@
 """Encoder, heads, training loop, gradient checks and serialization."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from afg.errors import (
     BadMagicError,
@@ -15,8 +17,14 @@ from afg.errors import (
 from afg.nn import (
     CLASSIFICATION,
     REGRESSION,
+    TOKEN_BUDGET,
     EncoderConfig,
+    Predictor,
     TrainConfig,
+    _batch_forward,
+    _chunks,
+    _forward,
+    _forward_one,
     batch_loss,
     batch_loss_and_grads,
     classify_sentence,
@@ -123,6 +131,91 @@ class TestEncode:
         with pytest.warns(UserWarning, match="truncated"):
             ctx = encode([1] * 40, params, max_sequence_length=8)
         assert np.allclose(ctx, encode([1] * 8, params, max_sequence_length=8))
+
+
+class TestBatchedForward:
+    """The padded batch forward against the same sequences run one at a time."""
+
+    ONE_TO_FORTY = [17, 3, 40, 1, 29, 8, 35, 12, 22, 5, 38, 14, 26, 2, 31, 9, 19, 36, 6, 24,
+                    11, 33, 4, 27, 15, 39, 7, 21, 30, 10, 37, 13, 25, 18, 32, 16, 28, 20, 34, 23]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=ONE_TO_FORTY, seed=0)
+    def test_rows_match_batch_of_one(self, cls_setup, lengths, seed):
+        config, params, _ = cls_setup
+        p64 = params.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        seqs = [rng.integers(0, config.vocab_size, n) for n in lengths]
+        singles = [_forward_one(seq, params) for seq in seqs]
+
+        # Chunked over the token budget, logits come back in input order.
+        logits, _ = _batch_forward(p64, seqs)
+        for row, single in zip(logits, singles):
+            np.testing.assert_allclose(row, single["logits"][0], rtol=0, atol=1e-12)
+
+        # One padded batch: padding gets no attention at all.
+        ids = np.zeros((len(seqs), max(lengths)), dtype=np.int64)
+        for row, seq in zip(ids, seqs):
+            row[: len(seq)] = seq
+        cache = _forward(ids, np.array(lengths), p64)
+        for k, (n, single) in enumerate(zip(lengths, singles)):
+            assert (cache["alpha"][k, n:] == 0.0).all()
+            np.testing.assert_allclose(cache["alpha"][k, :n], single["alpha"][0],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache["logits"][k], single["logits"][0],
+                                       rtol=0, atol=1e-12)
+
+    def test_example_spans_several_chunks(self):
+        assert sum(self.ONE_TO_FORTY) > TOKEN_BUDGET
+        chunks = list(_chunks(self.ONE_TO_FORTY))
+        assert len(chunks) > 1
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(40))
+        assert all(len(c) * max(self.ONE_TO_FORTY[i] for i in c) <= TOKEN_BUDGET for c in chunks)
+
+
+class TestPredictor:
+    TEXTS = ["the cat sat on the mat", "dog", "results show clear gains today", "a dog ran"]
+
+    def test_probabilities_match_single_calls_in_input_order(self, cls_setup):
+        config, params, vocab = cls_setup
+        probs = Predictor(params, config, vocab).probabilities(self.TEXTS)
+        assert len(probs) == len(self.TEXTS)
+        for text, row in zip(self.TEXTS, probs):
+            assert row == pytest.approx(classify_sentence(text, params, vocab), abs=1e-12)
+
+    def test_scores_match_single_calls_in_input_order(self, reg_setup):
+        config, params, vocab = reg_setup
+        scores = Predictor(params, config, vocab).scores(self.TEXTS)
+        for text, score in zip(self.TEXTS, scores):
+            assert score == pytest.approx(predict_score(text, params, vocab), abs=1e-12)
+
+    def test_truncates_at_the_model_length(self, cls_setup):
+        config, params, vocab = cls_setup
+        short = replace(config, max_sequence_length=2)
+        text = "results show clear gains today"
+        with pytest.warns(UserWarning, match="truncated"):
+            (row,) = Predictor(params, short, vocab).probabilities([text])
+        ids = tokenize(text, vocab).token_ids
+        assert len(ids) > 2
+        assert row == pytest.approx(tuple(_softmax_ref(ids[:2], params)), abs=1e-12)
+
+    def test_head_must_match(self, cls_setup, reg_setup):
+        config, params, vocab = cls_setup
+        with pytest.raises(ValueError):
+            Predictor(params, config, vocab).scores(["the cat"])
+        config, params, vocab = reg_setup
+        with pytest.raises(ValueError):
+            Predictor(params, config, vocab).probabilities(["the cat"])
+
+
+def _softmax_ref(ids, params) -> np.ndarray:
+    logits = _forward_one(np.asarray(ids), params)["logits"][0]
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
 
 
 class TestPredictScore:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from afg.textproc import (
+    CONTINUATION_MARKER,
     PAD_TOKEN,
     UNK_TOKEN,
     Vocabulary,
@@ -126,6 +127,50 @@ class TestTokenize:
     def test_case_folded_matching(self):
         v = build_vocab(["the cat sat"], max_size=60, min_frequency=1)
         assert tokenize("The CAT", v).token_ids == tokenize("the cat", v).token_ids
+
+
+# Non-ASCII letters in the corpus give the vocabulary multi-byte pieces;
+# "İ" lowers to two characters and so keeps its case.
+MIXED_VOCAB = build_vocab(
+    ["Über straße naïve café ωmega İstanbul the cat sat on the mat", "crème brûlée ωω"],
+    max_size=90, min_frequency=1,
+)
+ASCII_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\t\n"),
+    max_size=60,
+)
+MIXED_TEXT = st.text(alphabet=st.sampled_from("abcehmst ÜüßéωİÉ.-\t"), max_size=60)
+
+
+def _lower_keeping_length(word: str) -> str:
+    return "".join(c.lower() if len(c.lower()) == 1 else c for c in word)
+
+
+class TestTokenizePaths:
+    @given(ASCII_TEXT)
+    def test_ascii_fast_path_matches_general_path(self, text):
+        # One non-ASCII word at the end sends the same words down the
+        # general path; everything before it must come out the same.
+        fast = tokenize(text, MIXED_VOCAB)
+        general = tokenize(text + " é", MIXED_VOCAB)
+        n = len(fast)
+        assert len(general) == n + 1
+        assert general.token_ids[:n] == fast.token_ids
+        assert general.spans[:n] == fast.spans
+
+    @given(st.one_of(ASCII_TEXT, MIXED_TEXT))
+    def test_spans_hold_their_pieces(self, text):
+        seq = tokenize(text, MIXED_VOCAB)
+        raw = text.encode("utf-8")
+        words = text.split()
+        assert len(seq.spans) == len(seq.token_ids)
+        for token_id, (a, b) in zip(seq.token_ids, seq.spans):
+            covered = raw[a:b].decode("utf-8")
+            if token_id == MIXED_VOCAB.unk_id:
+                assert covered in words
+            else:
+                piece = MIXED_VOCAB.id_to_token[token_id].removeprefix(CONTINUATION_MARKER)
+                assert _lower_keeping_length(covered) == piece
 
 
 class TestTermVector:
