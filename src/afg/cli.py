@@ -90,9 +90,20 @@ def _require_path(cfg: RunConfig, section: dict, key: str, what: str) -> Path:
     return path
 
 
+def _config_value(what: str, build: Callable, valid: Callable = lambda value: True):
+    """``build()``, with a value it cannot convert or ``valid`` rejects as a ConfigError."""
+    try:
+        value = build()
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from None
+    if not valid(value):
+        raise ConfigError(f"invalid {what}: {value!r}")
+    return value
+
+
 def _encoder_config(cfg: RunConfig, vocab_size: int, head: str, n_classes: int = 0):
     model = cfg.raw.get("model", {})
-    return nn.EncoderConfig(
+    return _config_value("model settings", lambda: nn.EncoderConfig(
         vocab_size=vocab_size,
         embed_dim=int(model.get("embed_dim", 32)),
         hidden_dim=int(model.get("hidden_dim", 32)),
@@ -101,22 +112,30 @@ def _encoder_config(cfg: RunConfig, vocab_size: int, head: str, n_classes: int =
         n_classes=n_classes,
         seed=cfg.seed,
         max_sequence_length=int(model.get("max_sequence_length", nn.DEFAULT_MAX_SEQUENCE_LENGTH)),
-    )
+    ))
 
 
 def _train_config(cfg: RunConfig, section: dict, with_schedule: bool) -> nn.TrainConfig:
     schedule = None
     if with_schedule:
         s = section.get("schedule", {})
-        schedule = objectives.LossSchedule(
+        schedule = _config_value("loss schedule", lambda: objectives.LossSchedule(
             a=float(s.get("a", 1.0)), b=float(s.get("b", 0.1)), c=float(s.get("c", 10.0))
-        )
-    return nn.TrainConfig(
+        ))
+    return _config_value("training settings", lambda: nn.TrainConfig(
         epochs=int(section.get("epochs", 5)),
         batch_size=int(section.get("batch_size", 64)),
         learning_rate=float(section.get("learning_rate", 1e-3)),
         schedule=schedule,
         seed=cfg.seed,
+    ))
+
+
+def _fraction(section: dict, default: float) -> float:
+    return _config_value(
+        "fraction (train share, in (0, 1))",
+        lambda: float(section.get("fraction", default)),
+        lambda f: 0.0 < f < 1.0,
     )
 
 
@@ -294,8 +313,7 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
     if not subs:
         raise DataError(f"submission file {subs_path} is empty")
     data = _finetune_dataset(subs)
-    fraction = float(section.get("fraction", 0.8))
-    ds = ingest.split(data, fraction, cfg.seed)
+    ds = ingest.split(data, _fraction(section, 0.8), cfg.seed)
     log.info("fine-tuning on %d samples, evaluating on %d", len(ds.train), len(ds.eval))
 
     tc = _train_config(cfg, section, with_schedule=True)
@@ -346,9 +364,10 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
         ]
     limit = section.get("max_sentences")
     if limit is not None:
-        pairs = pairs[: int(limit)]
-    fraction = float(section.get("fraction", 0.9))
-    ds = ingest.split(pairs, fraction, cfg.seed)
+        pairs = pairs[: _config_value(
+            "max_sentences (at least 2)", lambda: int(limit), lambda n: n >= 2
+        )]
+    ds = ingest.split(pairs, _fraction(section, 0.9), cfg.seed)
     log.info("training classifier on %d sentences, evaluating on %d",
              len(ds.train), len(ds.eval))
 

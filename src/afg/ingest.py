@@ -9,7 +9,6 @@ All functions are pure; parsed objects are plain frozen dataclasses.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from collections import Counter
@@ -95,6 +94,8 @@ class Submission:
             raise ValueError(f"submission {self.submission_id}: impact factor must be > 0")
         if self.times_cited < 0:
             raise ValueError(f"submission {self.submission_id}: negative citation count")
+        if not self.ref_rsc.strip() or not self.ref_acs.strip():
+            raise ValueError(f"submission {self.submission_id}: blank reference")
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,10 @@ class AnswerKey:
     ref_rsc: str
     ref_acs: str
     times_cited: int
+
+    def __post_init__(self):
+        if not self.ref_rsc.strip() or not self.ref_acs.strip():
+            raise ValueError(f"answer key {self.paper_id}: blank reference")
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,15 @@ class TsvSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TsvSchema":
+        if "score_ranges" not in d:
+            raise ConfigError("TSV schema missing key 'score_ranges'")
         try:
             ranges = {str(k): (float(v[0]), float(v[1])) for k, v in d["score_ranges"].items()}
-        except KeyError as exc:
-            raise ConfigError("TSV schema missing key 'score_ranges'") from exc
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"TSV score_ranges must map prompts to [min, max]: {exc!r}") from None
+        for prompt, (lo, hi) in ranges.items():
+            if not lo < hi:
+                raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r} is empty")
         return cls(
             id_col=d.get("id_col", "id"),
             prompt_col=d.get("prompt_col", "set"),
@@ -143,13 +153,19 @@ class TsvSchema:
         )
 
 
+def _read_text(source) -> str:
+    """The text of a path or stream; bytes that are not UTF-8 are a DataError."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        data = source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not UTF-8: {exc}") from None
+
+
 def _text_lines(stream) -> list[str]:
-    if isinstance(stream, (str, Path)):
-        return Path(stream).read_text(encoding="utf-8").splitlines()
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.splitlines()
+    return _read_text(stream).splitlines()
 
 
 def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
@@ -408,6 +424,8 @@ def load_submissions(source) -> list[Submission]:
         raise DataError("submission file must contain a JSON array")
     out = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise DataError(f"submission #{i}: expected a JSON object")
         for key in _SUBMISSION_KEYS:
             if key not in entry:
                 raise DataError(f"submission #{i}: missing key {key!r}")
@@ -425,7 +443,7 @@ def load_submissions(source) -> list[Submission]:
                     human_marks=marksheet_from_json(marks) if marks is not None else None,
                 )
             )
-        except ValueError as exc:
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise DataError(f"submission #{i}: {exc}") from exc
     return out
 
@@ -436,6 +454,8 @@ def load_answer_keys(source) -> dict[str, AnswerKey]:
         raise DataError("answer-key file must contain a JSON array")
     keys: dict[str, AnswerKey] = {}
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise DataError(f"answer key #{i}: expected a JSON object")
         try:
             key = AnswerKey(
                 paper_id=str(entry["paper_id"]),
@@ -444,7 +464,7 @@ def load_answer_keys(source) -> dict[str, AnswerKey]:
                 ref_acs=str(entry["ref_acs"]),
                 times_cited=int(entry["times_cited"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"answer key #{i}: {exc!r}") from exc
         if key.paper_id in keys:
             raise DataError(f"duplicate answer key for paper {key.paper_id!r}")
@@ -453,13 +473,8 @@ def load_answer_keys(source) -> dict[str, AnswerKey]:
 
 
 def _read_json(source, what: str):
+    text = _read_text(source)
     try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source.read()
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"invalid JSON in {what}: {exc}") from exc

@@ -21,8 +21,9 @@ array, right-padded, so every row's valid tokens come first:
 Results come back in input order. Row k of a chunk's cache, cut to the
 row's length, is that sequence's own cache; backprop runs one sequence
 at a time from it, in list order, so gradient sums keep a fixed order.
+One loss function serves training and the gradient probes.
 
-Layout conventions (fixed, also the serialization order):
+Layout conventions (the ModelParams field order, also the serialization order):
   embed [V, E]            token embeddings
   fw_wx/bw_wx [E, 4H]     input weights, gate blocks ordered i|f|g|o
   fw_wh/bw_wh [H, 4H]     recurrent weights
@@ -37,7 +38,8 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,28 +51,13 @@ from .errors import (
     TrainingDivergedError,
     VersionMismatchError,
 )
-from .objectives import LossSchedule, blend_terms, blended_loss, blended_loss_grad, weight_p
+from .objectives import LossSchedule, blend_terms, blended_loss_grad, weight_p
 from .textproc import TokenSequence, Vocabulary, tokenize
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 512
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
-
-_FIELD_ORDER = (
-    "embed",
-    "fw_wx",
-    "fw_wh",
-    "fw_b",
-    "bw_wx",
-    "bw_wh",
-    "bw_b",
-    "att_w",
-    "att_v",
-    "head_w",
-    "head_b",
-)
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -132,7 +119,7 @@ class ModelParams:
     head_b: np.ndarray
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _FIELD_ORDER}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(**{k: v.astype(dtype) for k, v in self.arrays().items()})
@@ -164,30 +151,15 @@ def validate_shapes(params: ModelParams, config: EncoderConfig) -> None:
 def init_params(config: EncoderConfig) -> ModelParams:
     """Glorot-uniform weights (per matrix), zero biases, seeded draw order."""
     rng = np.random.default_rng(config.seed)
-    shapes = _shapes(config)
-
-    def glorot(name: str, fan_in: int, fan_out: int) -> np.ndarray:
-        s = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-s, s, shapes[name])
-
-    v, e = shapes["embed"]
-    h4 = shapes["fw_wx"][1]
-    h = h4 // 4
-    a = config.attention_dim
-    arrays = {
-        "embed": glorot("embed", v, e),
-        "fw_wx": glorot("fw_wx", e, h4),
-        "fw_wh": glorot("fw_wh", h, h4),
-        "fw_b": np.zeros(shapes["fw_b"]),
-        "bw_wx": glorot("bw_wx", e, h4),
-        "bw_wh": glorot("bw_wh", h, h4),
-        "bw_b": np.zeros(shapes["bw_b"]),
-        "att_w": glorot("att_w", 2 * h, a),
-        "att_v": glorot("att_v", a, 1),
-        "head_w": glorot("head_w", 2 * h, config.head_dim),
-        "head_b": np.zeros(shapes["head_b"]),
-    }
-    return ModelParams(**{k: arr.astype(np.float32) for k, arr in arrays.items()})
+    arrays = {}
+    for name, shape in _shapes(config).items():
+        if name.endswith("_b"):
+            arrays[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            fan_in, fan_out = shape if len(shape) == 2 else (shape[0], 1)
+            s = math.sqrt(6.0 / (fan_in + fan_out))
+            arrays[name] = rng.uniform(-s, s, shape).astype(np.float32)
+    return ModelParams(**arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +384,26 @@ def encode(
     return cache["ctx"][0]
 
 
-def _tokenize_nonempty(text: str, vocab: Vocabulary) -> TokenSequence:
-    if not text or not text.strip():
-        raise ValueError("text must be non-empty")
-    return tokenize(text, vocab)
+def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_sequence_length: int):
+    """Token id arrays of non-empty ``texts``, truncated to ``max_sequence_length``."""
+    seqs = []
+    for text in texts:
+        if not text or not text.strip():
+            raise ValueError("text must be non-empty")
+        seqs.append(_prepare_ids(tokenize(text, vocab), max_sequence_length))
+    return seqs
+
+
+def _encode_samples(samples, vocab: Vocabulary, task: str, n_classes: int,
+                    max_sequence_length: int):
+    """Token id arrays and a target vector for (text, target) samples."""
+    seqs = _encode_texts([text for text, _ in samples], vocab, max_sequence_length)
+    if task == REGRESSION:
+        return seqs, np.array([float(y) for _, y in samples])
+    targets = np.array([int(y) for _, y in samples], dtype=np.int64)
+    if targets.min() < 0 or targets.max() >= n_classes:
+        raise ValueError("class label outside [0, n_classes)")
+    return seqs, targets
 
 
 def predict_score(
@@ -427,7 +415,7 @@ def predict_score(
     """Score free text in (0, 1) with the regression head."""
     if params.head_dim != 1:
         raise ValueError("predict_score needs a regression head")
-    ids = _prepare_ids(_tokenize_nonempty(text, vocab), max_sequence_length)
+    ids = _encode_texts([text], vocab, max_sequence_length)[0]
     return float(_sigmoid(_forward_one(ids, params)["logits"][0, 0]))
 
 
@@ -440,7 +428,7 @@ def classify_sentence(
     """Class probabilities for one sentence from the classification head."""
     if params.head_dim < 2:
         raise ValueError("classify_sentence needs a classification head")
-    ids = _prepare_ids(_tokenize_nonempty(sentence, vocab), max_sequence_length)
+    ids = _encode_texts([sentence], vocab, max_sequence_length)[0]
     return tuple(float(v) for v in _softmax(_forward_one(ids, params)["logits"][0]))
 
 
@@ -464,10 +452,7 @@ class Predictor:
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), head_dim) head outputs before the sigmoid or softmax."""
-        seqs = [
-            _prepare_ids(_tokenize_nonempty(text, self.vocab), self.config.max_sequence_length)
-            for text in texts
-        ]
+        seqs = _encode_texts(texts, self.vocab, self.config.max_sequence_length)
         return _batch_forward(self._p64, seqs)[0]
 
     def scores(self, texts: Sequence[str]) -> list[float]:
@@ -491,25 +476,24 @@ def _zero_grads(p: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in p.arrays().items()}
 
 
-def _regression_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, p_weight: float):
-    preds = _sigmoid(logits[:, 0])
-    loss = blended_loss(preds, targets, p_weight)
-    dpred = blended_loss_grad(preds, targets, p_weight)
-    return loss, (dpred * preds * (1.0 - preds))[:, None]
+def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, task: str, p_weight: float):
+    """Mean batch loss, in the dtype of ``logits``, and its gradient wrt the logits.
 
-
-def _classification_loss_and_dlogits(logits: np.ndarray, targets: np.ndarray):
+    Regression blends STDE and MSE on sigmoid outputs at weight ``p_weight``;
+    classification is mean cross-entropy over the rows.
+    """
+    if task == REGRESSION:
+        preds = _sigmoid(logits[:, 0])
+        y = np.asarray(targets, dtype=logits.dtype)
+        dpred = blended_loss_grad(preds, y, p_weight)
+        return blend_terms(preds, y, p_weight), (dpred * preds * (1.0 - preds))[:, None]
     n = len(logits)
-    loss = 0.0
-    dlogits = []
-    for j, row in enumerate(logits):
-        z = row - row.max()
-        log_probs = z - math.log(np.exp(z).sum())
-        loss -= log_probs[targets[j]]
-        grad = np.exp(log_probs)
-        grad[targets[j]] -= 1.0
-        dlogits.append(grad / n)
-    return loss / n, dlogits
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    picked = (np.arange(n), targets)
+    dlogits = np.exp(log_probs)
+    dlogits[picked] -= 1.0
+    return -log_probs[picked].mean(), dlogits / n
 
 
 def batch_loss_and_grads(
@@ -526,10 +510,7 @@ def batch_loss_and_grads(
     and with it run-to-run determinism.
     """
     logits, caches = _batch_forward(p, seqs, keep_cache=True)
-    if task == REGRESSION:
-        loss, dlogits = _regression_loss_and_dlogits(logits, targets, p_weight)
-    else:
-        loss, dlogits = _classification_loss_and_dlogits(logits, targets)
+    loss, dlogits = _loss_and_dlogits(logits, targets, task, p_weight)
     grads = _zero_grads(p)
     for cache, dl in zip(caches, dlogits):
         _backward_seq(cache, dl, p, grads)
@@ -542,15 +523,7 @@ def batch_loss(p: ModelParams, seqs, targets, task: str, p_weight: float = 0.0):
     Gradient probes evaluate this at extended precision and subtract two
     nearly equal values, so no stage may round back to float64.
     """
-    logits, _ = _batch_forward(p, seqs)
-    if task == REGRESSION:
-        preds = _sigmoid(logits[:, 0])
-        return blend_terms(preds, np.asarray(targets, dtype=p.embed.dtype), p_weight)
-    loss = p.embed.dtype.type(0.0)
-    for j, row in enumerate(logits):
-        z = row - row.max()
-        loss -= (z - np.log(np.exp(z).sum()))[targets[j]]
-    return loss / len(logits)
+    return _loss_and_dlogits(_batch_forward(p, seqs)[0], targets, task, p_weight)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +575,7 @@ class TrainLog:
             "steps_total": self.steps_total,
         }
         if self.schedule is not None:
-            head["schedule"] = {
-                "a": self.schedule.a, "b": self.schedule.b,
-                "c": self.schedule.c, "T": self.schedule.T,
-            }
+            head["schedule"] = asdict(self.schedule)
         head["entries"] = self.entries
         return head
 
@@ -627,16 +597,7 @@ def train(
     if not data:
         raise ValueError("training data must be non-empty")
     task = REGRESSION if params.head_dim == 1 else CLASSIFICATION
-    seqs = [
-        _prepare_ids(_tokenize_nonempty(text, vocab), max_sequence_length)
-        for text, _ in data
-    ]
-    if task == REGRESSION:
-        targets = np.array([float(y) for _, y in data])
-    else:
-        targets = np.array([int(y) for _, y in data], dtype=np.int64)
-        if targets.min() < 0 or targets.max() >= params.head_dim:
-            raise ValueError("class label outside [0, n_classes)")
+    seqs, targets = _encode_samples(data, vocab, task, params.head_dim, max_sequence_length)
 
     n = len(data)
     steps_per_epoch = math.ceil(n / config.batch_size)
@@ -718,7 +679,7 @@ def max_grad_error(
     degrades to float64 and the comparison still holds with less margin.
     """
     probe = p64.astype(np.longdouble)
-    names = list(_FIELD_ORDER)
+    names = list(probe.arrays())
     sizes = [getattr(probe, name).size for name in names]
     total = sum(sizes)
     rng = np.random.default_rng(seed)
@@ -764,14 +725,7 @@ def grad_check(
     if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], str):
         samples = [samples]
     task, p_weight = _resolve_loss_spec(loss)
-    seqs = [
-        _prepare_ids(_tokenize_nonempty(text, vocab), max_sequence_length)
-        for text, _ in samples
-    ]
-    if task == REGRESSION:
-        targets = np.array([float(y) for _, y in samples])
-    else:
-        targets = np.array([int(y) for _, y in samples], dtype=np.int64)
+    seqs, targets = _encode_samples(samples, vocab, task, params.head_dim, max_sequence_length)
 
     p64 = params.astype(np.float64)
     _, grads = batch_loss_and_grads(p64, seqs, targets, task, p_weight)
@@ -800,11 +754,10 @@ def _checksum(payload: bytes) -> bytes:
 def save_model(params: ModelParams, config: EncoderConfig) -> bytes:
     """Serialize params + config; see the module docstring for field order."""
     validate_shapes(params, config)
-    cfg = _CONFIG_STRUCT.pack(
-        config.vocab_size, config.embed_dim, config.hidden_dim,
-        config.attention_dim, _HEAD_CODE[config.head], config.n_classes,
-        config.seed, config.max_sequence_length,
-    )
+    # The config block holds the EncoderConfig fields in declaration order.
+    values = asdict(config)
+    values["head"] = _HEAD_CODE[config.head]
+    cfg = _CONFIG_STRUCT.pack(*values.values())
     body = b"".join(
         np.ascontiguousarray(arr, dtype="<f4").tobytes()
         for arr in params.arrays().values()
@@ -829,20 +782,17 @@ def load_model(data) -> tuple[ModelParams, EncoderConfig]:
     payload, checksum = rest[:-8], rest[-8:]
     if _checksum(payload) != checksum:
         raise CorruptModelError("checksum mismatch")
-    fields = _CONFIG_STRUCT.unpack(payload[: _CONFIG_STRUCT.size])
-    head_code = fields[4]
-    if head_code not in _HEAD_NAME:
-        raise ShapeMismatchError(f"unknown head code {head_code}")
+    values = dict(zip((f.name for f in fields(EncoderConfig)),
+                      _CONFIG_STRUCT.unpack(payload[: _CONFIG_STRUCT.size])))
+    if values["head"] not in _HEAD_NAME:
+        raise ShapeMismatchError(f"unknown head code {values['head']}")
+    values["head"] = _HEAD_NAME[values["head"]]
     try:
-        config = EncoderConfig(
-            vocab_size=fields[0], embed_dim=fields[1], hidden_dim=fields[2],
-            attention_dim=fields[3], head=_HEAD_NAME[head_code],
-            n_classes=fields[5], seed=fields[6], max_sequence_length=fields[7],
-        )
+        config = EncoderConfig(**values)
     except ValueError as exc:
         raise ShapeMismatchError(str(exc)) from exc
     shapes = _shapes(config)
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * 4
+    expected = sum(math.prod(s) for s in shapes.values()) * 4
     body = payload[_CONFIG_STRUCT.size :]
     if len(body) != expected:
         raise ShapeMismatchError(
@@ -851,7 +801,7 @@ def load_model(data) -> tuple[ModelParams, EncoderConfig]:
     arrays = {}
     offset = 0
     for name, shape in shapes.items():
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays[name] = np.frombuffer(
             body, dtype="<f4", count=count, offset=offset
         ).reshape(shape).copy()
@@ -860,12 +810,8 @@ def load_model(data) -> tuple[ModelParams, EncoderConfig]:
 
 
 def save_model_file(path, params: ModelParams, config: EncoderConfig) -> None:
-    from pathlib import Path
-
     Path(path).write_bytes(save_model(params, config))
 
 
 def load_model_file(path) -> tuple[ModelParams, EncoderConfig]:
-    from pathlib import Path
-
     return load_model(Path(path).read_bytes())

@@ -88,20 +88,19 @@ def max_error(preds, targets) -> float:
 
 
 def combined_loss(preds, targets, t: int, s: LossSchedule) -> float:
-    """Weighted sum p(t)*STDE + (1 - p(t))*MSE."""
+    """The blend at the scheduled weight p(t); needs at least two predictions."""
     _pair(preds, targets, min_len=2)
-    p = weight_p(t, s)
-    return p * stde(preds, targets) + (1.0 - p) * mse(preds, targets)
+    return blended_loss(preds, targets, weight_p(t, s))
 
 
 def blend_terms(x, y, p: float):
-    """STDE/MSE blend preserving the input dtype (used by gradient probes)."""
+    """p*STDE + (1 - p)*MSE, preserving the input dtype (the one copy of the formula)."""
     sd_term = np.abs(np.std(y) - np.std(x))
     return p * sd_term + (1.0 - p) * np.mean((x - y) ** 2)
 
 
 def blended_loss(preds, targets, p: float) -> float:
-    """Like combined_loss but at a fixed weight p instead of a schedule step.
+    """The STDE/MSE blend at a fixed weight p.
 
     Tolerates single-element batches: the standard-deviation term of one
     value is zero by convention, so the loss degrades to (1-p)*MSE.

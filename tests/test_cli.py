@@ -225,6 +225,35 @@ class TestTrainClassifier:
         assert (out1 / "classifier.afgm").read_bytes() == (out2 / "classifier.afgm").read_bytes()
 
 
+@pytest.mark.parametrize("command, keys, value", [
+    ("pretrain", ("pretrain", "epochs"), 0),
+    ("pretrain", ("pretrain", "epochs"), "x"),
+    ("pretrain", ("pretrain", "batch_size"), 0),
+    ("pretrain", ("pretrain", "learning_rate"), -1),
+    ("pretrain", ("model", "embed_dim"), 0),
+    ("pretrain", ("pretrain", "schedule", "a"), 2),
+    ("train-classifier", ("classifier", "fraction"), 1.5),
+    ("train-classifier", ("classifier", "max_sentences"), "x"),
+])
+def test_bad_config_value_exits_2_before_writing(tmp_path, capsys, command, keys, value):
+    out = tmp_path / "out"
+    if command == "pretrain":
+        body = pretrain_config(tmp_path, out)
+    else:
+        corpus = tmp_path / "rct.txt"
+        corpus.write_text(serialize_rct(generate_rct_corpus(10, seed=4)), encoding="utf-8")
+        body = {"seed": 2, "out_dir": str(out),
+                "model": {"embed_dim": 8, "hidden_dim": 8, "attention_dim": 6},
+                "classifier": {"corpus": str(corpus), "epochs": 1}}
+    section = body
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    assert main(["--config", str(write_config(tmp_path, body)), command]) == 2
+    assert "configuration error: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def grade_config(tmp_path: Path, out: Path, fmt="markdown") -> dict:
     return {
         "seed": 7,
@@ -310,6 +339,16 @@ class TestGrade:
         body["grade"]["scorer_model"] = scorer
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "grade"]) == 2
+        assert not out.exists()
+
+    def test_blank_reference_exits_3_before_writing(self, tmp_path):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs[0]["ref_rsc"] = "  "
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "grade"]) == 3
         assert not out.exists()
 
     def test_classifier_truncates_at_the_model_length(self, tmp_path):

@@ -1,11 +1,13 @@
 """Corpus parsing, normalization, splitting and answer-key derivation."""
 
 import io
+import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from afg.errors import (
+    AfgError,
     ConfigError,
     DataError,
     EmptyInputError,
@@ -247,6 +249,67 @@ class TestJsonIngest:
         path.write_text(f"[{entry}, {entry}]", encoding="utf-8")
         with pytest.raises(DataError, match="duplicate"):
             load_answer_keys(path)
+
+    @pytest.mark.parametrize("field", ["ref_rsc", "ref_acs"])
+    def test_blank_reference_rejected(self, field):
+        sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
+               "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
+        key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
+                                   "times_cited")}
+        with pytest.raises(DataError, match="blank reference"):
+            load_submissions(io.StringIO(json.dumps([{**sub, field: "  "}])))
+        with pytest.raises(DataError, match="blank reference"):
+            load_answer_keys(io.StringIO(json.dumps([{**key, field: ""}])))
+
+    def test_null_citation_count_is_data_error(self):
+        entry = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
+                 "ref_rsc": "r", "ref_acs": "a", "times_cited": None, "abstract": "Text."}
+        with pytest.raises(DataError, match="submission #0"):
+            load_submissions(io.StringIO(json.dumps([entry])))
+
+
+def test_degenerate_tsv_score_range_is_config_error():
+    with pytest.raises(ConfigError, match="empty"):
+        TsvSchema.from_dict({"score_ranges": {"1": [5, 5]}})
+
+
+def _returns_or_raises_afg_error(parse, data: bytes) -> None:
+    try:
+        parse(io.BytesIO(data))
+    except AfgError:
+        pass
+
+
+@given(st.binary(max_size=300))
+@example(b"###a\nBACKGROUND\t\xff\n")
+@example(b"###a\nMETHOD\tText.\nRESULT")
+def test_parse_rct_raises_only_afg_errors(data):
+    _returns_or_raises_afg_error(parse_rct, data)
+
+
+@given(st.binary(max_size=300))
+@example(b"id\tset\tessay\tscore\n1\t1\t\xfe\t3\n")
+@example(b"id\tset\tessay\tscore\n1\t1\tText\tnan\n")
+def test_parse_scored_tsv_raises_only_afg_errors(data):
+    _returns_or_raises_afg_error(lambda fh: parse_scored_tsv(fh, SCHEMA), data)
+
+
+@given(st.binary(max_size=300))
+@example(b"\xff[]")
+@example(b"[1]")
+@example(b'[{"submission_id": 1, "paper_id": 1, "impact_factor": 1, "ref_rsc": "r", '
+         b'"ref_acs": "a", "times_cited": 1e400, "abstract": "x"}]')
+def test_load_submissions_raises_only_afg_errors(data):
+    _returns_or_raises_afg_error(load_submissions, data)
+
+
+@given(st.binary(max_size=300))
+@example(b"[1]")
+@example(b'[{"paper_id": "p", "impact_factor": 1, "ref_rsc": "r", "ref_acs": "a", '
+         b'"times_cited": null}]')
+@example(b"[" * 100_000)
+def test_load_answer_keys_raises_only_afg_errors(data):
+    _returns_or_raises_afg_error(load_answer_keys, data)
 
 
 @given(

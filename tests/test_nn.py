@@ -1,6 +1,9 @@
 """Encoder, heads, training loop, gradient checks and serialization."""
 
+import hashlib
 import io
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from afg.errors import (
+    AfgError,
     BadMagicError,
     CorruptModelError,
     ShapeMismatchError,
@@ -25,6 +29,7 @@ from afg.nn import (
     _chunks,
     _forward,
     _forward_one,
+    _loss_and_dlogits,
     batch_loss,
     batch_loss_and_grads,
     classify_sentence,
@@ -95,6 +100,16 @@ class TestInitParams:
             EncoderConfig(vocab_size=5, head=CLASSIFICATION, n_classes=1)
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=5, head="mystery")
+
+    def test_draw_order_pinned(self):
+        # Pinned digest of the initial weights: any change to the draw order,
+        # the Glorot bounds or the zero biases changes it.
+        config = EncoderConfig(vocab_size=20, embed_dim=4, hidden_dim=3, attention_dim=2,
+                               head=CLASSIFICATION, n_classes=3, seed=7)
+        blob = save_model(init_params(config), config)
+        assert hashlib.blake2b(blob, digest_size=16).hexdigest() == (
+            "e8744ee8d1692687d8c4550ac2c852ba"
+        )
 
 
 class TestEncode:
@@ -334,6 +349,37 @@ class TestTrain:
             train([], TrainConfig(epochs=1, batch_size=1), params, vocab)
 
 
+class TestLoss:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_cross_entropy_matches_the_row_loop(self, n, c, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=5.0, size=(n, c))
+        targets = rng.integers(0, c, n)
+        loss, dlogits = _loss_and_dlogits(logits, targets, CLASSIFICATION, 0.0)
+        # Reference: one row at a time; the vectorised log and mean may round
+        # differently, so equality holds to a few float64 ulps.
+        tol = 64 * np.finfo(np.float64).eps
+        ref_loss = 0.0
+        for j, row in enumerate(logits):
+            z = row - row.max()
+            log_probs = z - math.log(np.exp(z).sum())
+            ref_loss -= log_probs[targets[j]]
+            grad = np.exp(log_probs)
+            grad[targets[j]] -= 1.0
+            np.testing.assert_allclose(dlogits[j], grad / n, rtol=tol, atol=tol / n)
+        assert loss == pytest.approx(ref_loss / n, rel=tol, abs=tol)
+
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+    def test_loss_keeps_the_logits_dtype(self, task):
+        n_out = 3 if task == CLASSIFICATION else 1
+        logits = np.linspace(-1.0, 1.0, 4 * n_out, dtype=np.longdouble).reshape(4, n_out)
+        targets = np.array([0, 2, 1, 2]) if task == CLASSIFICATION else np.full(4, 0.5)
+        loss, dlogits = _loss_and_dlogits(logits, targets, task, 0.5)
+        assert loss.dtype == np.longdouble
+        assert dlogits.shape == (4, n_out)
+
+
 class TestGradCheck:
     SAMPLES = [
         ("the cat sat on mat park", 0.3),
@@ -446,3 +492,18 @@ class TestSerialization:
         blob[-8:] = hashlib.blake2b(payload, digest_size=8).digest()
         with pytest.raises(ShapeMismatchError):
             load_model(bytes(blob))
+
+
+def _checksummed(payload: bytes) -> bytes:
+    return b"AFGM\x01" + payload + hashlib.blake2b(payload, digest_size=8).digest()
+
+
+@given(st.binary(max_size=200), st.booleans())
+@example(struct.pack("<8q", 2**40, 2**40, 1, 1, 0, 0, 0, 1), True)
+def test_load_model_raises_only_afg_errors(data, checksummed):
+    # With a valid header and checksum, the bytes reach the config and
+    # payload checks instead of stopping at the checksum.
+    try:
+        load_model(_checksummed(data) if checksummed else data)
+    except AfgError:
+        pass
