@@ -67,7 +67,12 @@ class RunConfig:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config {p}: {exc}") from exc
-        run_seed = seed if seed is not None else int(raw.get("seed", 0))
+        # The model file stores the seed as a signed 64-bit field.
+        run_seed = _config_value(
+            "seed (an integer in [0, 2**63))",
+            lambda: int(seed if seed is not None else raw.get("seed", 0)),
+            lambda value: 0 <= value < 2**63,
+        )
         out_dir = Path(out) if out is not None else Path(raw.get("out_dir", "out"))
         return cls(seed=run_seed, out_dir=out_dir, raw=raw, base_dir=p.parent)
 
@@ -151,11 +156,11 @@ def _get_vocab(cfg: RunConfig, texts: list[str]) -> Vocabulary:
     spec = cfg.raw.get("vocab", {})
     if "path" in spec:
         return Vocabulary.load(_require_path(cfg, spec, "path", "vocabulary file"))
-    return build_vocab(
+    return _config_value("vocab settings", lambda: build_vocab(
         texts,
         max_size=int(spec.get("max_size", 512)),
         min_frequency=int(spec.get("min_frequency", 2)),
-    )
+    ))
 
 
 def _write_json(path: Path, obj) -> None:

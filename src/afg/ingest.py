@@ -340,7 +340,7 @@ def split(samples: Sequence, fraction: float, seed: int) -> DatasetSplit:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     n = len(samples)
     if n < 2:
-        raise ValueError("need at least 2 samples to split")
+        raise DataError(f"need at least 2 samples to split, got {n}")
     n_train = min(max(_round_half_away(fraction * n), 1), n - 1)
     order = shuffled_indices(n, seed)
     train = tuple(samples[i] for i in order[:n_train])

@@ -18,9 +18,13 @@ array, right-padded, so every row's valid tokens come first:
     and its outputs are put back in order with the same array;
   - padded positions score -inf before the attention softmax, so their
     weight is exactly 0.
-Results come back in input order. Row k of a chunk's cache, cut to the
-row's length, is that sequence's own cache; backprop runs one sequence
-at a time from it, in list order, so gradient sums keep a fixed order.
+Results come back in input order. Backprop runs each chunk as a whole from
+its cache: one reverse time loop per direction over (B, H) rows, each weight
+gradient one matmul over the chunk's T x B steps. It needs no mask: padded
+positions get exactly zero gradient from the attention and follow each
+row's valid steps in both directions, so the dh and dc they pass back are
+exact zeros. Gradients are summed chunk by chunk in ``_chunks`` order, a
+fixed order, so the same inputs give byte-identical results run to run.
 One loss function serves training and the gradient probes.
 
 Layout conventions (the ModelParams field order, also the serialization order):
@@ -187,7 +191,7 @@ def _lstm_forward(x: np.ndarray, wx, wh, b):
 
     Each row's valid steps come before its padding, so no valid state ever
     depends on a padded step and the recurrence needs no masking. Returns
-    the states and backprop cache as batch-major (B, T[+1], ...) views.
+    the time-major states (T+1, B, H) and backprop cache.
     """
     t_len, n, _ = x.shape
     h_dim = wh.shape[0]
@@ -214,48 +218,48 @@ def _lstm_forward(x: np.ndarray, wx, wh, b):
         h = hs[t + 1]
         np.tanh(c, out=h)
         h *= z[:, g_hi:]
-    gates = gates.swapaxes(0, 1)
-    return {
-        "x": x.swapaxes(0, 1), "hs": hs.swapaxes(0, 1), "cs": cs.swapaxes(0, 1),
-        "i": gates[..., :h_dim], "f": gates[..., h_dim:g_lo],
-        "g": gates[..., g_lo:g_hi], "o": gates[..., g_hi:],
-    }
+    return {"x": x, "hs": hs, "cs": cs, "gates": gates}
 
 
 def _lstm_backward(dh_out: np.ndarray, cache, wx, wh, grads, prefix: str):
-    """Backprop one direction of one sequence; returns the gradient wrt the inputs x."""
-    x, hs, cs = cache["x"], cache["hs"], cache["cs"]
-    gi, gf, gg, go = cache["i"], cache["f"], cache["g"], cache["o"]
-    t_len, h_dim = dh_out.shape
-    dz_all = np.empty((t_len, 4 * h_dim))
-    dh_next = np.zeros(h_dim)
-    dc_next = np.zeros(h_dim)
+    """Backprop one direction over time-major (T, B, H) output gradients.
+
+    Adds the weight gradients over all T x B steps and returns the (T, B, E)
+    gradient wrt the inputs.
+    """
+    x, hs, cs, gates = cache["x"], cache["hs"], cache["cs"], cache["gates"]
+    t_len, n, h_dim = dh_out.shape
+    i, f, g, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
+    tc = np.tanh(cs[1:])
+    # Each gate's pre-activation gradient is dc (i, f, g) or dh (o) times a
+    # factor known from the forward; step t scales its factors in place.
+    dz = np.empty((t_len, n, 4, h_dim), dtype=gates.dtype)
+    np.multiply(g, i * (1.0 - i), out=dz[:, :, 0])
+    np.multiply(cs[:-1], f * (1.0 - f), out=dz[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=dz[:, :, 2])
+    np.multiply(tc, o * (1.0 - o), out=dz[:, :, 3])
+    dc_dh = o * (1.0 - tc * tc)
+    dh_next = np.zeros((n, h_dim), dtype=dh_out.dtype)
+    dc_next = np.zeros_like(dh_next)
     for t in range(t_len - 1, -1, -1):
         dh = dh_out[t] + dh_next
-        tc = np.tanh(cs[t + 1])
-        do = dh * tc
-        dc = dh * go[t] * (1.0 - tc * tc) + dc_next
-        df = dc * cs[t]
-        di = dc * gg[t]
-        dg = dc * gi[t]
-        dc_next = dc * gf[t]
-        dz = dz_all[t]
-        dz[:h_dim] = di * gi[t] * (1.0 - gi[t])
-        dz[h_dim : 2 * h_dim] = df * gf[t] * (1.0 - gf[t])
-        dz[2 * h_dim : 3 * h_dim] = dg * (1.0 - gg[t] * gg[t])
-        dz[3 * h_dim :] = do * go[t] * (1.0 - go[t])
-        dh_next = wh @ dz
-    grads[prefix + "_wx"] += x.T @ dz_all
-    grads[prefix + "_wh"] += hs[:-1].T @ dz_all
-    grads[prefix + "_b"] += dz_all.sum(axis=0)
-    return dz_all @ wx.T
+        dc = dh * dc_dh[t]
+        dc += dc_next
+        dz[t, :, :3] *= dc[:, None]
+        dz[t, :, 3] *= dh
+        dc_next = dc * f[t]
+        dh_next = dz[t].reshape(n, 4 * h_dim) @ wh.T
+    dz = dz.reshape(t_len * n, 4 * h_dim)
+    grads[prefix + "_wx"] += x.reshape(t_len * n, -1).T @ dz
+    grads[prefix + "_wh"] += hs[:-1].reshape(t_len * n, h_dim).T @ dz
+    grads[prefix + "_b"] += dz.sum(axis=0)
+    return (dz @ wx.T).reshape(t_len, n, -1)
 
 
 def _forward(ids: np.ndarray, lengths: np.ndarray, p: ModelParams):
     """Forward pass over right-padded (B, T) token ids, in the dtype of ``p``.
 
-    Returns the batch cache. Row k of each array, cut to ``lengths[k]``
-    steps, is that sequence's own cache (see ``_seq_cache``).
+    Returns the chunk cache that ``_backward`` reads.
     """
     n, t_len = ids.shape
     rows = np.arange(n)[:, None]
@@ -266,49 +270,41 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, p: ModelParams):
     rev = np.where(valid, lengths[:, None] - 1 - steps, steps)
     fw = _lstm_forward(p.embed[ids.T], p.fw_wx, p.fw_wh, p.fw_b)
     bw = _lstm_forward(p.embed[ids[rows, rev].T], p.bw_wx, p.bw_wh, p.bw_b)
-    h_cat = np.concatenate([fw["hs"][:, 1:], bw["hs"][:, 1:][rows, rev]], axis=2)
+    h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw["hs"][1:].swapaxes(0, 1)
+    h_cat = np.concatenate([h_fw, h_bw[rows, rev]], axis=2)
     u = np.tanh(h_cat @ p.att_w)
     alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
     ctx = (alpha[:, None, :] @ h_cat)[:, 0]
     logits = ctx @ p.head_w + p.head_b
     return {
-        "ids": ids, "lengths": lengths, "fw": fw, "bw": bw, "h_cat": h_cat,
+        "ids": ids, "rev": rev, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
     }
 
 
-def _seq_cache(cache, k: int):
-    """Row ``k`` of a batch cache cut to its length: the cache _backward_seq reads."""
-    n = int(cache["lengths"][k])
-
-    def direction(c):
-        return {name: arr[k, : n + 1 if name in ("hs", "cs") else n] for name, arr in c.items()}
-
-    return {
-        "ids": cache["ids"][k, :n], "fw": direction(cache["fw"]), "bw": direction(cache["bw"]),
-        "h_cat": cache["h_cat"][k, :n], "u": cache["u"][k, :n],
-        "alpha": cache["alpha"][k, :n], "ctx": cache["ctx"][k],
-    }
-
-
-def _backward_seq(cache, dlogits: np.ndarray, p: ModelParams, grads):
+def _backward(cache, dlogits: np.ndarray, p: ModelParams, grads):
+    """Backprop one chunk's cache for its (B, C) logit gradient, adding into ``grads``."""
     ctx, alpha, h_cat, u = cache["ctx"], cache["alpha"], cache["h_cat"], cache["u"]
-    grads["head_w"] += np.outer(ctx, dlogits)
-    grads["head_b"] += dlogits
-    dctx = p.head_w @ dlogits
+    grads["head_w"] += ctx.T @ dlogits
+    grads["head_b"] += dlogits.sum(axis=0)
+    dctx = dlogits @ p.head_w.T
 
-    dalpha = h_cat @ dctx
-    dh_cat = np.outer(alpha, dctx)
-    dscores = alpha * (dalpha - float(alpha @ dalpha))
-    grads["att_v"] += u.T @ dscores
-    dpre = np.outer(dscores, p.att_v) * (1.0 - u * u)
-    grads["att_w"] += h_cat.T @ dpre
+    dalpha = (h_cat @ dctx[:, :, None])[:, :, 0]
+    dh_cat = alpha[:, :, None] * dctx[:, None, :]
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    grads["att_v"] += np.tensordot(dscores, u, axes=2)
+    dpre = dscores[:, :, None] * p.att_v * (1.0 - u * u)
+    grads["att_w"] += np.tensordot(h_cat, dpre, axes=([0, 1], [0, 1]))
     dh_cat += dpre @ p.att_w.T
 
     h_dim = p.hidden_dim
-    dx = _lstm_backward(dh_cat[:, :h_dim], cache["fw"], p.fw_wx, p.fw_wh, grads, "fw")
-    dx_bw = _lstm_backward(dh_cat[:, h_dim:][::-1], cache["bw"], p.bw_wx, p.bw_wh, grads, "bw")
-    dx += dx_bw[::-1]
+    rev = cache["rev"]
+    rows = np.arange(len(rev))[:, None]
+    dx = _lstm_backward(dh_cat[:, :, :h_dim].swapaxes(0, 1), cache["fw"],
+                        p.fw_wx, p.fw_wh, grads, "fw").swapaxes(0, 1)
+    dx_bw = _lstm_backward(dh_cat[:, :, h_dim:][rows, rev].swapaxes(0, 1), cache["bw"],
+                           p.bw_wx, p.bw_wh, grads, "bw").swapaxes(0, 1)
+    dx += dx_bw[rows, rev]
     np.add.at(grads["embed"], cache["ids"], dx)
 
 
@@ -330,12 +326,12 @@ def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
 def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool = False):
     """Logits of ``seqs`` in list order, run over length-sorted padded chunks.
 
-    With ``keep_cache`` the second result is each sequence's own cache, in
-    list order; otherwise it is None and each chunk's cache is dropped once
-    its logits are read.
+    With ``keep_cache`` the second result lists each chunk's (indices into
+    ``seqs``, chunk cache) in ``_chunks`` order; otherwise it is None and each
+    chunk's cache is dropped once its logits are read.
     """
     logits = np.empty((len(seqs), p.head_dim), dtype=p.embed.dtype)
-    caches = [None] * len(seqs) if keep_cache else None
+    caches = [] if keep_cache else None
     for idx in _chunks([len(s) for s in seqs]):
         lengths = np.array([len(seqs[i]) for i in idx])
         # Padding reuses id 0: padded steps never reach a valid output.
@@ -345,8 +341,7 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
         cache = _forward(ids, lengths, p)
         logits[idx] = cache["logits"]
         if keep_cache:
-            for row, i in enumerate(idx):
-                caches[i] = _seq_cache(cache, row)
+            caches.append((idx, cache))
         del cache  # else it stays alive while the next chunk runs
     return logits, caches
 
@@ -505,15 +500,16 @@ def batch_loss_and_grads(
 ):
     """Loss plus parameter gradients for one mini-batch (64-bit params).
 
-    The forward runs batched; backprop then runs one sequence at a time in
-    list order, which pins the floating-point sum order of the gradients
-    and with it run-to-run determinism.
+    The forward runs over length-sorted padded chunks and each chunk is
+    backpropagated as a whole from its cache. Gradients are summed in a
+    fixed order, chunk by chunk in ``_chunks`` order and then inside each
+    chunk's matmuls, which keeps runs with the same inputs byte-identical.
     """
     logits, caches = _batch_forward(p, seqs, keep_cache=True)
     loss, dlogits = _loss_and_dlogits(logits, targets, task, p_weight)
     grads = _zero_grads(p)
-    for cache, dl in zip(caches, dlogits):
-        _backward_seq(cache, dl, p, grads)
+    for idx, cache in caches:
+        _backward(cache, dlogits[idx], p, grads)
     return float(loss), grads
 
 
@@ -630,12 +626,12 @@ def train(
             b1c = 1.0 - config.beta1**step
             b2c = 1.0 - config.beta2**step
             for name, arr in p64.arrays().items():
-                g = grads[name]
-                m[name] = config.beta1 * m[name] + (1.0 - config.beta1) * g
-                v[name] = config.beta2 * v[name] + (1.0 - config.beta2) * g * g
-                arr -= config.learning_rate * (m[name] / b1c) / (
-                    np.sqrt(v[name] / b2c) + config.adam_eps
-                )
+                g, mn, vn = grads[name], m[name], v[name]
+                mn *= config.beta1
+                mn += (1.0 - config.beta1) * g
+                vn *= config.beta2
+                vn += (1.0 - config.beta2) * g * g
+                arr -= config.learning_rate * (mn / b1c) / (np.sqrt(vn / b2c) + config.adam_eps)
             entry = {"step": step, "epoch": epoch, "loss": loss}
             if schedule is not None:
                 entry["p"] = p_weight

@@ -182,6 +182,25 @@ class TestFinetuneAndEval:
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "finetune"]) == 2
 
+    def test_one_marked_submission_exits_3(self, tmp_path, capsys):
+        subs = submissions_with_marks(tmp_path, n=1)
+        vocab = build_vocab(["tiny corpus text"], max_size=40, min_frequency=1)
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=4,
+                               attention_dim=3)
+        save_model_file(tmp_path / "base.afgm", init_params(config), config)
+        vocab.save(tmp_path / "vocab.txt")
+        body = {
+            "seed": 1,
+            "out_dir": str(tmp_path / "out"),
+            "finetune": {
+                "base_model": {"path": str(tmp_path / "base.afgm"),
+                               "vocab": str(tmp_path / "vocab.txt")},
+                "submissions": str(subs),
+            },
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "finetune"]) == 3
+        assert "need at least 2 samples" in capsys.readouterr().err
+
 
 class TestTrainClassifier:
     def test_small_run_reports_accuracy(self, tmp_path):
@@ -224,6 +243,15 @@ class TestTrainClassifier:
         assert main(["--config", str(cfg), "--out", str(out2), "train-classifier"]) == 0
         assert (out1 / "classifier.afgm").read_bytes() == (out2 / "classifier.afgm").read_bytes()
 
+    def test_one_sentence_corpus_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "rct.txt"
+        corpus.write_text("###1\nMETHOD\tWe measured the samples twice.\n", encoding="utf-8")
+        body = {"seed": 2, "out_dir": str(tmp_path / "out"), "classifier": {"corpus": str(corpus)}}
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "train-classifier"]) == 3
+        assert "need at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("command, keys, value", [
     ("pretrain", ("pretrain", "epochs"), 0),
@@ -234,6 +262,12 @@ class TestTrainClassifier:
     ("pretrain", ("pretrain", "schedule", "a"), 2),
     ("train-classifier", ("classifier", "fraction"), 1.5),
     ("train-classifier", ("classifier", "max_sentences"), "x"),
+    ("pretrain", ("seed",), "x"),
+    ("pretrain", ("seed",), -1),
+    ("pretrain", ("seed",), 2**63),
+    ("pretrain", ("vocab", "max_size"), "x"),
+    ("pretrain", ("vocab", "max_size"), 2),
+    ("pretrain", ("vocab", "min_frequency"), "x"),
 ])
 def test_bad_config_value_exits_2_before_writing(tmp_path, capsys, command, keys, value):
     out = tmp_path / "out"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from afg import nn
 from afg.errors import (
     AfgError,
     BadMagicError,
@@ -190,6 +191,44 @@ class TestBatchedForward:
         assert len(chunks) > 1
         assert sorted(i for chunk in chunks for i in chunk) == list(range(40))
         assert all(len(c) * max(self.ONE_TO_FORTY[i] for i in c) <= TOKEN_BUDGET for c in chunks)
+
+
+class TestBatchedBackward:
+    """Chunked backprop against every sequence backpropagated as its own chunk."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # Repeated until the total exceeds the budget, so there are several chunks.
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40).map(
+            lambda ls: ls * (TOKEN_BUDGET // sum(ls) + 1)),
+        seed=st.integers(0, 2**32 - 1),
+        task=st.sampled_from([REGRESSION, CLASSIFICATION]),
+    )
+    @example(lengths=TestBatchedForward.ONE_TO_FORTY, seed=0, task=CLASSIFICATION)
+    @example(lengths=TestBatchedForward.ONE_TO_FORTY, seed=0, task=REGRESSION)
+    def test_gradients_match_one_chunk_per_sequence(self, reg_setup, cls_setup, lengths,
+                                                    seed, task):
+        config, params, _ = cls_setup if task == CLASSIFICATION else reg_setup
+        p64 = params.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        # No sequence holds id 0, the padding id, so its row gets no gradient.
+        seqs = [rng.integers(1, config.vocab_size, n) for n in lengths]
+        if task == CLASSIFICATION:
+            targets = rng.integers(0, config.n_classes, len(seqs))
+        else:
+            targets = rng.uniform(0.0, 1.0, len(seqs))
+        assert len(list(_chunks(lengths))) > 1
+        loss, grads = batch_loss_and_grads(p64, seqs, targets, task, 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "TOKEN_BUDGET", 1)
+            assert len(list(_chunks(lengths))) == len(lengths)
+            ref_loss, ref_grads = batch_loss_and_grads(p64, seqs, targets, task, 0.5)
+        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-10, atol=1e-12,
+                                       err_msg=name)
+        assert (grads["embed"][0] == 0.0).all()
 
 
 class TestPredictor:
@@ -400,6 +439,25 @@ class TestGradCheck:
         err = grad_check(params, samples, vocab, loss="cross_entropy", epsilon=1e-4,
                          n_weights=200, seed=0)
         assert err < 1e-4
+
+    # Token lengths 2, 3, 6, 7 and 8; a 16-token budget cuts them into the
+    # chunks [2, 3], [6, 7] and [8], two of them padded.
+    MIXED_TEXTS = ["the cat", "a dog", "dog ran in", "results show clear gains",
+                     "the cat sat on mat"]
+
+    @pytest.mark.parametrize("loss, targets", [
+        ("cross_entropy", [0, 1, 2, 0, 1]),
+        (("combined", 0.5), [0.3, 0.8, 0.55, 0.1, 0.65]),
+    ])
+    def test_padded_chunks(self, reg_setup, cls_setup, monkeypatch, loss, targets):
+        _, params, vocab = cls_setup if loss == "cross_entropy" else reg_setup
+        monkeypatch.setattr(nn, "TOKEN_BUDGET", 16)
+        lengths = [len(tokenize(t, vocab).token_ids) for t in self.MIXED_TEXTS]
+        padded = [c for c in _chunks(lengths) if len({lengths[i] for i in c}) > 1]
+        assert len(padded) >= 2
+        err = grad_check(params, list(zip(self.MIXED_TEXTS, targets)), vocab, loss=loss,
+                         epsilon=1e-4, n_weights=200, seed=0)
+        assert err < 1e-4, f"loss {loss}: {err}"
 
     def test_single_sample_accepted(self, reg_setup):
         _, params, vocab = reg_setup
