@@ -19,6 +19,7 @@ Exit codes: 0 ok, 2 configuration problem, 3 bad or empty data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -47,6 +48,13 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
+# Config sections: one per subcommand, plus the shared model, vocabulary
+# and segmenter settings.
+_SECTIONS = (
+    "pretrain", "finetune", "classifier", "grade", "eval", "model", "vocab", "segmenter",
+)
+
+
 @dataclass
 class RunConfig:
     seed: int
@@ -67,6 +75,11 @@ class RunConfig:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config {p}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {p} is not a JSON object")
+        for name in _SECTIONS:
+            if not isinstance(raw.get(name, {}), dict):
+                raise ConfigError(f"config section {name!r} is not a JSON object")
         # The model file stores the seed as a signed 64-bit field.
         run_seed = _config_value(
             "seed (an integer in [0, 2**63))",
@@ -436,12 +449,15 @@ def cmd_grade(cfg: RunConfig, args) -> int:
         if sub.paper_id not in keys:
             raise DataError(f"no answer key for paper {sub.paper_id!r}")
     abbreviations = _get_abbreviations(cfg)
+    # Each abstract is segmented once, at its first use: by the classifier's
+    # priming pass or by its own labels, whichever comes first.
+    segment = functools.cache(lambda text: segment_sentences(text, abbreviations))
     score_fn = _scorer_from_spec(
         cfg, section.get("scorer_model", {}), lambda: [s.abstract for s in subs]
     )
     classify_fn = _classifier_from_spec(
         cfg, section.get("classifier_model", {}),
-        lambda: [t for s in subs for t in segment_sentences(s.abstract, abbreviations)],
+        lambda: [t for s in subs for t in segment(s.abstract)],
     )
     rules = (
         fb.load_rules(_require_path(cfg, section, "rules", "rule config"))
@@ -460,7 +476,7 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     for sub in sorted(subs, key=lambda s: s.submission_id):
         sheet = scoring.mark_submission(sub, keys[sub.paper_id], score_fn)
         labeled = structure.classify_abstract(
-            sub.abstract, classify_fn, abbreviations=abbreviations
+            sub.abstract, classify_fn, sentences=segment(sub.abstract)
         )
         report = fb.build_report(sub.submission_id, sheet, labeled, rules)
         rendered = fb.render_report(report, fmt, color=not args.no_color)

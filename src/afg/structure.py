@@ -93,9 +93,16 @@ def classify_abstract(
     text: str,
     classifier: SentenceClassifier,
     abbreviations=DEFAULT_ABBREVIATIONS,
+    *,
+    sentences: Sequence[str] | None = None,
 ) -> LabeledAbstract:
-    """Segment an abstract and label every sentence with ``classifier``."""
-    sentences = segment_sentences(text, abbreviations)
+    """Segment an abstract and label every sentence with ``classifier``.
+
+    ``sentences``, when given, is ``text`` already segmented, and is
+    labelled as it is.
+    """
+    if sentences is None:
+        sentences = segment_sentences(text, abbreviations)
     if not sentences:
         raise ValueError("abstract has no sentences after segmentation")
     labeled = []

@@ -4,11 +4,16 @@ The tokenizer splits words into vocabulary pieces by greedy longest-prefix
 matching, with ``##`` marking word-internal continuation pieces, so
 technical strings decompose into known parts instead of collapsing to the
 unknown token. The vocabulary itself is built by iterative pair merging
-starting from single characters.
+starting from single characters: the most frequent adjacent pair merges
+first, the lexicographically smallest on ties. The pairs are counted once;
+an index from each pair to the words holding it and a heap of counts let
+each merge rewrite only the words it changes, in the same merge order as
+recounting every pair before every merge.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
@@ -145,6 +150,17 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
     merges the most frequent adjacent symbol pair, lexicographically
     smallest pair first on ties, until ``max_size`` tokens exist or no
     pair reaches ``min_frequency``.
+
+    The pairs are counted once. After that, the loop keeps the counts, an
+    index from each pair to the words that contain it and a heap of
+    ``(-count, pair)`` entries. A merge rewrites only the words indexed
+    under the winning pair: it subtracts each word's old pairs, merges the
+    word left to right without overlap and adds its new pairs, indexing
+    the word under each. Every pair the merge touched gets a fresh heap
+    entry, and an entry whose count no longer matches is dropped when it
+    reaches the top. The heap order is the ``(-count, pair)`` order of a
+    full recount, so the merge sequence and the tie rule are those of
+    recounting every pair in every word before each merge.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -154,16 +170,17 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
 
     word_freq: dict[str, int] = {}
     for text in corpus:
-        for word in text.split():
-            word = _safe_lower(word)
+        words = text.lower().split() if text.isascii() else map(_safe_lower, text.split())
+        for word in words:
             word_freq[word] = word_freq.get(word, 0) + 1
 
-    sequences: dict[str, list[str]] = {w: _word_symbols(w) for w in word_freq}
+    sequences = [_word_symbols(w) for w in word_freq]
+    freqs = list(word_freq.values())
 
     alphabet_freq: dict[str, int] = {}
-    for w, seq in sequences.items():
+    for seq, f in zip(sequences, freqs):
         for sym in seq:
-            alphabet_freq[sym] = alphabet_freq.get(sym, 0) + word_freq[w]
+            alphabet_freq[sym] = alphabet_freq.get(sym, 0) + f
     alphabet = sorted(alphabet_freq)
     if n_reserved + len(alphabet) > max_size:
         alphabet = sorted(
@@ -174,23 +191,29 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
     tokens: list[str] = [PAD_TOKEN, UNK_TOKEN] + alphabet
     seen = set(tokens)
 
+    pair_counts: dict[tuple[str, str], int] = {}
+    words_with: dict[tuple[str, str], set[int]] = {}
+    for i, (seq, f) in enumerate(zip(sequences, freqs)):
+        for pair in zip(seq, seq[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + f
+            words_with.setdefault(pair, set()).add(i)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     min_frequency = max(1, min_frequency)
     while len(tokens) < max_size:
-        pair_counts: dict[tuple[str, str], int] = {}
-        for w, seq in sequences.items():
-            f = word_freq[w]
-            for a, b in zip(seq, seq[1:]):
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + f
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < min_frequency:
             break
-        best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
-        if pair_counts[best] < min_frequency:
-            break
+        best = heap[0][1]
         a, b = best
         merged = a + (b[len(CONTINUATION_MARKER):] if b.startswith(CONTINUATION_MARKER) else b)
-        for w, seq in sequences.items():
-            if len(seq) < 2:
-                continue
+        changed = set()
+        # An index entry can be stale (the word lost the pair to an
+        # earlier merge); merging such a word leaves it as it is.
+        for i in words_with.pop(best):
+            seq = sequences[i]
             out = []
             k = 0
             while k < len(seq):
@@ -200,7 +223,23 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
                 else:
                     out.append(seq[k])
                     k += 1
-            sequences[w] = out
+            if len(out) == len(seq):
+                continue
+            f = freqs[i]
+            for pair in zip(seq, seq[1:]):
+                pair_counts[pair] -= f
+                changed.add(pair)
+            for pair in zip(out, out[1:]):
+                pair_counts[pair] = pair_counts.get(pair, 0) + f
+                words_with.setdefault(pair, set()).add(i)
+                changed.add(pair)
+            sequences[i] = out
+        for pair in changed:
+            count = pair_counts[pair]
+            if count:
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
         if merged not in seen:
             tokens.append(merged)
             seen.add(merged)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from afg import cli, structure, textproc
 from afg.cli import main
 from afg.ingest import serialize_rct
 from afg.nn import CLASSIFICATION, EncoderConfig, classify_sentence, init_params, save_model_file
@@ -288,6 +289,34 @@ def test_bad_config_value_exits_2_before_writing(tmp_path, capsys, command, keys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section", [
+    ("grade", None),
+    ("grade", "grade"),
+    ("grade", "model"),
+    ("grade", "vocab"),
+    ("grade", "segmenter"),
+    ("train-classifier", "classifier"),
+    ("train-classifier", "model"),
+    ("train-classifier", "vocab"),
+])
+def test_non_object_config_exits_2_before_writing(tmp_path, capsys, command, section):
+    out = tmp_path / "out"
+    if command == "grade":
+        body = grade_config(tmp_path, out)
+    else:
+        corpus = tmp_path / "rct.txt"
+        corpus.write_text(serialize_rct(generate_rct_corpus(10, seed=4)), encoding="utf-8")
+        body = {"seed": 2, "classifier": {"corpus": str(corpus), "epochs": 1}}
+    if section is None:
+        body = []
+    else:
+        body[section] = []
+    cfg = write_config(tmp_path, body)
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def grade_config(tmp_path: Path, out: Path, fmt="markdown") -> dict:
     return {
         "seed": 7,
@@ -416,6 +445,37 @@ class TestGrade:
         labeled = json.loads((out / "feedback.json").read_text())["reports"][0]["labeled_abstract"]
         assert [s["label"] for s in labeled] == [Label3(best).name]
         assert labeled[0]["confidence"] == pytest.approx(expected[best], abs=1e-12)
+
+    def test_model_classifier_segments_each_abstract_once(self, tmp_path, monkeypatch):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs.append(dict(subs[0], submission_id="ex3",
+                         abstract="Another abstract. It has two sentences."))
+        vocab = build_vocab([s["abstract"] for s in subs], max_size=200, min_frequency=1)
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                               attention_dim=6, head=CLASSIFICATION, n_classes=3, seed=1)
+        save_model_file(tmp_path / "clf.afgm", init_params(config), config)
+        vocab.save(tmp_path / "clf_vocab.txt")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        body["grade"]["classifier_model"] = {
+            "type": "file", "path": str(tmp_path / "clf.afgm"),
+            "vocab": str(tmp_path / "clf_vocab.txt"),
+        }
+        segmented = []
+
+        def counting(text, abbreviations=textproc.DEFAULT_ABBREVIATIONS):
+            segmented.append(text)
+            return textproc.segment_sentences(text, abbreviations)
+
+        monkeypatch.setattr(cli, "segment_sentences", counting)
+        monkeypatch.setattr(structure, "segment_sentences", counting)
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 0
+        assert sorted(segmented) == sorted(s["abstract"] for s in subs)
+        labeled = json.loads((out / "feedback.json").read_text())["reports"][1]
+        assert [s["text"] for s in labeled["labeled_abstract"]] == [
+            "Another abstract.", "It has two sentences.",
+        ]
 
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,15 +1,20 @@
 """Segmentation, vocabulary building, tokenization and term vectors."""
 
+import hashlib
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from afg.ingest import split
+from afg.synthdata import generate_rct_corpus, mapped_sentences
 from afg.textproc import (
     CONTINUATION_MARKER,
     PAD_TOKEN,
     UNK_TOKEN,
     Vocabulary,
+    _safe_lower,
+    _word_symbols,
     build_vocab,
     cosine_similarity,
     segment_sentences,
@@ -92,6 +97,93 @@ class TestBuildVocab:
         v.save(path)
         loaded = Vocabulary.load(path)
         assert loaded.token_to_id == v.token_to_id
+
+
+def _reference_build_vocab(corpus, max_size, min_frequency=2):
+    """The full-recount merge loop: every pair in every word, before every merge."""
+    word_freq = {}
+    for text in corpus:
+        for word in text.split():
+            word = _safe_lower(word)
+            word_freq[word] = word_freq.get(word, 0) + 1
+    sequences = {w: _word_symbols(w) for w in word_freq}
+    alphabet_freq = {}
+    for w, seq in sequences.items():
+        for sym in seq:
+            alphabet_freq[sym] = alphabet_freq.get(sym, 0) + word_freq[w]
+    alphabet = sorted(alphabet_freq)
+    if 2 + len(alphabet) > max_size:
+        alphabet = sorted(sorted(alphabet), key=lambda s: -alphabet_freq[s])[: max_size - 2]
+        alphabet.sort()
+    tokens = [PAD_TOKEN, UNK_TOKEN] + alphabet
+    seen = set(tokens)
+    min_frequency = max(1, min_frequency)
+    while len(tokens) < max_size:
+        pair_counts = {}
+        for w, seq in sequences.items():
+            f = word_freq[w]
+            for a, b in zip(seq, seq[1:]):
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + f
+        if not pair_counts:
+            break
+        best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+        if pair_counts[best] < min_frequency:
+            break
+        a, b = best
+        merged = a + b.removeprefix(CONTINUATION_MARKER)
+        for w, seq in sequences.items():
+            out = []
+            k = 0
+            while k < len(seq):
+                if k + 1 < len(seq) and seq[k] == a and seq[k + 1] == b:
+                    out.append(merged)
+                    k += 2
+                else:
+                    out.append(seq[k])
+                    k += 1
+            sequences[w] = out
+        if merged not in seen:
+            tokens.append(merged)
+            seen.add(merged)
+    return {tok: i for i, tok in enumerate(tokens)}
+
+
+# Words glued from a few overlapping pieces, so pairs repeat, tie and share
+# symbols ("aaaa"); "İ" lowers to two characters and so keeps its case.
+VOCAB_WORDS = st.lists(
+    st.sampled_from(["a", "b", "ab", "aab", "ä", "ω", "İ"]), min_size=1, max_size=5
+).map("".join)
+VOCAB_CORPUS = st.lists(st.lists(VOCAB_WORDS, max_size=6).map(" ".join), min_size=1, max_size=12)
+
+
+class TestBuildVocabMergeOrder:
+    @given(VOCAB_CORPUS, st.integers(min_value=3, max_value=80),
+           st.integers(min_value=0, max_value=3))
+    @example(["aaaa aaa aa"], 20, 1)
+    @example(["ab abab abc bc bcd abcd", "abcd bcd"], 40, 1)
+    def test_same_vocabulary_as_full_recount(self, corpus, max_size, min_frequency):
+        assert build_vocab(corpus, max_size, min_frequency).token_to_id == (
+            _reference_build_vocab(corpus, max_size, min_frequency)
+        )
+
+    def test_same_symbol_pairs_merge_left_to_right(self):
+        # (##a, ##a) occurs twice in a ##a ##a ##a, overlapping, so it wins
+        # with count 2 but merges once: a ##aa ##a, then a ##aaa, then aaaa.
+        v = build_vocab(["aaaa"], max_size=10, min_frequency=1)
+        assert list(v.token_to_id) == [
+            PAD_TOKEN, UNK_TOKEN, "##a", "a", "##aa", "##aaa", "aaaa",
+        ]
+
+    def test_criterion_6_vocabulary_pinned(self, tmp_path):
+        # blake2b-128 of the saved vocabulary, taken from the full-recount
+        # loop; any change in merge order or tie rule changes it.
+        pairs = mapped_sentences(generate_rct_corpus(950, seed=100))[:6000]
+        ds = split(pairs, 5000 / 6000, seed=42)
+        path = tmp_path / "vocab.txt"
+        build_vocab([t for t, _ in ds.train], max_size=512, min_frequency=2).save(path)
+        assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == (
+            "850c72ec8c3f37d1d4275cbaebea26b3"
+        )
 
 
 class TestTokenize:
