@@ -7,6 +7,14 @@ randomness flows from the single run seed, which is recorded in the JSON
 artifacts, so reruns with the same config are byte-identical apart from
 the timestamp in training-log headers.
 
+``_SCHEMA`` is the config reference: each section's keys, their JSON types,
+defaults and ranges. ``RunConfig.load`` checks the whole file against it
+before any command runs; a wrong type, a value out of range and an unknown
+key (named with the closest known key) are configuration errors. Keys that
+go straight into ``nn.EncoderConfig``, ``nn.TrainConfig``,
+``objectives.LossSchedule`` or ``build_vocab`` get their defaults and range
+checks there. The three training commands share one skeleton.
+
 ``grade`` runs each trained model once over the whole cohort, in length-
 bucketed batches, at the model's first use (the first submission's mark or
 labels) rather than at start-up. So the config and inputs are all checked
@@ -19,6 +27,7 @@ Exit codes: 0 ok, 2 configuration problem, 3 bad or empty data,
 from __future__ import annotations
 
 import argparse
+import difflib
 import functools
 import json
 import logging
@@ -27,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import feedback as fb
 from . import ingest, nn, objectives, scoring, structure
@@ -37,6 +46,7 @@ from .textproc import (
     Vocabulary,
     build_vocab,
     load_abbreviations,
+    read_json,
     segment_sentences,
 )
 
@@ -48,132 +58,142 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-# Config sections: one per subcommand, plus the shared model, vocabulary
-# and segmenter settings.
-_SECTIONS = (
-    "pretrain", "finetune", "classifier", "grade", "eval", "model", "vocab", "segmenter",
-)
+class _Key(NamedTuple):
+    """A config key: its kind, its default (None: none) and (description, test) of its range."""
+
+    kind: object
+    default: object = None
+    range: tuple[str, Callable] | None = None
+
+
+# Scalar kinds: what a value must be, and the test. A Path is a string taken
+# relative to the config file's directory; a dict is any JSON object.
+_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    Path: ("a printable path", lambda v: type(v) is str and v.isprintable()),
+    dict: ("a JSON object", lambda v: type(v) is dict),
+}
+
+
+def _one_of(*values: str) -> tuple[str, Callable]:
+    return " or ".join(values), values.__contains__
+
+
+_REPORT_EXTENSIONS = {"terminal": "txt", "html": "html", "markdown": "md"}
+_TRAIN_SHARE = ("in (0, 1)", lambda f: 0.0 < f < 1.0)
+# The nn.TrainConfig fields a training section sets.
+_TRAIN = {"epochs": _Key(int, 5), "batch_size": _Key(int, 64), "learning_rate": float}
+_SCHEDULE = _Key({"a": float, "b": float, "c": float}, {})
+_MODEL_FILE = {"path": Path, "vocab": Path}
+_SCORER = _Key({**_MODEL_FILE, "type": _Key(str, "file", _one_of("file", "fixed_score")),
+                "score": _Key(float, None, ("in [0, 1]", lambda s: 0.0 <= s <= 1.0))}, {})
+
+# A nested dict is a JSON object with those keys; a one-item list is an
+# array of such objects.
+_SCHEMA = {
+    # The model file stores the seed as a signed 64-bit field.
+    "seed": _Key(int, 0, ("in [0, 2**63)", lambda s: 0 <= s < 2**63)),
+    "out_dir": _Key(str, "out"),
+    "model": _Key({"embed_dim": int, "hidden_dim": int, "attention_dim": int,
+                   "max_sequence_length": int}, {}),
+    "vocab": _Key({"path": Path, "max_size": _Key(int, 512), "min_frequency": int}, {}),
+    "segmenter": _Key({"abbreviations": Path}, {}),
+    "pretrain": {
+        "corpora": _Key([{"path": Path, "score_ranges": dict, "id_col": str, "prompt_col": str,
+                          "text_col": str, "score_col": str}], None, ("a non-empty list", bool)),
+        **_TRAIN, "schedule": _SCHEDULE,
+    },
+    "finetune": {
+        "base_model": _MODEL_FILE, "submissions": Path,
+        "fraction": _Key(float, 0.8, _TRAIN_SHARE), **_TRAIN, "schedule": _SCHEDULE,
+    },
+    "classifier": {
+        "corpus": Path, "five_class": _Key(bool, False),
+        "max_sentences": _Key(int, None, ("at least 2", lambda n: n >= 2)),
+        "fraction": _Key(float, 0.9, _TRAIN_SHARE), **_TRAIN,
+    },
+    "grade": {
+        "submissions": Path, "keys": Path, "scorer_model": _SCORER,
+        "classifier_model": _Key(
+            {**_MODEL_FILE, "type": _Key(str, "file", _one_of("file", "fixed_labels"))}, {}),
+        "rules": Path, "format": _Key(str, "markdown", _one_of(*_REPORT_EXTENSIONS)),
+    },
+    "eval": {"submissions": Path, "scorer_model": _SCORER},
+}
+
+
+class _Section(dict):
+    """A checked config object; reading a key it lacks is a ConfigError naming the key."""
+
+    def __init__(self, where: str):
+        super().__init__()
+        self.where = where
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"config missing {self.where}.{key}" if self.where
+                          else f"config missing section {key!r}")
+
+
+def _check(value, kind, where: str, base_dir: Path):
+    """``value`` checked against ``kind``, with defaults filled in and paths resolved."""
+    if isinstance(kind, list):
+        if type(value) is not list:
+            raise ConfigError(f"invalid {where}: {value!r:.40} is not a JSON array")
+        return [_check(item, kind[0], f"{where}[{i}]", base_dir) for i, item in enumerate(value)]
+    if not isinstance(kind, dict):
+        what, test = _KINDS[kind]
+        if not test(value):
+            raise ConfigError(f"invalid {where}: {value!r:.40} is not {what}")
+        return base_dir / value if kind is Path else kind(value)
+    if type(value) is not dict:
+        raise ConfigError(f"invalid {where or 'config'}: {value!r:.40} is not a JSON object")
+    prefix = f"{where}." if where else ""
+    for key in value:
+        if key not in kind:
+            near = difflib.get_close_matches(key, kind, n=1)
+            hint = f"did you mean {near[0]!r}?" if near else "known keys: " + ", ".join(kind)
+            raise ConfigError(f"unknown config key {prefix + key!r} ({hint})")
+    checked = _Section(where)
+    for key, entry in kind.items():
+        entry = entry if isinstance(entry, _Key) else _Key(entry)
+        if key in value:
+            checked[key] = _check(value[key], entry.kind, prefix + key, base_dir)
+            if entry.range and not entry.range[1](checked[key]):
+                raise ConfigError(f"invalid {prefix + key}: {checked[key]!r:.40} is not "
+                                  f"{entry.range[0]}")
+        elif entry.default is not None:
+            checked[key] = _check(entry.default, entry.kind, prefix + key, base_dir)
+    return checked
 
 
 @dataclass
 class RunConfig:
     seed: int
     out_dir: Path
-    raw: dict
-    base_dir: Path
+    sections: dict  # the checked config
 
     @classmethod
     def load(cls, path: str | None, seed: int | None, out: str | None) -> "RunConfig":
-        if path is None:
-            path = os.environ.get("AFG_CONFIG")
+        path = path if path is not None else os.environ.get("AFG_CONFIG")
         if path is None:
             raise ConfigError("no config file: pass --config or set AFG_CONFIG")
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in config {p}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {p} is not a JSON object")
-        for name in _SECTIONS:
-            if not isinstance(raw.get(name, {}), dict):
-                raise ConfigError(f"config section {name!r} is not a JSON object")
-        # The model file stores the seed as a signed 64-bit field.
-        run_seed = _config_value(
-            "seed (an integer in [0, 2**63))",
-            lambda: int(seed if seed is not None else raw.get("seed", 0)),
-            lambda value: 0 <= value < 2**63,
-        )
-        out_dir = Path(out) if out is not None else Path(raw.get("out_dir", "out"))
-        return cls(seed=run_seed, out_dir=out_dir, raw=raw, base_dir=p.parent)
-
-    def section(self, name: str) -> dict:
-        if name not in self.raw:
-            raise ConfigError(f"config missing section {name!r}")
-        return self.raw[name]
-
-    def resolve(self, path_str: str) -> Path:
-        p = Path(path_str)
-        return p if p.is_absolute() else self.base_dir / p
+        raw = read_json(path, f"config {path}", ConfigError)
+        checked = _check(raw, _SCHEMA, "", Path(path).parent)
+        overrides = {key: v for key, v in (("seed", seed), ("out_dir", out)) if v is not None}
+        checked.update(_check(overrides, {key: _SCHEMA[key] for key in overrides}, "", Path()))
+        return cls(seed=checked["seed"], out_dir=Path(checked["out_dir"]), sections=checked)
 
 
-def _require_path(cfg: RunConfig, section: dict, key: str, what: str) -> Path:
-    if key not in section:
-        raise ConfigError(f"config missing {what} ({key!r})")
-    path = cfg.resolve(section[key])
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
-def _config_value(what: str, build: Callable, valid: Callable = lambda value: True):
-    """``build()``, with a value it cannot convert or ``valid`` rejects as a ConfigError."""
+def _config_value(what: str, build: Callable):
+    """``build()``, with a value it rejects as a ConfigError."""
     try:
-        value = build()
-    except (ArithmeticError, TypeError, ValueError) as exc:
+        return build()
+    except ValueError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from None
-    if not valid(value):
-        raise ConfigError(f"invalid {what}: {value!r}")
-    return value
-
-
-def _encoder_config(cfg: RunConfig, vocab_size: int, head: str, n_classes: int = 0):
-    model = cfg.raw.get("model", {})
-    return _config_value("model settings", lambda: nn.EncoderConfig(
-        vocab_size=vocab_size,
-        embed_dim=int(model.get("embed_dim", 32)),
-        hidden_dim=int(model.get("hidden_dim", 32)),
-        attention_dim=int(model.get("attention_dim", 16)),
-        head=head,
-        n_classes=n_classes,
-        seed=cfg.seed,
-        max_sequence_length=int(model.get("max_sequence_length", nn.DEFAULT_MAX_SEQUENCE_LENGTH)),
-    ))
-
-
-def _train_config(cfg: RunConfig, section: dict, with_schedule: bool) -> nn.TrainConfig:
-    schedule = None
-    if with_schedule:
-        s = section.get("schedule", {})
-        schedule = _config_value("loss schedule", lambda: objectives.LossSchedule(
-            a=float(s.get("a", 1.0)), b=float(s.get("b", 0.1)), c=float(s.get("c", 10.0))
-        ))
-    return _config_value("training settings", lambda: nn.TrainConfig(
-        epochs=int(section.get("epochs", 5)),
-        batch_size=int(section.get("batch_size", 64)),
-        learning_rate=float(section.get("learning_rate", 1e-3)),
-        schedule=schedule,
-        seed=cfg.seed,
-    ))
-
-
-def _fraction(section: dict, default: float) -> float:
-    return _config_value(
-        "fraction (train share, in (0, 1))",
-        lambda: float(section.get("fraction", default)),
-        lambda f: 0.0 < f < 1.0,
-    )
-
-
-def _get_abbreviations(cfg: RunConfig):
-    spec = cfg.raw.get("segmenter", {})
-    if "abbreviations" in spec:
-        return load_abbreviations(_require_path(cfg, spec, "abbreviations",
-                                                "abbreviation list"))
-    return DEFAULT_ABBREVIATIONS
-
-
-def _get_vocab(cfg: RunConfig, texts: list[str]) -> Vocabulary:
-    spec = cfg.raw.get("vocab", {})
-    if "path" in spec:
-        return Vocabulary.load(_require_path(cfg, spec, "path", "vocabulary file"))
-    return _config_value("vocab settings", lambda: build_vocab(
-        texts,
-        max_size=int(spec.get("max_size", 512)),
-        min_frequency=int(spec.get("min_frequency", 2)),
-    ))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -181,33 +201,22 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_train_log(path: Path, train_log: nn.TrainLog, seed: int) -> None:
-    payload = {"created_at": datetime.now(timezone.utc).isoformat(), "seed": seed}
-    payload.update(train_log.to_json_dict())
-    _write_json(path, payload)
-
-
 def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(human)
+    print(json.dumps(payload) if args.json else human)
 
 
 # ---------------------------------------------------------------------------
 # Model specs: trained files or fixed oracles (testing seam)
 # ---------------------------------------------------------------------------
 
-def _load_model_with_vocab(cfg: RunConfig, spec: dict, what: str, head: str):
-    path = _require_path(cfg, spec, "path", f"{what} model file")
-    params, config = nn.load_model_file(path)
+def _load_model_with_vocab(spec: dict, what: str, head: str):
+    params, config = nn.load_model_file(spec["path"])
     if config.head != head:
         raise ConfigError(f"{what} model does not have a {head} head")
-    vocab = Vocabulary.load(_require_path(cfg, spec, "vocab", f"{what} vocabulary"))
+    vocab = Vocabulary.load(spec["vocab"])
     if len(vocab) != config.vocab_size:
-        raise ConfigError(
-            f"{what}: vocabulary has {len(vocab)} tokens, model expects {config.vocab_size}"
-        )
+        raise ConfigError(f"{what}: vocabulary has {len(vocab)} tokens, "
+                          f"model expects {config.vocab_size}")
     return params, config, vocab
 
 
@@ -231,216 +240,162 @@ def _primed(predict: Callable[[Sequence[str]], list], texts: Callable[[], list[s
     return lookup
 
 
-def _fixed_score(spec: dict) -> float:
-    if "score" not in spec:
-        raise ConfigError("fixed_score scorer needs a 'score'")
-    try:
-        value = float(spec["score"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"fixed score {spec['score']!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"fixed score {value} outside [0, 1]")
-    return value
-
-
-def _scorer_from_spec(cfg: RunConfig, spec: dict, abstracts: Callable[[], list[str]]):
+def _scorer_from_spec(spec: dict, abstracts: Callable[[], list[str]]):
     """Abstract -> [0,1] score; a model file is primed with ``abstracts()``."""
-    kind = spec.get("type", "file")
-    if kind == "fixed_score":
-        value = _fixed_score(spec)
+    if spec["type"] == "fixed_score":
+        value = spec["score"]
         return lambda text: value
-    if kind == "file":
-        predictor = nn.Predictor(*_load_model_with_vocab(cfg, spec, "scorer", nn.REGRESSION))
-        return _primed(predictor.scores, abstracts)
-    raise ConfigError(f"unknown scorer model type {kind!r}")
+    predictor = nn.Predictor(*_load_model_with_vocab(spec, "scorer", nn.REGRESSION))
+    return _primed(predictor.scores, abstracts)
 
 
-def _classifier_from_spec(cfg: RunConfig, spec: dict, sentences: Callable[[], list[str]]):
+def _classifier_from_spec(spec: dict, sentences: Callable[[], list[str]]):
     """Sentence -> class probabilities; a model file is primed with ``sentences()``."""
-    kind = spec.get("type", "file")
-    if kind == "fixed_labels":
-        path = _require_path(cfg, spec, "path", "fixed-labels file")
-        table = json.loads(path.read_text(encoding="utf-8"))
-        return structure.make_fixed_classifier(table)
-    if kind == "file":
-        predictor = nn.Predictor(
-            *_load_model_with_vocab(cfg, spec, "classifier", nn.CLASSIFICATION)
+    if spec["type"] == "fixed_labels":
+        return structure.make_fixed_classifier(
+            read_json(spec["path"], "fixed-labels file", ConfigError)
         )
-        return _primed(predictor.probabilities, sentences)
-    raise ConfigError(f"unknown classifier model type {kind!r}")
+    predictor = nn.Predictor(*_load_model_with_vocab(spec, "classifier", nn.CLASSIFICATION))
+    return _primed(predictor.probabilities, sentences)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_pretrain(cfg: RunConfig, args) -> int:
-    section = cfg.section("pretrain")
-    corpora = section.get("corpora")
-    if not corpora:
-        raise ConfigError("pretrain section needs a non-empty 'corpora' list")
-    samples = []
-    for entry in corpora:
-        path = _require_path(cfg, entry, "path", "scored corpus")
-        schema = ingest.TsvSchema.from_dict(entry)
-        with open(path, "rb") as fh:
-            samples.extend(ingest.parse_scored_tsv(fh, schema))
-    if not samples:
-        raise DataError("no training samples in the configured corpora")
-    normalized = ingest.normalize_scores(samples)
-    log.info("pretraining on %d samples", len(normalized))
+def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Sequence,
+                     held_out: Sequence, *, n_classes: int = 0, base=None,
+                     vocab_file: str | None = None, evaluate: Callable | None = None) -> int:
+    """Train ``base`` (params, config, vocabulary) or a new model, evaluate, write.
 
-    vocab = _get_vocab(cfg, [s.text for s in normalized])
-    config = _encoder_config(cfg, len(vocab), nn.REGRESSION)
-    params = nn.init_params(config)
-    tc = _train_config(cfg, section, with_schedule=True)
-    params, train_log = nn.train(
-        [(s.text, s.score01) for s in normalized], tc, params, vocab,
-        max_sequence_length=config.max_sequence_length,
-    )
+    A new model gets a vocabulary of the training texts, saved as
+    ``vocab_file``, and a regression head if ``n_classes`` is 0.
+    ``evaluate(predictor, held_out)`` returns the eval file's fields and the
+    summary's headline figures. Section ``name`` names the log and eval files.
+    """
+    section = cfg.sections[name]
+    if base is None:
+        spec = cfg.sections["vocab"]
+        vocab = Vocabulary.load(spec["path"]) if "path" in spec else _config_value(
+            "vocab settings", lambda: build_vocab([text for text, _ in train], **spec))
+        config = _config_value("model settings", lambda: nn.EncoderConfig(
+            vocab_size=len(vocab), head=nn.CLASSIFICATION if n_classes else nn.REGRESSION,
+            n_classes=n_classes, seed=cfg.seed, **cfg.sections["model"],
+        ))
+        base = nn.init_params(config), config, vocab
+    params, config, vocab = base
+    train_config = _config_value("training settings", lambda: nn.TrainConfig(
+        seed=cfg.seed, **{key: section[key] for key in _TRAIN if key in section},
+        schedule=objectives.LossSchedule(**section["schedule"]) if "schedule" in section else None,
+    ))
+    params, train_log = nn.train(list(train), train_config, params, vocab,
+                                 max_sequence_length=config.max_sequence_length)
+    evaluation, headline = (evaluate(nn.Predictor(params, config, vocab), held_out)
+                            if evaluate else (None, {}))
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = cfg.out_dir / "pretrained.afgm"
-    vocab_path = cfg.out_dir / "vocab.txt"
-    nn.save_model_file(model_path, params, config)
-    vocab.save(vocab_path)
-    _write_train_log(cfg.out_dir / "pretrain_log.json", train_log, cfg.seed)
-    _emit(args, {"model": str(model_path), "vocab": str(vocab_path), "seed": cfg.seed,
-                 "steps": train_log.steps_total},
-          f"pretrained model written to {model_path}")
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    nn.save_model_file(out / model_file, params, config)
+    summary = {"model": str(out / model_file), "seed": cfg.seed, "steps": train_log.steps_total}
+    if vocab_file is not None:
+        vocab.save(out / vocab_file)
+        summary["vocab"] = str(out / vocab_file)
+    _write_json(out / f"{name}_log.json", {"created_at": datetime.now(timezone.utc).isoformat(),
+                                           "seed": cfg.seed, **train_log.to_json_dict()})
+    if evaluation is not None:
+        _write_json(out / f"{name}_eval.json", {"seed": cfg.seed, **evaluation})
+        summary["eval"] = str(out / f"{name}_eval.json")
+    figures = "".join(f", {key} {value:.3f}" for key, value in headline.items())
+    _emit(args, {**summary, **headline}, f"{name} model written to {summary['model']}{figures}")
     return EXIT_OK
 
 
-def _finetune_dataset(subs: list[ingest.Submission]) -> list[tuple[str, float]]:
+def cmd_pretrain(cfg: RunConfig, args) -> int:
+    section = cfg.sections["pretrain"]
+    samples = []
+    for entry in section["corpora"]:
+        samples.extend(ingest.parse_scored_tsv(entry["path"], ingest.TsvSchema.from_dict(entry)))
+    if not samples:
+        raise DataError("no training samples in the configured corpora")
+    data = [(s.text, s.score01) for s in ingest.normalize_scores(samples)]
+    log.info("pretraining on %d samples", len(data))
+    return _train_and_write(cfg, args, "pretrain", "pretrained.afgm", data, [],
+                            vocab_file="vocab.txt")
+
+
+def _evaluate_scores(predictor: nn.Predictor, held_out: Sequence[tuple[str, float]]):
+    report = objectives.evaluate_regression(
+        predictor.scores([text for text, _ in held_out]), [y for _, y in held_out]
+    )
+    return json.loads(report.to_json()), {"r2_paper": report.r2_paper}
+
+
+def cmd_finetune(cfg: RunConfig, args) -> int:
+    section = cfg.sections["finetune"]
+    base = _load_model_with_vocab(section["base_model"], "base", nn.REGRESSION)
     data = [
         (s.abstract, s.human_marks.abstract_mark / 6.0)
-        for s in subs
+        for s in ingest.load_submissions(section["submissions"])
         if s.human_marks is not None
     ]
     if not data:
         raise DataError("no submissions carry human marks to fine-tune on")
-    return data
-
-
-def cmd_finetune(cfg: RunConfig, args) -> int:
-    section = cfg.section("finetune")
-    base = section.get("base_model", {})
-    params, config, vocab = _load_model_with_vocab(cfg, base, "base", nn.REGRESSION)
-    subs_path = _require_path(cfg, section, "submissions", "submission file")
-    subs = ingest.load_submissions(subs_path)
-    if not subs:
-        raise DataError(f"submission file {subs_path} is empty")
-    data = _finetune_dataset(subs)
-    ds = ingest.split(data, _fraction(section, 0.8), cfg.seed)
+    ds = ingest.split(data, section["fraction"], cfg.seed)
     log.info("fine-tuning on %d samples, evaluating on %d", len(ds.train), len(ds.eval))
-
-    tc = _train_config(cfg, section, with_schedule=True)
-    params, train_log = nn.train(
-        list(ds.train), tc, params, vocab,
-        max_sequence_length=config.max_sequence_length,
-    )
-
-    preds = nn.Predictor(params, config, vocab).scores([text for text, _ in ds.eval])
-    targets = [y for _, y in ds.eval]
-    report = objectives.evaluate_regression(preds, targets)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = cfg.out_dir / "finetuned.afgm"
-    nn.save_model_file(model_path, params, config)
-    _write_train_log(cfg.out_dir / "finetune_log.json", train_log, cfg.seed)
-    eval_path = cfg.out_dir / "finetune_eval.json"
-    _write_json(eval_path, {"seed": cfg.seed, **json.loads(report.to_json())})
-    _emit(args, {"model": str(model_path), "eval": str(eval_path), "seed": cfg.seed,
-                 "r2_paper": report.r2_paper},
-          f"fine-tuned model written to {model_path} (eval r2 {report.r2_paper:.3f})")
-    return EXIT_OK
+    return _train_and_write(cfg, args, "finetune", "finetuned.afgm", ds.train, ds.eval,
+                            base=base, evaluate=_evaluate_scores)
 
 
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
-    section = cfg.section("classifier")
-    corpus_path = _require_path(cfg, section, "corpus", "labelled abstract corpus")
-    with open(corpus_path, "rb") as fh:
-        abstracts = ingest.parse_rct(fh)
+    section = cfg.sections["classifier"]
+    abstracts = ingest.parse_rct(section["corpus"])
     if not abstracts:
-        raise DataError(f"no abstracts in {corpus_path}")
+        raise DataError(f"no abstracts in {section['corpus']}")
     # Default: map corpus labels to the three-class scheme before training.
     # five_class keeps the native labels and maps predictions afterwards,
     # for comparing the two routes.
-    five_class = bool(section.get("five_class", False))
+    five_class = section["five_class"]
     label5_list = list(ingest.Label5)
-    if five_class:
-        pairs = [
-            (text, label5_list.index(label5))
-            for a in abstracts
-            for label5, text in a.sentences
-        ]
-    else:
-        pairs = [
-            (text, int(structure.map_label(label5)))
-            for a in abstracts
-            for label5, text in a.sentences
-        ]
-    limit = section.get("max_sentences")
-    if limit is not None:
-        pairs = pairs[: _config_value(
-            "max_sentences (at least 2)", lambda: int(limit), lambda n: n >= 2
-        )]
-    ds = ingest.split(pairs, _fraction(section, 0.9), cfg.seed)
+    # The three-class label of each class index the model is trained on.
+    label3_of = [int(structure.map_label(l)) for l in label5_list] if five_class else [0, 1, 2]
+    pairs = [
+        (text, label5_list.index(label5) if five_class else int(structure.map_label(label5)))
+        for a in abstracts
+        for label5, text in a.sentences
+    ]
+    if "max_sentences" in section:
+        pairs = pairs[: section["max_sentences"]]
+    ds = ingest.split(pairs, section["fraction"], cfg.seed)
     log.info("training classifier on %d sentences, evaluating on %d",
              len(ds.train), len(ds.eval))
 
-    vocab = _get_vocab(cfg, [text for text, _ in ds.train])
-    n_out = 5 if five_class else 3
-    config = _encoder_config(cfg, len(vocab), nn.CLASSIFICATION, n_classes=n_out)
-    params = nn.init_params(config)
-    tc = _train_config(cfg, section, with_schedule=False)
-    params, train_log = nn.train(
-        [(t, int(lbl)) for t, lbl in ds.train], tc, params, vocab,
-        max_sequence_length=config.max_sequence_length,
-    )
-
-    def to_label3(idx: int) -> int:
-        return int(structure.map_label(label5_list[idx])) if five_class else idx
-
-    pred = [
-        to_label3(max(range(n_out), key=probs.__getitem__))
-        for probs in nn.Predictor(params, config, vocab).probabilities([t for t, _ in ds.eval])
-    ]
-    true = [to_label3(int(lbl)) for _, lbl in ds.eval]
-    acc = objectives.accuracy(pred, true)
-    counts = [true.count(k) for k in range(3)]
-    baseline = max(counts) / len(true)
-    cm = objectives.confusion(pred, true, 3)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = cfg.out_dir / "classifier.afgm"
-    vocab_path = cfg.out_dir / "classifier_vocab.txt"
-    nn.save_model_file(model_path, params, config)
-    vocab.save(vocab_path)
-    _write_train_log(cfg.out_dir / "classifier_log.json", train_log, cfg.seed)
-    _write_json(
-        cfg.out_dir / "classifier_eval.json",
-        {
-            "seed": cfg.seed,
+    def evaluate(predictor: nn.Predictor, held_out: Sequence[tuple[str, int]]):
+        pred = [
+            label3_of[max(range(len(label3_of)), key=probs.__getitem__)]
+            for probs in predictor.probabilities([text for text, _ in held_out])
+        ]
+        true = [label3_of[label] for _, label in held_out]
+        acc = objectives.accuracy(pred, true)
+        baseline = max(true.count(k) for k in range(3)) / len(true)
+        cm = objectives.confusion(pred, true, 3)
+        return {
             "accuracy": acc,
             "majority_baseline": baseline,
             "n_eval": len(true),
             "confusion": json.loads(cm.to_json([l.name for l in structure.Label3])),
-        },
-    )
-    _emit(args, {"model": str(model_path), "accuracy": acc, "baseline": baseline,
-                 "seed": cfg.seed},
-          f"classifier written to {model_path} (accuracy {acc:.3f}, baseline {baseline:.3f})")
-    return EXIT_OK
+        }, {"accuracy": acc, "baseline": baseline}
+
+    return _train_and_write(cfg, args, "classifier", "classifier.afgm", ds.train, ds.eval,
+                            n_classes=len(label3_of), vocab_file="classifier_vocab.txt",
+                            evaluate=evaluate)
 
 
 def cmd_grade(cfg: RunConfig, args) -> int:
-    section = cfg.section("grade")
-    subs_path = _require_path(cfg, section, "submissions", "submission file")
-    subs = ingest.load_submissions(subs_path)
+    section = cfg.sections["grade"]
+    subs = ingest.load_submissions(section["submissions"])
     if not subs:
-        raise DataError(f"submission file {subs_path} is empty")
-    keys = ingest.load_answer_keys(_require_path(cfg, section, "keys", "answer-key file"))
+        raise DataError(f"submission file {section['submissions']} is empty")
+    keys = ingest.load_answer_keys(section["keys"])
     seen = set()
     for sub in subs:
         if sub.submission_id in seen:
@@ -448,26 +403,19 @@ def cmd_grade(cfg: RunConfig, args) -> int:
         seen.add(sub.submission_id)
         if sub.paper_id not in keys:
             raise DataError(f"no answer key for paper {sub.paper_id!r}")
-    abbreviations = _get_abbreviations(cfg)
+    segmenter = cfg.sections["segmenter"]
+    abbreviations = (load_abbreviations(segmenter["abbreviations"])
+                     if "abbreviations" in segmenter else DEFAULT_ABBREVIATIONS)
     # Each abstract is segmented once, at its first use: by the classifier's
     # priming pass or by its own labels, whichever comes first.
     segment = functools.cache(lambda text: segment_sentences(text, abbreviations))
-    score_fn = _scorer_from_spec(
-        cfg, section.get("scorer_model", {}), lambda: [s.abstract for s in subs]
-    )
+    score_fn = _scorer_from_spec(section["scorer_model"], lambda: [s.abstract for s in subs])
     classify_fn = _classifier_from_spec(
-        cfg, section.get("classifier_model", {}),
-        lambda: [t for s in subs for t in segment(s.abstract)],
+        section["classifier_model"], lambda: [t for s in subs for t in segment(s.abstract)]
     )
-    rules = (
-        fb.load_rules(_require_path(cfg, section, "rules", "rule config"))
-        if "rules" in section
-        else fb.default_rules()
-    )
-    fmt = section.get("format", "markdown")
-    ext = {"terminal": "txt", "html": "html", "markdown": "md"}.get(fmt)
-    if ext is None:
-        raise ConfigError(f"unknown report format {fmt!r}")
+    rules = fb.load_rules(section["rules"]) if "rules" in section else fb.default_rules()
+    fmt = section["format"]
+    ext = _REPORT_EXTENSIONS[fmt]
 
     reports_dir = cfg.out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -498,14 +446,13 @@ def cmd_grade(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    section = cfg.section("eval")
-    subs_path = _require_path(cfg, section, "submissions", "submission file")
-    subs = [s for s in ingest.load_submissions(subs_path) if s.human_marks is not None]
+    section = cfg.sections["eval"]
+    subs = [
+        s for s in ingest.load_submissions(section["submissions"]) if s.human_marks is not None
+    ]
     if not subs:
         raise DataError("no submissions with human marks to evaluate against")
-    score_fn = _scorer_from_spec(
-        cfg, section.get("scorer_model", {}), lambda: [s.abstract for s in subs]
-    )
+    score_fn = _scorer_from_spec(section["scorer_model"], lambda: [s.abstract for s in subs])
 
     machine01 = [float(score_fn(s.abstract)) for s in subs]
     machine_marks = [scoring.abstract_mark(v) for v in machine01]
@@ -516,7 +463,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     cm = objectives.confusion(machine_marks, human_marks, 7)
     acc = objectives.accuracy(machine_marks, human_marks)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     eval_path = cfg.out_dir / "eval.json"
     _write_json(
         eval_path,
@@ -568,11 +514,9 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, args.seed, args.out)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # An OSError is a configured path that cannot be read or written.
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"configuration error: missing file {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from typing import Sequence
 from .errors import ConfigError
 from .scoring import Mark, MarkSheet, Verdict, fmt_number
 from .structure import ClassDistribution, Label3, LabeledAbstract, distribution
+from .textproc import read_json
 
 
 class Question(str, Enum):
@@ -248,11 +249,15 @@ def default_rules() -> list[FeedbackRule]:
 
 
 def load_rules(path: str | Path) -> list[FeedbackRule]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path, "rule config", ConfigError)
     if not isinstance(raw, list):
         raise ConfigError("rule config must be a JSON array")
     rules = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"rule entry #{i} is not a JSON object")
+        if type(entry.get("priority", 0)) is not int:
+            raise ConfigError(f"rule entry #{i}: priority {entry['priority']!r} is not an integer")
         try:
             rules.append(
                 FeedbackRule(
@@ -265,7 +270,7 @@ def load_rules(path: str | Path) -> list[FeedbackRule]:
                         else entry.get("threshold")
                     ),
                     template=str(entry["template"]),
-                    priority=int(entry["priority"]),
+                    priority=entry["priority"],
                     guard=tuple(entry["guard"]) if entry.get("guard") else None,
                 )
             )

@@ -9,12 +9,10 @@ All functions are pure; parsed objects are plain frozen dataclasses.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import (
@@ -27,6 +25,7 @@ from .errors import (
     RowError,
 )
 from .scoring import MarkSheet, marksheet_from_json
+from .textproc import read_json, read_text
 
 
 class Label5(Enum):
@@ -153,19 +152,8 @@ class TsvSchema:
         )
 
 
-def _read_text(source) -> str:
-    """The text of a path or stream; bytes that are not UTF-8 are a DataError."""
-    try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input is not UTF-8: {exc}") from None
-
-
 def _text_lines(stream) -> list[str]:
-    return _read_text(stream).splitlines()
+    return read_text(stream).splitlines()
 
 
 def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
@@ -419,7 +407,7 @@ _SUBMISSION_KEYS = (
 
 def load_submissions(source) -> list[Submission]:
     """Load a JSON array of submissions; human marks are optional."""
-    raw = _read_json(source, "submission file")
+    raw = read_json(source, "submission file")
     if not isinstance(raw, list):
         raise DataError("submission file must contain a JSON array")
     out = []
@@ -449,7 +437,7 @@ def load_submissions(source) -> list[Submission]:
 
 
 def load_answer_keys(source) -> dict[str, AnswerKey]:
-    raw = _read_json(source, "answer-key file")
+    raw = read_json(source, "answer-key file")
     if not isinstance(raw, list):
         raise DataError("answer-key file must contain a JSON array")
     keys: dict[str, AnswerKey] = {}
@@ -470,11 +458,3 @@ def load_answer_keys(source) -> dict[str, AnswerKey]:
             raise DataError(f"duplicate answer key for paper {key.paper_id!r}")
         keys[key.paper_id] = key
     return keys
-
-
-def _read_json(source, what: str):
-    text = _read_text(source)
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"invalid JSON in {what}: {exc}") from exc

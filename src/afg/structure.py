@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest import Label5
 from .textproc import DEFAULT_ABBREVIATIONS, segment_sentences
 
@@ -71,11 +71,21 @@ SentenceClassifier = Callable[[str], tuple[float, float, float]]
 
 
 def make_fixed_classifier(labels_by_text: dict[str, Label3 | str]) -> SentenceClassifier:
-    """Classifier stub returning probability 1 for a known sentence's label."""
-    table = {
-        text: Label3[label] if isinstance(label, str) else label
-        for text, label in labels_by_text.items()
-    }
+    """Classifier stub returning probability 1 for a known sentence's label.
+
+    The table comes from a config's fixed-labels file, so a table that is
+    not a dict, or a label that is neither a Label3 nor a Label3 name, is a
+    ConfigError.
+    """
+    if not isinstance(labels_by_text, dict):
+        raise ConfigError("fixed-labels table is not a JSON object")
+    try:
+        table = {
+            text: label if type(label) is Label3 else Label3[label]
+            for text, label in labels_by_text.items()
+        }
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
+        raise ConfigError(f"unknown fixed label: {exc}") from None
 
     def classify(sentence: str) -> tuple[float, float, float]:
         try:

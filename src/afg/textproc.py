@@ -1,4 +1,5 @@
-"""Text processing: sentence segmentation, subword tokenization, term vectors.
+"""Text processing: sentence segmentation, subword tokenization, term vectors,
+and the one UTF-8 text and JSON reader the other modules use.
 
 The tokenizer splits words into vocabulary pieces by greedy longest-prefix
 matching, with ``##`` marking word-internal continuation pieces, so
@@ -14,6 +15,7 @@ recounting every pair before every merge.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -85,9 +87,29 @@ def _ends_with_abbreviation(text: str, period_index: int, abbreviations) -> bool
     return False
 
 
+def read_text(source) -> str:
+    """The text of a path or stream; bytes that are not UTF-8 are a DataError."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        data = source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not UTF-8: {exc}") from None
+
+
+def read_json(source, what: str, error: type[Exception] = DataError):
+    """The parsed JSON of a path or stream; text that is not JSON is ``error``."""
+    text = read_text(source)
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON, or a too-long integer
+        raise error(f"invalid JSON in {what}: {exc}") from None
+
+
 def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """One abbreviation per line, blank lines ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     return tuple(line.strip() for line in lines if line.strip())
 
 
@@ -118,7 +140,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        tokens = read_text(path).splitlines()
         tokens = [t for t in tokens if t]
         mapping = {tok: i for i, tok in enumerate(tokens)}
         if len(mapping) != len(tokens):

@@ -1,10 +1,12 @@
 """End-to-end CLI runs on tiny synthetic data and the marking example."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from afg import cli, structure, textproc
 from afg.cli import main
@@ -552,3 +554,116 @@ class TestGrade:
         assert main(["--config", str(cfg), "grade"]) == 0
         feedback = json.loads((out / "feedback.json").read_text())["reports"][0]
         assert len(feedback["labeled_abstract"]) == 2
+
+
+def command_config(tmp_path: Path, command: str, out: Path) -> dict:
+    """A small valid config for ``command``."""
+    if command == "grade":
+        return grade_config(tmp_path, out)
+    if command == "pretrain":
+        return pretrain_config(tmp_path, out)
+    corpus = tmp_path / "rct.txt"
+    corpus.write_text(serialize_rct(generate_rct_corpus(10, seed=4)), encoding="utf-8")
+    return {"seed": 2, "out_dir": str(out),
+            "model": {"embed_dim": 8, "hidden_dim": 8, "attention_dim": 6},
+            "classifier": {"corpus": str(corpus), "epochs": 1}}
+
+
+@pytest.mark.parametrize("command, keys, value, message", [
+    ("grade", ("grade", "scorer_model"), [], "invalid grade.scorer_model"),
+    ("grade", ("out_dir",), [], "invalid out_dir"),
+    ("grade", ("grade", "format"), [], "invalid grade.format"),
+    ("grade", ("grade", "submissions"), 5, "invalid grade.submissions"),
+    ("grade", ("segmenter", "abbreviations"), [], "invalid segmenter.abbreviations"),
+    ("grade", ("grade", "fromat"), "html", "did you mean 'format'"),
+    ("train-classifier", ("classifier", "epoch"), 1, "did you mean 'epochs'"),
+    ("pretrain", ("pretrain", "epochs"), "3", "invalid pretrain.epochs"),
+    ("pretrain", ("pretrain", "epochs"), 2.5, "invalid pretrain.epochs"),
+    ("train-classifier", ("classifier", "five_class"), "no", "invalid classifier.five_class"),
+])
+def test_config_checked_against_schema_before_writing(tmp_path, capsys, command, keys, value,
+                                                      message):
+    out = tmp_path / "out"
+    body = command_config(tmp_path, command, out)
+    section = body
+    for key in keys[:-1]:
+        section = section.setdefault(key, {})
+    section[keys[-1]] = value
+    assert main(["--config", str(write_config(tmp_path, body)), "--out", str(out), command]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_seed_flag_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, grade_config(tmp_path, out))
+    assert main(["--config", str(cfg), "--seed", "-1", "grade"]) == 2
+    assert "invalid seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{", '["BACKGROUND"]', '{"A sentence.": "NOPE"}'])
+def test_bad_fixed_labels_file_exits_2_before_writing(tmp_path, text):
+    labels = tmp_path / "labels.json"
+    labels.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    body = grade_config(tmp_path, out)
+    body["grade"]["classifier_model"]["path"] = str(labels)
+    assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 2
+    assert not out.exists()
+
+
+def test_non_utf8_abbreviation_file_exits_3_before_writing(tmp_path, capsys):
+    abbrev = tmp_path / "abbrev.txt"
+    abbrev.write_bytes("Fig.\nCaf\u00e9.\n".encode("latin-1"))
+    out = tmp_path / "out"
+    body = grade_config(tmp_path, out)
+    body["segmenter"] = {"abbreviations": str(abbrev)}
+    assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _key_paths(node, prefix=()):
+    """Every key path in a config; the empty path is the whole config."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _key_paths(value, prefix + (key,))
+
+
+GRADE_KEY_PATHS = list(_key_paths(grade_config(DATA, DATA / "out")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(path=st.sampled_from(GRADE_KEY_PATHS), new_key=st.none() | st.text(max_size=8),
+       value=JSON_VALUES)
+@example(path=("grade", "submissions"), new_key=None, value="a\x00b")
+@example(path=("grade", "submissions"), new_key=None, value="a\ud800")
+@example(path=("grade", "keys"), new_key=None, value="..")
+@example(path=("grade", "scorer_model", "score"), new_key=None, value=float("nan"))
+@example(path=("seed",), new_key=None, value=10**400)
+def test_any_json_value_anywhere_in_the_config_exits_cleanly(path, new_key, value):
+    """Config-side twin of the parser fuzzing: ``value`` replaces the one at
+    ``path``, or goes under ``new_key`` when ``path`` holds an object."""
+    body = grade_config(DATA, DATA / "out")
+    parent, node = None, body
+    for key in path:
+        parent, node = node, node[key]
+    if new_key is not None and isinstance(node, dict):
+        node[new_key] = value
+    elif parent is None:
+        body = value
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), body)
+        assert main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "grade"]) in (0, 2, 3)

@@ -141,6 +141,20 @@ class TestRuleConfig:
         with pytest.raises(ConfigError):
             load_rules(path)
 
+    @pytest.mark.parametrize("text, priority", [
+        ("[{", None), ("[5]", None), (None, "x"), (None, 2.5),
+    ])
+    def test_malformed_rule_file_rejected(self, tmp_path, text, priority):
+        from afg.errors import ConfigError
+
+        if text is None:
+            [rule] = json.loads(rules_to_json(default_rules()[:1]))
+            text = json.dumps([{**rule, "priority": priority}])
+        path = tmp_path / "rules.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_rules(path)
+
     def test_custom_rule_fires(self):
         rule = FeedbackRule(
             id="obs_praise", cls="observation", comparator="ge", threshold=0.5,

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from afg.errors import DataError
 from afg.ingest import split
 from afg.synthdata import generate_rct_corpus, mapped_sentences
 from afg.textproc import (
@@ -17,6 +18,7 @@ from afg.textproc import (
     _word_symbols,
     build_vocab,
     cosine_similarity,
+    load_abbreviations,
     segment_sentences,
     term_vector,
     tokenize,
@@ -97,6 +99,14 @@ class TestBuildVocab:
         v.save(path)
         loaded = Vocabulary.load(path)
         assert loaded.token_to_id == v.token_to_id
+
+
+@pytest.mark.parametrize("load", [load_abbreviations, Vocabulary.load])
+def test_non_utf8_file_is_a_data_error(tmp_path, load):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("[PAD]\n[UNK]\nFig.\ncaf\u00e9\n".encode("latin-1"))
+    with pytest.raises(DataError, match="not UTF-8"):
+        load(path)
 
 
 def _reference_build_vocab(corpus, max_size, min_frequency=2):
