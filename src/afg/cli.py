@@ -20,6 +20,13 @@ bucketed batches, at the model's first use (the first submission's mark or
 labels) rather than at start-up. So the config and inputs are all checked
 before any model work, and set-up costs no more than reading the files.
 
+Every JSON output file comes from the C encoder with its default
+separators and ASCII escaping, not indented. Each item of a top-level
+array, or of an array-valued member of a top-level object, sits on its own
+line: ``marks.json`` is ``[``, one mark sheet per line, ``]``, and
+``feedback.json`` is ``{"seed": ..., "reports": [``, one report per line,
+``]}``.
+
 Exit codes: 0 ok, 2 configuration problem, 3 bad or empty data,
 4 training diverged.
 """
@@ -197,8 +204,21 @@ def _config_value(what: str, build: Callable):
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as one-record-per-line JSON (see the module docstring)."""
+
+    def records(value) -> str:
+        if type(value) is not list:
+            return json.dumps(value)
+        return "[" + ",".join("\n" + json.dumps(item) for item in value) + "\n]"
+
+    # No indent: with one, json falls back from its C encoder to pure Python.
+    if type(obj) is dict:
+        members = (f"{json.dumps(key)}: {records(value)}" for key, value in obj.items())
+        text = "{" + ", ".join(members) + "}"
+    else:
+        text = records(obj)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _emit(args, payload: dict, human: str) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import html as html_module
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -95,8 +96,12 @@ class FeedbackRule:
     "spread" compares max share minus min share, "order" checks that the
     run-length-compressed label sequence is a subsequence of
     background -> technique -> observation, and "fallback" fires only when
-    nothing else did. ``guard`` is an OR-list of AND-condition dicts with
-    keys "dominant", "share_lt" ([class, x]) and "min_share_ge".
+    nothing else did. ``comparator`` is lt, le, ge, gt or within; only
+    order and fallback rules may leave it and ``threshold`` None.
+    ``threshold`` is a finite number, or a (lo, hi) pair for within.
+    ``guard`` is an OR-list of AND-condition dicts with keys "dominant",
+    "share_lt" ([class, x]) and "min_share_ge". ``load_rules`` rejects a
+    rule file entry that breaks any of this.
     """
 
     id: str
@@ -248,6 +253,61 @@ def default_rules() -> list[FeedbackRule]:
     ]
 
 
+_RULE_CLASSES = ("background", "technique", "observation", "spread", "order", "fallback")
+_COMPARATORS = ("lt", "le", "ge", "gt", "within")
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_class_name(value) -> bool:
+    return type(value) is str and value.upper() in Label3.__members__
+
+
+# Each guard condition key, what its value must be, and the test.
+_GUARD_CONDITIONS = {
+    "dominant": ("a class name", _is_class_name),
+    "share_lt": ("a [class name, number] pair", lambda v: type(v) in (list, tuple)
+                 and len(v) == 2 and _is_class_name(v[0]) and _is_number(v[1])),
+    "min_share_ge": ("a finite number", _is_number),
+}
+
+
+def _rule_problem(rule: FeedbackRule) -> str | None:
+    """What is wrong with ``rule`` (see FeedbackRule), or None."""
+    if type(rule.priority) is not int:
+        return f"priority {rule.priority!r:.40} is not an integer"
+    if rule.cls not in _RULE_CLASSES:
+        return f"unknown class {rule.cls!r:.40} (known: {', '.join(_RULE_CLASSES)})"
+    if rule.comparator is None:
+        if rule.cls not in ("order", "fallback"):
+            return f"a {rule.cls} rule needs a comparator"
+        if rule.threshold is not None:
+            return "a threshold needs a comparator"
+    elif type(rule.comparator) is not str or rule.comparator not in _COMPARATORS:
+        return f"unknown comparator {rule.comparator!r:.40} (known: {', '.join(_COMPARATORS)})"
+    elif rule.comparator == "within":
+        if not (type(rule.threshold) in (list, tuple) and len(rule.threshold) == 2
+                and all(map(_is_number, rule.threshold))):
+            return f"threshold {rule.threshold!r:.40} is not a [lo, hi] pair of finite numbers"
+    elif not _is_number(rule.threshold):
+        return f"threshold {rule.threshold!r:.40} is not a finite number"
+    if rule.guard is None:
+        return None
+    if type(rule.guard) is not tuple or not all(type(alt) is dict for alt in rule.guard):
+        return f"guard {rule.guard!r:.40} is not a list of objects"
+    for alternative in rule.guard:
+        for key, value in alternative.items():
+            if key not in _GUARD_CONDITIONS:
+                return (f"unknown guard condition {key!r:.40} "
+                        f"(known: {', '.join(_GUARD_CONDITIONS)})")
+            what, test = _GUARD_CONDITIONS[key]
+            if not test(value):
+                return f"guard {key} {value!r:.40} is not {what}"
+    return None
+
+
 def load_rules(path: str | Path) -> list[FeedbackRule]:
     raw = read_json(path, "rule config", ConfigError)
     if not isinstance(raw, list):
@@ -256,26 +316,23 @@ def load_rules(path: str | Path) -> list[FeedbackRule]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"rule entry #{i} is not a JSON object")
-        if type(entry.get("priority", 0)) is not int:
-            raise ConfigError(f"rule entry #{i}: priority {entry['priority']!r} is not an integer")
+        threshold, guard = entry.get("threshold"), entry.get("guard")
         try:
-            rules.append(
-                FeedbackRule(
-                    id=str(entry["id"]),
-                    cls=str(entry["class"]),
-                    comparator=entry.get("comparator"),
-                    threshold=(
-                        tuple(entry["threshold"])
-                        if isinstance(entry.get("threshold"), list)
-                        else entry.get("threshold")
-                    ),
-                    template=str(entry["template"]),
-                    priority=entry["priority"],
-                    guard=tuple(entry["guard"]) if entry.get("guard") else None,
-                )
+            rule = FeedbackRule(
+                id=str(entry["id"]),
+                cls=entry["class"],
+                comparator=entry.get("comparator"),
+                threshold=tuple(threshold) if type(threshold) is list else threshold,
+                template=str(entry["template"]),
+                priority=entry["priority"],
+                guard=(tuple(guard) or None) if type(guard) is list else guard,
             )
         except KeyError as exc:
             raise ConfigError(f"rule entry missing key {exc}") from exc
+        problem = _rule_problem(rule)
+        if problem:
+            raise ConfigError(f"rule entry #{i} ({rule.id!r}): {problem}")
+        rules.append(rule)
     ids = [r.id for r in rules]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate rule ids in rule config")

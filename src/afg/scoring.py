@@ -12,6 +12,7 @@ whole input range with no gaps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -101,13 +102,22 @@ def score_reference(given: str, correct: str) -> Mark:
     """Mark a reference string by term-vector cosine similarity to the key."""
     if not given.strip() or not correct.strip():
         raise ValueError("reference strings must be non-empty")
-    s = cosine_similarity(term_vector(given), term_vector(correct))
+    s = cosine_similarity(term_vector(given), _key_term_vector(correct))
     verdict = band_for_similarity(s)
     return Mark(
         value=_VALUE_FOR_VERDICT[verdict],
         verdict=verdict,
         evidence=f"cosine similarity {s:.4f}",
     )
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_term_vector(correct: str) -> dict[str, int]:
+    """The term vector of an answer key's reference, computed once for all its answers.
+
+    Every caller gets the same dict, so none may change it.
+    """
+    return term_vector(correct)
 
 
 def abstract_mark(score01: float) -> int:

@@ -14,7 +14,9 @@ recounting every pair before every merge.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import json
 import math
 import re
@@ -37,40 +39,42 @@ DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "et al.", "Fig.", "vs.", "Dr.")
 # Sentence segmentation
 # ---------------------------------------------------------------------------
 
+# The characters segmentation acts on: a bracket, which moves the depth, or a
+# ``.``, ``!`` or ``?`` followed by whitespace, which may end a sentence. For
+# str patterns ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_SEGMENT_CANDIDATE = re.compile(r"[(\[{]|[)\]}]|[.!?]\s+")
+
+
 def segment_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]:
     """Split text into sentences with simple, auditable rules.
 
     A sentence boundary is a ``.``, ``!`` or ``?`` followed by whitespace
-    and an uppercase letter or digit, outside parentheses, where the
-    period does not terminate a listed abbreviation. Whitespace-only input
-    yields an empty list.
+    and an uppercase letter or digit, outside brackets (``()``, ``[]`` and
+    ``{}`` all count), where the period does not terminate a listed
+    abbreviation. Whitespace-only input yields an empty list.
     """
     if not text.strip():
         return []
     sentences: list[str] = []
     start = 0
     depth = 0
-    i = 0
     n = len(text)
-    while i < n:
+    for match in _SEGMENT_CANDIDATE.finditer(text):
+        i = match.start()
         ch = text[i]
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth = max(0, depth - 1)
-        elif ch in ".!?" and depth == 0:
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j > i + 1 and j < n and (text[j].isupper() or text[j].isdigit()):
-                if not (ch == "." and _ends_with_abbreviation(text, i, abbreviations)):
-                    piece = text[start : i + 1].strip()
-                    if piece:
-                        sentences.append(piece)
-                    start = j
-                    i = j
-                    continue
-        i += 1
+        elif depth == 0:
+            j = match.end()
+            if j < n and (text[j].isupper() or text[j].isdigit()) and not (
+                ch == "." and _ends_with_abbreviation(text, i, abbreviations)
+            ):
+                piece = text[start : i + 1].strip()
+                if piece:
+                    sentences.append(piece)
+                start = j
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
@@ -78,10 +82,13 @@ def segment_sentences(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[st
 
 
 def _ends_with_abbreviation(text: str, period_index: int, abbreviations) -> bool:
-    head = text[: period_index + 1]
+    end = period_index + 1
+    abbreviations = tuple(abbreviations)
+    if not text.endswith(abbreviations, 0, end):  # one call rules out most periods
+        return False
     for abbr in abbreviations:
-        if head.endswith(abbr):
-            k = len(head) - len(abbr)
+        if text.endswith(abbr, 0, end):
+            k = end - len(abbr)
             if k == 0 or not text[k - 1].isalnum():
                 return True
     return False
@@ -160,6 +167,11 @@ def _safe_lower(word: str) -> str:
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in word)
 
 
+def _lowered_words(text: str):
+    """The whitespace-separated words of ``text``, each lowered keeping its length."""
+    return text.lower().split() if text.isascii() else map(_safe_lower, text.split())
+
+
 def _word_symbols(word: str) -> list[str]:
     return [word[0]] + [CONTINUATION_MARKER + ch for ch in word[1:]]
 
@@ -192,8 +204,7 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
 
     word_freq: dict[str, int] = {}
     for text in corpus:
-        words = text.lower().split() if text.isascii() else map(_safe_lower, text.split())
-        for word in words:
+        for word in _lowered_words(text):
             word_freq[word] = word_freq.get(word, 0) + 1
 
     sequences = [_word_symbols(w) for w in word_freq]
@@ -275,13 +286,34 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Token ids plus the byte span of the input each token covers."""
+    """Token ids of a text, and on request the byte span each token covers."""
 
     token_ids: tuple[int, ...]
-    spans: tuple[tuple[int, int], ...] = field(default=())
+    text: str = field(default="", repr=False, compare=False)
+    vocab: Vocabulary | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    @functools.cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """The UTF-8 byte span (start, end) of ``text`` under each token.
+
+        Worked out at first use from the same word split and piece matching
+        as the ids; an unknown token spans its whole word.
+        """
+        text = self.text
+        if text.isascii():
+            byte_offsets = range(len(text) + 1)
+        else:
+            byte_offsets = [0, *itertools.accumulate(len(ch.encode("utf-8")) for ch in text)]
+        spans = []
+        # re's \S+ runs are exactly str.split's words.
+        for match, word in zip(re.finditer(r"\S+", text), _lowered_words(text)):
+            at = match.start()
+            pieces = _match_word(word, self.vocab) or [(0, len(word), None)]
+            spans.extend((byte_offsets[at + a], byte_offsets[at + b]) for a, b, _ in pieces)
+        return tuple(spans)
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
@@ -290,30 +322,15 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     Any word that cannot be fully covered by vocabulary pieces maps to the
     single unknown token spanning the whole word.
     """
-    ascii_only = text.isascii()
-    if ascii_only:
-        # One byte per character, and lowering keeps every index.
-        byte_offsets = range(len(text) + 1)
-        text = text.lower()
-    else:
-        byte_offsets = [0]
-        for ch in text:
-            byte_offsets.append(byte_offsets[-1] + len(ch.encode("utf-8")))
-
+    token_to_id = vocab.token_to_id
     ids: list[int] = []
-    spans: list[tuple[int, int]] = []
-    for match in re.finditer(r"\S+", text):
-        w_start = match.start()
-        lowered = match.group() if ascii_only else _safe_lower(match.group())
-        pieces = _match_word(lowered, vocab)
+    for word in _lowered_words(text):
+        pieces = _match_word(word, vocab)
         if pieces is None:
             ids.append(vocab.unk_id)
-            spans.append((byte_offsets[w_start], byte_offsets[match.end()]))
-            continue
-        for start, end, token in pieces:
-            ids.append(vocab.token_to_id[token])
-            spans.append((byte_offsets[w_start + start], byte_offsets[w_start + end]))
-    return TokenSequence(tuple(ids), tuple(spans))
+        else:
+            ids.extend([token_to_id[token] for _, _, token in pieces])
+    return TokenSequence(tuple(ids), text, vocab)
 
 
 def _match_word(word: str, vocab: Vocabulary) -> list[tuple[int, int, str]] | None:
@@ -345,7 +362,7 @@ def _match_word(word: str, vocab: Vocabulary) -> list[tuple[int, int, str]] | No
 # Term vectors and cosine similarity
 # ---------------------------------------------------------------------------
 
-_NON_TERM = re.compile(r"[^\w.\-]+")
+_TERM = re.compile(r"[\w.\-]+")
 _INITIALS = re.compile(r"^(?:[^\W\d_]\.-?)+$")
 
 
@@ -356,9 +373,9 @@ def term_vector(text: str) -> dict[str, int]:
     initials stay single terms); everything else separates terms.
     """
     counts: dict[str, int] = {}
-    cleaned = _NON_TERM.sub(" ", text.lower())
-    for raw in cleaned.split():
-        term = raw if _INITIALS.match(raw) else raw.strip(".-")
+    for raw in _TERM.findall(text.lower()):
+        # Dotted initials ("j.-l.") keep their periods; _INITIALS needs one.
+        term = raw if "." in raw and _INITIALS.match(raw) else raw.strip(".-")
         if term:
             counts[term] = counts.get(term, 0) + 1
     return counts

@@ -10,10 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from afg import cli, structure, textproc
 from afg.cli import main
+from afg.feedback import build_report
+from afg.ingest import load_answer_keys, load_submissions
 from afg.ingest import serialize_rct
 from afg.nn import CLASSIFICATION, EncoderConfig, classify_sentence, init_params, save_model_file
 from afg.structure import Label3
 from afg.objectives import weight_p, LossSchedule
+from afg.scoring import mark_submission
 from afg.synthdata import generate_rct_corpus, generate_regression_samples
 from afg.textproc import build_vocab
 
@@ -405,6 +408,42 @@ class TestGrade:
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "grade"]) == 2
         assert not out.exists()
+
+    def test_bad_rule_file_exits_2_before_writing(self, tmp_path):
+        # An unknown comparator used to raise only when the rule was first
+        # evaluated, after reports/ had been created.
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"id": "r", "class": "background", "comparator": "zz",
+                                      "threshold": 0.4, "template": "t", "priority": 1}]),
+                         encoding="utf-8")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["rules"] = str(rules)
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 2
+        assert not out.exists()
+
+    def test_json_outputs_hold_one_record_per_line(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(write_config(tmp_path, grade_config(tmp_path, out))),
+                     "grade"]) == 0
+        # The objects grade builds, assembled here from the library calls.
+        keys = load_answer_keys(DATA / "example_keys.json")
+        classify = structure.make_fixed_classifier(
+            json.loads((DATA / "oracle_labels.json").read_text()))
+        marks, reports = [], []
+        for sub in sorted(load_submissions(DATA / "example_submissions.json"),
+                          key=lambda s: s.submission_id):
+            sheet = mark_submission(sub, keys[sub.paper_id], lambda text: 0.5)
+            labeled = structure.classify_abstract(sub.abstract, classify)
+            marks.append({"submission_id": sub.submission_id, **sheet.to_json_dict()})
+            reports.append(build_report(sub.submission_id, sheet, labeled).to_json_dict())
+        feedback = {"seed": 7, "reports": reports}
+        for name, built in (("marks.json", marks), ("feedback.json", feedback)):
+            assert json.loads((out / name).read_text()) == json.loads(json.dumps(built, indent=2))
+        assert (out / "marks.json").read_text() == (
+            "[\n" + ",\n".join(map(json.dumps, marks)) + "\n]\n")
+        assert (out / "feedback.json").read_text() == (
+            '{"seed": 7, "reports": [\n' + ",\n".join(map(json.dumps, reports)) + "\n]}\n")
 
     def test_blank_reference_exits_3_before_writing(self, tmp_path):
         subs = json.loads((DATA / "example_submissions.json").read_text())

@@ -155,6 +155,51 @@ class TestRuleConfig:
         with pytest.raises(ConfigError):
             load_rules(path)
 
+    # Each case broke at load with a TypeError, or loaded and then raised
+    # mid-run or never fired; every one is now a ConfigError at load.
+    @pytest.mark.parametrize("change", [
+        {"guard": 5},
+        {"guard": [5]},
+        {"guard": {"dominant": "observation"}},
+        {"threshold": "0.4"},
+        {"threshold": True},
+        {"threshold": float("inf")},
+        {"comparator": "zz"},
+        {"comparator": ["ge"]},
+        {"comparator": None},
+        {"comparator": "within", "threshold": 0.2},
+        {"comparator": "within", "threshold": [0.1, 0.2, 0.3]},
+        {"class": "nope"},
+        {"class": "order", "comparator": None, "threshold": 0.5},
+        {"guard": [{"dominant_class": "observation"}]},
+        {"guard": [{"dominant": "nope"}]},
+        {"guard": [{"share_lt": [0.4, "background"]}]},
+        {"guard": [{"min_share_ge": "0.1"}]},
+    ], ids=lambda change: json.dumps(change))
+    def test_invalid_rule_rejected_at_load(self, tmp_path, change):
+        from afg.errors import ConfigError
+
+        [rule] = json.loads(rules_to_json([default_rules()[2]]))  # background_praise
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([{**rule, **change}]), encoding="utf-8")
+        with pytest.raises(ConfigError, match="background_praise"):
+            load_rules(path)
+
+    def test_valid_rule_variants_load(self, tmp_path):
+        [rule] = json.loads(rules_to_json([default_rules()[2]]))
+        variants = [
+            {"guard": []},
+            {"guard": [{}, {"dominant": "Observation", "min_share_ge": 0}]},
+            {"guard": [{"share_lt": ["technique", 1]}]},
+            {"comparator": "within", "threshold": [0, 1]},
+            {"class": "order", "comparator": None, "threshold": None},
+        ]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([{**rule, **change, "id": f"r{i}"}
+                                    for i, change in enumerate(variants)]), encoding="utf-8")
+        labels = [B, T, O]
+        assert abstract_feedback(dist_for(labels), labels, load_rules(path))
+
     def test_custom_rule_fires(self):
         rule = FeedbackRule(
             id="obs_praise", cls="observation", comparator="ge", threshold=0.5,

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,6 +13,7 @@ from afg.ingest import split
 from afg.synthdata import generate_rct_corpus, mapped_sentences
 from afg.textproc import (
     CONTINUATION_MARKER,
+    DEFAULT_ABBREVIATIONS,
     PAD_TOKEN,
     UNK_TOKEN,
     Vocabulary,
@@ -60,6 +63,104 @@ class TestSegmentSentences:
         parts = segment_sentences(text)
         assert all(p for p in parts)
         assert "".join("".join(p.split()) for p in parts) == "".join(text.split())
+
+
+def _reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """The character-by-character segmenter: every character, one at a time."""
+    if not text.strip():
+        return []
+    sentences = []
+    start = 0
+    depth = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth = max(0, depth - 1)
+        elif ch in ".!?" and depth == 0:
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j > i + 1 and j < n and (text[j].isupper() or text[j].isdigit()):
+                head = text[: i + 1]
+                abbreviated = False
+                for abbr in abbreviations:
+                    if head.endswith(abbr):
+                        k = len(head) - len(abbr)
+                        if k == 0 or not text[k - 1].isalnum():
+                            abbreviated = True
+                            break
+                if not (ch == "." and abbreviated):
+                    piece = text[start : i + 1].strip()
+                    if piece:
+                        sentences.append(piece)
+                    start = j
+                    i = j
+                    continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def _reference_term_vector(text):
+    """Term counts by replacing non-term characters with spaces, then splitting."""
+    counts = {}
+    cleaned = re.sub(r"[^\w.\-]+", " ", text.lower())
+    for raw in cleaned.split():
+        term = raw if re.match(r"^(?:[^\W\d_]\.-?)+$", raw) else raw.strip(".-")
+        if term:
+            counts[term] = counts.get(term, 0) + 1
+    return counts
+
+
+# Full-Unicode text, salted with the characters the segmenter and term
+# vectors treat specially: whitespace that only str.isspace knows
+# (\x1c-\x1f, \x85, U+3000), brackets, runs of sentence punctuation,
+# sentence starts and abbreviations.
+SPECIAL_PIECES = st.sampled_from([
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000", " ", "\n", ". ", "? ", "!\t",
+    "...", "?!", "(", ")", "[", "]", "{", "}", "A", "7", "a", "e.g.", "Fig.", "J.-L.", "-",
+    "_", "İ",
+])
+SALTED_TEXT = st.lists(st.one_of(st.characters(), SPECIAL_PIECES), max_size=60).map("".join)
+ABBREVIATIONS = st.lists(
+    st.one_of(st.sampled_from([".", "", "e.g.", "Fig.", "et al.", "A.", "a. A"]),
+              st.text(max_size=3)),
+    max_size=4,
+).map(tuple)
+
+
+class TestRewrittenTextLayers:
+    @given(st.one_of(st.text(), SALTED_TEXT))
+    @example("See Fig. 2 (p. 3! Or [q. 4]) here.\x1cNext one.\u3000Then 9 more")
+    def test_segmenter_matches_character_loop(self, text):
+        assert segment_sentences(text) == _reference_segment_sentences(text)
+
+    @given(SALTED_TEXT, ABBREVIATIONS)
+    @example("A. B. C.  D", ("",))
+    @example("x. Y. z.\x85W", (".",))
+    @example("e.g. A test. B", ())
+    def test_segmenter_matches_character_loop_for_any_abbreviations(self, text, abbreviations):
+        assert segment_sentences(text, abbreviations) == (
+            _reference_segment_sentences(text, abbreviations)
+        )
+
+    @given(st.one_of(st.text(), SALTED_TEXT))
+    @example("J.-L. Renaud,\x1fA.B. x..y -- 5985\u20135990 _a_ İ.")
+    def test_term_vector_matches_sub_and_split(self, text):
+        assert term_vector(text) == _reference_term_vector(text)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # The segmenter finds whitespace runs, and token spans find words,
+        # with re's \s; the rules are stated in terms of str.isspace.
+        space = re.compile(r"\s")
+        assert [c for c in range(sys.maxunicode + 1)
+                if bool(space.match(chr(c))) != chr(c).isspace()] == []
 
 
 class TestBuildVocab:
@@ -225,6 +326,13 @@ class TestTokenize:
         raw = text.encode("utf-8")
         covered = b"".join(raw[a:b] for a, b in seq.spans)
         assert covered == "".join(text.split()).encode("utf-8")
+
+    def test_spans_are_computed_on_request(self):
+        v = build_vocab(["the cat sat"], max_size=60, min_frequency=1)
+        seq = tokenize("the café sat", v)
+        assert "spans" not in vars(seq)
+        assert seq.spans == ((0, 3), (4, 9), (10, 13))
+        assert "spans" in vars(seq)
 
     def test_case_folded_matching(self):
         v = build_vocab(["the cat sat"], max_size=60, min_frequency=1)
