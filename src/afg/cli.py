@@ -19,6 +19,9 @@ checks there. The three training commands share one skeleton.
 bucketed batches, at the model's first use (the first submission's mark or
 labels) rather than at start-up. So the config and inputs are all checked
 before any model work, and set-up costs no more than reading the files.
+The passes stay at first use because the benchmark's set-up time ends at
+the first ``scoring.mark_submission`` call; run earlier, they would be
+counted as set-up and swamp it.
 
 Every JSON output file comes from the C encoder with its default
 separators and ASCII escaping, not indented. Each item of a top-level
@@ -40,7 +43,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -240,43 +243,32 @@ def _load_model_with_vocab(spec: dict, what: str, head: str):
     return params, config, vocab
 
 
-def _primed(predict: Callable[[Sequence[str]], list], texts: Callable[[], list[str]]):
-    """A text -> output callable that runs ``predict`` over ``texts()`` at first use.
+def _model_from_spec(spec: dict, what: str, texts: Callable[[], list[str]]):
+    """A text -> output callable for a ``scorer`` or ``classifier`` spec.
 
-    The first call runs one batched pass over the whole run; later calls
-    are look-ups. A text outside the run gets a pass of its own.
+    A fixed oracle is returned as it is. A model file runs one batched
+    pass over ``texts()``, the whole run, at first use; every call is then
+    a look-up.
     """
-    table = None
-
-    def lookup(text: str):
-        nonlocal table
-        if table is None:
-            batch = list(dict.fromkeys(texts()))
-            table = dict(zip(batch, predict(batch)))
-        if text not in table:
-            table[text] = predict([text])[0]
-        return table[text]
-
-    return lookup
-
-
-def _scorer_from_spec(spec: dict, abstracts: Callable[[], list[str]]):
-    """Abstract -> [0,1] score; a model file is primed with ``abstracts()``."""
     if spec["type"] == "fixed_score":
         value = spec["score"]
         return lambda text: value
-    predictor = nn.Predictor(*_load_model_with_vocab(spec, "scorer", nn.REGRESSION))
-    return _primed(predictor.scores, abstracts)
-
-
-def _classifier_from_spec(spec: dict, sentences: Callable[[], list[str]]):
-    """Sentence -> class probabilities; a model file is primed with ``sentences()``."""
     if spec["type"] == "fixed_labels":
         return structure.make_fixed_classifier(
             read_json(spec["path"], "fixed-labels file", ConfigError)
         )
-    predictor = nn.Predictor(*_load_model_with_vocab(spec, "classifier", nn.CLASSIFICATION))
-    return _primed(predictor.probabilities, sentences)
+    head = nn.REGRESSION if what == "scorer" else nn.CLASSIFICATION
+    predictor = nn.Predictor(*_load_model_with_vocab(spec, what, head))
+    predict = predictor.scores if what == "scorer" else predictor.probabilities
+    table = {}
+
+    def lookup(text: str):
+        if not table:
+            batch = list(dict.fromkeys(texts()))
+            table.update(zip(batch, predict(batch)))
+        return table[text]
+
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +339,7 @@ def _evaluate_scores(predictor: nn.Predictor, held_out: Sequence[tuple[str, floa
     report = objectives.evaluate_regression(
         predictor.scores([text for text, _ in held_out]), [y for _, y in held_out]
     )
-    return json.loads(report.to_json()), {"r2_paper": report.r2_paper}
+    return asdict(report), {"r2_paper": report.r2_paper}
 
 
 def cmd_finetune(cfg: RunConfig, args) -> int:
@@ -429,10 +421,10 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     # Each abstract is segmented once, at its first use: by the classifier's
     # priming pass or by its own labels, whichever comes first.
     segment = functools.cache(lambda text: segment_sentences(text, abbreviations))
-    score_fn = _scorer_from_spec(section["scorer_model"], lambda: [s.abstract for s in subs])
-    classify_fn = _classifier_from_spec(
-        section["classifier_model"], lambda: [t for s in subs for t in segment(s.abstract)]
-    )
+    score_fn = _model_from_spec(section["scorer_model"], "scorer",
+                                lambda: [s.abstract for s in subs])
+    classify_fn = _model_from_spec(section["classifier_model"], "classifier",
+                                   lambda: [t for s in subs for t in segment(s.abstract)])
     rules = fb.load_rules(section["rules"]) if "rules" in section else fb.default_rules()
     fmt = section["format"]
     ext = _REPORT_EXTENSIONS[fmt]
@@ -472,7 +464,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     ]
     if not subs:
         raise DataError("no submissions with human marks to evaluate against")
-    score_fn = _scorer_from_spec(section["scorer_model"], lambda: [s.abstract for s in subs])
+    score_fn = _model_from_spec(section["scorer_model"], "scorer",
+                                lambda: [s.abstract for s in subs])
 
     machine01 = [float(score_fn(s.abstract)) for s in subs]
     machine_marks = [scoring.abstract_mark(v) for v in machine01]
@@ -489,7 +482,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         {
             "seed": cfg.seed,
             "n": len(subs),
-            "abstract_score": json.loads(report.to_json()),
+            "abstract_score": asdict(report),
             "exact_mark_agreement": acc,
             "confusion": json.loads(cm.to_json(list(range(7)))),
         },

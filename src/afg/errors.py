@@ -37,10 +37,6 @@ class ParseError(DataError):
         self.line = line
 
 
-class DegenerateRangeError(DataError):
-    """Score range with min == max; nothing can be normalized."""
-
-
 class NotFoundError(DataError):
     pass
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import html as html_module
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,7 +69,7 @@ COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
 
 def fixed_comment(question: Question, mark: Mark) -> str:
     """Look up the cognitivist comment; wrong numeric answers get the values."""
-    comment = COMMENT_TABLE[(Question(question), mark.verdict)]
+    comment = COMMENT_TABLE[(question, mark.verdict)]
     if (
         mark.verdict is Verdict.INCORRECT
         and mark.given is not None
@@ -87,10 +88,42 @@ def fixed_comment(question: Question, mark: Mark) -> str:
 
 _CANONICAL_ORDER = (Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION)
 
+# Each rule class that compares a number, and that number from the shares.
+_STATISTICS = {
+    **{label.name.lower(): operator.itemgetter(label) for label in Label3},
+    "spread": lambda shares: max(shares) - min(shares),
+}
+_RULE_CLASSES = (*_STATISTICS, "order", "fallback")
+_COMPARATORS = {
+    "lt": operator.lt, "le": operator.le, "ge": operator.ge, "gt": operator.gt,
+    "within": lambda value, bounds: bounds[0] < value <= bounds[1],
+}
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_class_name(value) -> bool:
+    return type(value) is str and value.upper() in Label3.__members__
+
+
+# Each guard condition key, what its value must be, the test of the value,
+# and whether the condition holds for the shares. The dominant class is the
+# first of the largest shares.
+_GUARD_CONDITIONS = {
+    "dominant": ("a class name", _is_class_name,
+                 lambda shares, v: shares.index(max(shares)) == Label3[v.upper()]),
+    "share_lt": ("a [class name, number] pair", lambda v: type(v) in (list, tuple)
+                 and len(v) == 2 and _is_class_name(v[0]) and _is_number(v[1]),
+                 lambda shares, v: shares[Label3[v[0].upper()]] < v[1]),
+    "min_share_ge": ("a finite number", _is_number, lambda shares, v: min(shares) >= v),
+}
+
 
 @dataclass(frozen=True)
 class FeedbackRule:
-    """One declarative feedback trigger.
+    """One declarative feedback trigger, checked when it is made.
 
     ``cls`` picks the statistic: a class name compares that class's share,
     "spread" compares max share minus min share, "order" checks that the
@@ -100,8 +133,8 @@ class FeedbackRule:
     order and fallback rules may leave it and ``threshold`` None.
     ``threshold`` is a finite number, or a (lo, hi) pair for within.
     ``guard`` is an OR-list of AND-condition dicts with keys "dominant",
-    "share_lt" ([class, x]) and "min_share_ge". ``load_rules`` rejects a
-    rule file entry that breaks any of this.
+    "share_lt" ([class, x]) and "min_share_ge". A rule that breaks any of
+    this is a ConfigError naming its id.
     """
 
     id: str
@@ -112,56 +145,63 @@ class FeedbackRule:
     priority: int
     guard: tuple[dict, ...] | None = None
 
+    def __post_init__(self):
+        problem = _rule_problem(self)
+        if problem:
+            raise ConfigError(f"rule {self.id!r}: {problem}")
+
     def fires(self, dist: ClassDistribution, labels: Sequence[Label3]) -> bool:
         if self.cls == "fallback":
             return False  # engine-level
-        if not _guard_ok(self.guard, dist):
+        if not _guard_ok(self.guard, dist.shares):
             return False
         if self.cls == "order":
             return _is_logical_order(labels)
-        if self.cls == "spread":
-            value = max(dist.shares) - min(dist.shares)
-        elif self.cls in ("background", "technique", "observation"):
-            value = dist.shares[Label3[self.cls.upper()]]
-        else:
-            raise ConfigError(f"rule {self.id!r}: unknown class {self.cls!r}")
-        return _compare(self.comparator, value, self.threshold, self.id)
+        return _COMPARATORS[self.comparator](_STATISTICS[self.cls](dist.shares), self.threshold)
 
 
-def _compare(comparator, value, threshold, rule_id) -> bool:
-    if comparator == "lt":
-        return value < threshold
-    if comparator == "le":
-        return value <= threshold
-    if comparator == "ge":
-        return value >= threshold
-    if comparator == "gt":
-        return value > threshold
-    if comparator == "within":
-        lo, hi = threshold
-        return lo < value <= hi
-    raise ConfigError(f"rule {rule_id!r}: unknown comparator {comparator!r}")
+def _rule_problem(rule: FeedbackRule) -> str | None:
+    """What is wrong with ``rule`` (see FeedbackRule), or None."""
+    if type(rule.priority) is not int:
+        return f"priority {rule.priority!r:.40} is not an integer"
+    if rule.cls not in _RULE_CLASSES:
+        return f"unknown class {rule.cls!r:.40} (known: {', '.join(_RULE_CLASSES)})"
+    if rule.comparator is None:
+        if rule.cls in _STATISTICS:
+            return f"a {rule.cls} rule needs a comparator"
+        if rule.threshold is not None:
+            return "a threshold needs a comparator"
+    elif type(rule.comparator) is not str or rule.comparator not in _COMPARATORS:
+        return f"unknown comparator {rule.comparator!r:.40} (known: {', '.join(_COMPARATORS)})"
+    elif rule.comparator == "within":
+        if not (type(rule.threshold) in (list, tuple) and len(rule.threshold) == 2
+                and all(map(_is_number, rule.threshold))):
+            return f"threshold {rule.threshold!r:.40} is not a [lo, hi] pair of finite numbers"
+    elif not _is_number(rule.threshold):
+        return f"threshold {rule.threshold!r:.40} is not a finite number"
+    if rule.guard is None:
+        return None
+    if type(rule.guard) not in (list, tuple) or not all(type(alt) is dict for alt in rule.guard):
+        return f"guard {rule.guard!r:.40} is not a list of objects"
+    for alternative in rule.guard:
+        for key, value in alternative.items():
+            if key not in _GUARD_CONDITIONS:
+                return (f"unknown guard condition {key!r:.40} "
+                        f"(known: {', '.join(_GUARD_CONDITIONS)})")
+            what, test, _ = _GUARD_CONDITIONS[key]
+            if not test(value):
+                return f"guard {key} {value!r:.40} is not {what}"
+    return None
 
 
-def _guard_ok(guard, dist: ClassDistribution) -> bool:
+def _guard_ok(guard, shares: tuple[float, float, float]) -> bool:
     if not guard:
         return True
     for alternative in guard:
-        ok = True
         for key, value in alternative.items():
-            if key == "dominant":
-                dominant = max(range(3), key=lambda k: (dist.shares[k], -k))
-                ok = ok and dominant == Label3[value.upper()]
-            elif key == "share_lt":
-                cls, x = value
-                ok = ok and dist.shares[Label3[cls.upper()]] < x
-            elif key == "min_share_ge":
-                ok = ok and min(dist.shares) >= value
-            else:
-                raise ConfigError(f"unknown guard condition {key!r}")
-            if not ok:
+            if not _GUARD_CONDITIONS[key][2](shares, value):
                 break
-        if ok:
+        else:
             return True
     return False
 
@@ -178,134 +218,84 @@ def _is_logical_order(labels: Sequence[Label3]) -> bool:
     return True
 
 
+_FALLBACK_COMMENT = "The structure of the abstract covers the main aspects of the paper."
+
+_DEFAULT_RULES = (
+    FeedbackRule(
+        id="balance_suggest", cls="spread", comparator="gt", threshold=0.40,
+        template=(
+            "A more balanced discussion of the background of the paper, the "
+            "techniques of the paper and the observations and conclusions the "
+            "paper made might improve your work."
+        ),
+        priority=10,
+        guard=(
+            {"dominant": "observation"},
+            {"share_lt": ["background", 0.40]},
+        ),
+    ),
+    FeedbackRule(
+        id="balance_commend", cls="spread", comparator="le", threshold=0.40,
+        template=(
+            "The abstract balances its discussion of the background, the "
+            "techniques and the observations of the paper well."
+        ),
+        priority=11,
+        guard=({"min_share_ge": 0.15},),
+    ),
+    FeedbackRule(
+        id="background_praise", cls="background", comparator="ge", threshold=0.40,
+        template="Your discussion of the paper’s background has a good amount of detail.",
+        priority=20,
+    ),
+    FeedbackRule(
+        id="background_expand", cls="background", comparator="lt", threshold=0.15,
+        template=(
+            "It might be worth expanding the discussion of the background "
+            "and motivation of the paper."
+        ),
+        priority=21,
+    ),
+    FeedbackRule(
+        id="technique_expand_strong", cls="technique", comparator="le", threshold=0.15,
+        template="It might be worth outlining the methods of the paper in greater detail.",
+        priority=30,
+    ),
+    FeedbackRule(
+        id="technique_expand", cls="technique", comparator="within",
+        threshold=(0.15, 0.20),
+        template=(
+            "It might be useful to outline the Techniques the model uses in "
+            "a bit more detail."
+        ),
+        priority=31,
+    ),
+    FeedbackRule(
+        id="observation_clarity", cls="observation", comparator="le", threshold=0.20,
+        template=(
+            "It may be worth making sure that the discussion of the "
+            "conclusions of the paper are clearer."
+        ),
+        priority=40,
+    ),
+    FeedbackRule(
+        id="logical_order", cls="order", comparator=None, threshold=None,
+        template=(
+            "The abstract contains discussion of each aspect of the paper "
+            "in a logical order."
+        ),
+        priority=50,
+    ),
+    FeedbackRule(
+        id="fallback", cls="fallback", comparator=None, threshold=None,
+        template=_FALLBACK_COMMENT,
+        priority=90,
+    ),
+)
+
+
 def default_rules() -> list[FeedbackRule]:
-    return [
-        FeedbackRule(
-            id="balance_suggest", cls="spread", comparator="gt", threshold=0.40,
-            template=(
-                "A more balanced discussion of the background of the paper, the "
-                "techniques of the paper and the observations and conclusions the "
-                "paper made might improve your work."
-            ),
-            priority=10,
-            guard=(
-                {"dominant": "observation"},
-                {"share_lt": ["background", 0.40]},
-            ),
-        ),
-        FeedbackRule(
-            id="balance_commend", cls="spread", comparator="le", threshold=0.40,
-            template=(
-                "The abstract balances its discussion of the background, the "
-                "techniques and the observations of the paper well."
-            ),
-            priority=11,
-            guard=({"min_share_ge": 0.15},),
-        ),
-        FeedbackRule(
-            id="background_praise", cls="background", comparator="ge", threshold=0.40,
-            template="Your discussion of the paper’s background has a good amount of detail.",
-            priority=20,
-        ),
-        FeedbackRule(
-            id="background_expand", cls="background", comparator="lt", threshold=0.15,
-            template=(
-                "It might be worth expanding the discussion of the background "
-                "and motivation of the paper."
-            ),
-            priority=21,
-        ),
-        FeedbackRule(
-            id="technique_expand_strong", cls="technique", comparator="le", threshold=0.15,
-            template="It might be worth outlining the methods of the paper in greater detail.",
-            priority=30,
-        ),
-        FeedbackRule(
-            id="technique_expand", cls="technique", comparator="within",
-            threshold=(0.15, 0.20),
-            template=(
-                "It might be useful to outline the Techniques the model uses in "
-                "a bit more detail."
-            ),
-            priority=31,
-        ),
-        FeedbackRule(
-            id="observation_clarity", cls="observation", comparator="le", threshold=0.20,
-            template=(
-                "It may be worth making sure that the discussion of the "
-                "conclusions of the paper are clearer."
-            ),
-            priority=40,
-        ),
-        FeedbackRule(
-            id="logical_order", cls="order", comparator=None, threshold=None,
-            template=(
-                "The abstract contains discussion of each aspect of the paper "
-                "in a logical order."
-            ),
-            priority=50,
-        ),
-        FeedbackRule(
-            id="fallback", cls="fallback", comparator=None, threshold=None,
-            template="The structure of the abstract covers the main aspects of the paper.",
-            priority=90,
-        ),
-    ]
-
-
-_RULE_CLASSES = ("background", "technique", "observation", "spread", "order", "fallback")
-_COMPARATORS = ("lt", "le", "ge", "gt", "within")
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _is_class_name(value) -> bool:
-    return type(value) is str and value.upper() in Label3.__members__
-
-
-# Each guard condition key, what its value must be, and the test.
-_GUARD_CONDITIONS = {
-    "dominant": ("a class name", _is_class_name),
-    "share_lt": ("a [class name, number] pair", lambda v: type(v) in (list, tuple)
-                 and len(v) == 2 and _is_class_name(v[0]) and _is_number(v[1])),
-    "min_share_ge": ("a finite number", _is_number),
-}
-
-
-def _rule_problem(rule: FeedbackRule) -> str | None:
-    """What is wrong with ``rule`` (see FeedbackRule), or None."""
-    if type(rule.priority) is not int:
-        return f"priority {rule.priority!r:.40} is not an integer"
-    if rule.cls not in _RULE_CLASSES:
-        return f"unknown class {rule.cls!r:.40} (known: {', '.join(_RULE_CLASSES)})"
-    if rule.comparator is None:
-        if rule.cls not in ("order", "fallback"):
-            return f"a {rule.cls} rule needs a comparator"
-        if rule.threshold is not None:
-            return "a threshold needs a comparator"
-    elif type(rule.comparator) is not str or rule.comparator not in _COMPARATORS:
-        return f"unknown comparator {rule.comparator!r:.40} (known: {', '.join(_COMPARATORS)})"
-    elif rule.comparator == "within":
-        if not (type(rule.threshold) in (list, tuple) and len(rule.threshold) == 2
-                and all(map(_is_number, rule.threshold))):
-            return f"threshold {rule.threshold!r:.40} is not a [lo, hi] pair of finite numbers"
-    elif not _is_number(rule.threshold):
-        return f"threshold {rule.threshold!r:.40} is not a finite number"
-    if rule.guard is None:
-        return None
-    if type(rule.guard) is not tuple or not all(type(alt) is dict for alt in rule.guard):
-        return f"guard {rule.guard!r:.40} is not a list of objects"
-    for alternative in rule.guard:
-        for key, value in alternative.items():
-            if key not in _GUARD_CONDITIONS:
-                return (f"unknown guard condition {key!r:.40} "
-                        f"(known: {', '.join(_GUARD_CONDITIONS)})")
-            what, test = _GUARD_CONDITIONS[key]
-            if not test(value):
-                return f"guard {key} {value!r:.40} is not {what}"
-    return None
+    return list(_DEFAULT_RULES)
 
 
 def load_rules(path: str | Path) -> list[FeedbackRule]:
@@ -329,9 +319,6 @@ def load_rules(path: str | Path) -> list[FeedbackRule]:
             )
         except KeyError as exc:
             raise ConfigError(f"rule entry missing key {exc}") from exc
-        problem = _rule_problem(rule)
-        if problem:
-            raise ConfigError(f"rule entry #{i} ({rule.id!r}): {problem}")
         rules.append(rule)
     ids = [r.id for r in rules]
     if len(set(ids)) != len(ids):
@@ -365,9 +352,9 @@ def abstract_feedback(
     if not labels:
         raise ValueError("need at least one labeled sentence")
     if rules is None:
-        rules = default_rules()
+        rules = _DEFAULT_RULES
     fired = sorted(
-        (r for r in rules if r.cls != "fallback" and r.fires(dist, labels)),
+        (r for r in rules if r.fires(dist, labels)),
         key=lambda r: (r.priority, r.id),
     )
     if fired:
@@ -375,9 +362,7 @@ def abstract_feedback(
     fallbacks = sorted(
         (r for r in rules if r.cls == "fallback"), key=lambda r: (r.priority, r.id)
     )
-    return [r.template for r in fallbacks] or [
-        "The structure of the abstract covers the main aspects of the paper."
-    ]
+    return [r.template for r in fallbacks] or [_FALLBACK_COMMENT]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateRangeError,
     EmptyInputError,
     NotFoundError,
     ParseError,
@@ -143,13 +142,8 @@ class TsvSchema:
         for prompt, (lo, hi) in ranges.items():
             if not lo < hi:
                 raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r} is empty")
-        return cls(
-            id_col=d.get("id_col", "id"),
-            prompt_col=d.get("prompt_col", "set"),
-            text_col=d.get("text_col", "essay"),
-            score_col=d.get("score_col", "score"),
-            score_ranges=ranges,
-        )
+        columns = {k: d[k] for k in ("id_col", "prompt_col", "text_col", "score_col") if k in d}
+        return cls(**columns, score_ranges=ranges)
 
 
 def _text_lines(stream) -> list[str]:
@@ -209,19 +203,15 @@ def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
 
 def normalize_scores(samples: Sequence[RawSample]) -> list[NormalizedSample]:
     """Min-max normalize each sample's score to [0, 1] within its prompt range."""
-    out = []
-    for s in samples:
-        if s.max_score == s.min_score:
-            raise DegenerateRangeError(f"prompt {s.prompt_id!r}: min == max == {s.min_score}")
-        out.append(
-            NormalizedSample(
-                sample_id=s.sample_id,
-                prompt_id=s.prompt_id,
-                text=s.text,
-                score01=(s.raw_score - s.min_score) / (s.max_score - s.min_score),
-            )
+    return [
+        NormalizedSample(
+            sample_id=s.sample_id,
+            prompt_id=s.prompt_id,
+            text=s.text,
+            score01=(s.raw_score - s.min_score) / (s.max_score - s.min_score),
         )
-    return out
+        for s in samples
+    ]
 
 
 # ---------------------------------------------------------------------------

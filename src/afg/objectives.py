@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -164,17 +164,7 @@ class EvalReport:
         return self.r2_paper
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r2_paper": self.r2_paper,
-                "r2_standard": self.r2_standard,
-                "mae": self.mae,
-                "rmse": self.rmse,
-                "max_error": self.max_error,
-                "n": self.n,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def evaluate_regression(preds, targets) -> EvalReport:

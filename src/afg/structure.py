@@ -24,6 +24,8 @@ class Label3(IntEnum):
     OBSERVATION = 2
 
 
+_LABEL3 = tuple(Label3)  # by class index
+
 LABEL5_TO_LABEL3 = {
     Label5.BACKGROUND: Label3.BACKGROUND,
     Label5.OBJECTIVE: Label3.BACKGROUND,
@@ -120,7 +122,7 @@ def classify_abstract(
         probs = classifier(sentence)
         best = max(range(len(probs)), key=probs.__getitem__)
         labeled.append(
-            LabeledSentence(text=sentence, label=Label3(best), confidence=float(probs[best]))
+            LabeledSentence(text=sentence, label=_LABEL3[best], confidence=float(probs[best]))
         )
     return LabeledAbstract(tuple(labeled))
 
@@ -137,12 +139,14 @@ class ClassDistribution:
 
 
 def distribution(labeled: LabeledAbstract | Sequence[Label3]) -> ClassDistribution:
-    labels = labeled.labels() if isinstance(labeled, LabeledAbstract) else list(labeled)
+    # A raw sequence's labels are checked: counts[-1] would take a bad int.
+    labels = (labeled.labels() if isinstance(labeled, LabeledAbstract)
+              else [Label3(label) for label in labeled])
     if not labels:
         raise ValueError("need at least one label")
     counts = [0, 0, 0]
     for label in labels:
-        counts[Label3(label)] += 1
+        counts[label] += 1
     total = len(labels)
     return ClassDistribution(
         counts=tuple(counts),

@@ -3,11 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from afg.errors import ConfigError
 from afg.feedback import (
     COMMENT_TABLE,
     FeedbackRule,
     Question,
+    _is_logical_order,
     abstract_feedback,
     build_report,
     default_rules,
@@ -200,6 +203,18 @@ class TestRuleConfig:
         labels = [B, T, O]
         assert abstract_feedback(dist_for(labels), labels, load_rules(path))
 
+    @pytest.mark.parametrize("change", [
+        {"cls": "nope"},
+        {"comparator": "zz"},
+        {"guard": ({"dominant_class": "observation"},)},
+    ], ids=repr)
+    def test_invalid_rule_built_in_code_rejected(self, change):
+        # Each used to construct, then raise only when first evaluated.
+        rule = {"id": "r", "cls": "background", "comparator": "ge", "threshold": 0.4,
+                "template": "t", "priority": 1, **change}
+        with pytest.raises(ConfigError, match="'r'"):
+            FeedbackRule(**rule)
+
     def test_custom_rule_fires(self):
         rule = FeedbackRule(
             id="obs_praise", cls="observation", comparator="ge", threshold=0.5,
@@ -295,3 +310,110 @@ class TestRenderReport:
         assert [s["label"] for s in data["labeled_abstract"]] == [
             l.name for l in EXAMPLE2_LABELS
         ]
+
+
+# ---------------------------------------------------------------------------
+# The rule tables against the if-chain evaluation they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_fires(rule, dist, labels) -> bool:
+    """FeedbackRule.fires as it was before the rule tables (the reference)."""
+    if rule.cls == "fallback":
+        return False
+    if rule.guard:
+        for alternative in rule.guard:
+            ok = True
+            for key, value in alternative.items():
+                if key == "dominant":
+                    dominant = max(range(3), key=lambda k: (dist.shares[k], -k))
+                    ok = ok and dominant == Label3[value.upper()]
+                elif key == "share_lt":
+                    cls, x = value
+                    ok = ok and dist.shares[Label3[cls.upper()]] < x
+                elif key == "min_share_ge":
+                    ok = ok and min(dist.shares) >= value
+                else:
+                    raise AssertionError(key)
+                if not ok:
+                    break
+            if ok:
+                break
+        else:
+            return False
+    if rule.cls == "order":
+        return _is_logical_order(labels)
+    if rule.cls == "spread":
+        value = max(dist.shares) - min(dist.shares)
+    else:
+        value = dist.shares[Label3[rule.cls.upper()]]
+    threshold = rule.threshold
+    if rule.comparator == "lt":
+        return value < threshold
+    if rule.comparator == "le":
+        return value <= threshold
+    if rule.comparator == "ge":
+        return value >= threshold
+    if rule.comparator == "gt":
+        return value > threshold
+    lo, hi = threshold
+    return lo < value <= hi
+
+
+def _reference_abstract_feedback(dist, labels, rules) -> list[str]:
+    fired = sorted((r for r in rules if r.cls != "fallback" and _reference_fires(r, dist, labels)),
+                   key=lambda r: (r.priority, r.id))
+    if fired:
+        return [r.template for r in fired]
+    fallbacks = sorted((r for r in rules if r.cls == "fallback"), key=lambda r: (r.priority, r.id))
+    return [r.template for r in fallbacks] or [
+        "The structure of the abstract covers the main aspects of the paper."
+    ]
+
+
+CLASS_NAMES = ("background", "technique", "observation")
+# Every share an abstract of 1 to 12 sentences can have, and a few beyond.
+SHARES = sorted({k / n for n in range(1, 13) for k in range(n + 1)} | {-0.5, 1.5})
+thresholds = st.one_of(st.sampled_from(SHARES), st.floats(-0.1, 1.1))
+mixed_case_class = st.sampled_from(CLASS_NAMES).flatmap(
+    lambda name: st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(name, upper))))
+conditions = st.fixed_dictionaries({}, optional={
+    "dominant": mixed_case_class,
+    "share_lt": st.tuples(mixed_case_class, thresholds).map(list),
+    "min_share_ge": thresholds,
+})
+guards = st.one_of(st.none(), st.lists(conditions, max_size=3).map(lambda g: tuple(g) or None))
+label_lists = st.lists(st.sampled_from(list(Label3)), min_size=1, max_size=12)
+
+
+@st.composite
+def rules(draw, rule_id="r"):
+    cls = draw(st.sampled_from(CLASS_NAMES + ("spread", "order", "fallback")))
+    comparators = ["lt", "le", "ge", "gt", "within"]
+    comparator = draw(st.sampled_from(comparators + [None] * (cls in ("order", "fallback"))))
+    if comparator is None:
+        threshold = None
+    elif comparator == "within":
+        threshold = (draw(thresholds), draw(thresholds))
+    else:
+        threshold = draw(thresholds)
+    return FeedbackRule(id=rule_id, cls=cls, comparator=comparator, threshold=threshold,
+                        template=f"{rule_id} fired", priority=draw(st.integers(0, 3)),
+                        guard=draw(guards))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rules(), label_lists)
+def test_fires_matches_the_reference(rule, labels):
+    dist = distribution(labels)
+    assert rule.fires(dist, labels) == _reference_fires(rule, dist, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9).flatmap(lambda i: rules(f"r{i}")), max_size=6), label_lists)
+def test_abstract_feedback_matches_the_reference(rule_set, labels):
+    dist = distribution(labels)
+    assert abstract_feedback(dist, labels) == (
+        _reference_abstract_feedback(dist, labels, default_rules()))
+    assert abstract_feedback(dist, labels, rule_set) == (
+        _reference_abstract_feedback(dist, labels, rule_set))
