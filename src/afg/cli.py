@@ -258,7 +258,11 @@ def _model_from_spec(spec: dict, what: str, texts: Callable[[], list[str]]):
             read_json(spec["path"], "fixed-labels file", ConfigError)
         )
     head = nn.REGRESSION if what == "scorer" else nn.CLASSIFICATION
-    predictor = nn.Predictor(*_load_model_with_vocab(spec, what, head))
+    params, config, vocab = _load_model_with_vocab(spec, what, head)
+    if head == nn.CLASSIFICATION and config.n_classes != len(structure.Label3):
+        raise ConfigError(f"classifier model has {config.n_classes} classes, "
+                          f"grading needs {len(structure.Label3)}")
+    predictor = nn.Predictor(params, config, vocab)
     predict = predictor.scores if what == "scorer" else predictor.probabilities
     table = {}
 
@@ -394,7 +398,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
             "accuracy": acc,
             "majority_baseline": baseline,
             "n_eval": len(true),
-            "confusion": json.loads(cm.to_json([l.name for l in structure.Label3])),
+            "confusion": cm.to_json_dict([l.name for l in structure.Label3]),
         }, {"accuracy": acc, "baseline": baseline}
 
     return _train_and_write(cfg, args, "classifier", "classifier.afgm", ds.train, ds.eval,
@@ -484,7 +488,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             "n": len(subs),
             "abstract_score": asdict(report),
             "exact_mark_agreement": acc,
-            "confusion": json.loads(cm.to_json(list(range(7)))),
+            "confusion": cm.to_json_dict(list(range(7))),
         },
     )
     _emit(args, {"eval": str(eval_path), "n": len(subs), "seed": cfg.seed,

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import ConfigError
 from .scoring import Mark, MarkSheet, Verdict, fmt_number
 from .structure import ClassDistribution, Label3, LabeledAbstract, distribution
-from .textproc import read_json
+from .textproc import read_json_records
 
 
 class Question(str, Enum):
@@ -67,19 +67,16 @@ COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
 }
 
 
+def _answer_clause(mark: Mark) -> str:
+    """The key's value and the answer given, for a wrong numeric answer; else ""."""
+    if mark.verdict is not Verdict.INCORRECT or mark.given is None or mark.correct is None:
+        return ""
+    return f", the correct answer is {fmt_number(mark.correct)}, you gave {fmt_number(mark.given)}"
+
+
 def fixed_comment(question: Question, mark: Mark) -> str:
     """Look up the cognitivist comment; wrong numeric answers get the values."""
-    comment = COMMENT_TABLE[(question, mark.verdict)]
-    if (
-        mark.verdict is Verdict.INCORRECT
-        and mark.given is not None
-        and mark.correct is not None
-    ):
-        comment += (
-            f", the correct answer is {fmt_number(mark.correct)}, "
-            f"you gave {fmt_number(mark.given)}"
-        )
-    return comment
+    return COMMENT_TABLE[(question, mark.verdict)] + _answer_clause(mark)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +296,8 @@ def default_rules() -> list[FeedbackRule]:
 
 
 def load_rules(path: str | Path) -> list[FeedbackRule]:
-    raw = read_json(path, "rule config", ConfigError)
-    if not isinstance(raw, list):
-        raise ConfigError("rule config must be a JSON array")
     rules = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"rule entry #{i} is not a JSON object")
+    for entry in read_json_records(path, "rule config", ConfigError):
         threshold, guard = entry.get("threshold"), entry.get("guard")
         try:
             rule = FeedbackRule(
@@ -397,10 +389,7 @@ def build_report(
     labeled: LabeledAbstract,
     rules: Sequence[FeedbackRule] | None = None,
 ) -> FeedbackReport:
-    questions = (Question.IMPACT, Question.RSC, Question.ACS, Question.CITED)
-    comments = tuple(
-        fixed_comment(q, m) for q, m in zip(questions, marks.question_marks())
-    )
+    comments = tuple(fixed_comment(q, m) for q, m in zip(Question, marks.question_marks()))
     labels = labeled.labels()
     return FeedbackReport(
         submission_id=submission_id,
@@ -439,13 +428,7 @@ def _marks_value(value: float) -> str:
 def _mark_lines(marks: MarkSheet) -> list[str]:
     lines = []
     for label, mark in zip(_MARK_LINE_LABELS, marks.question_marks()):
-        line = f"{label}: {_marks_value(mark.value)}"
-        if mark.verdict is Verdict.INCORRECT and mark.given is not None:
-            line += (
-                f", the correct answer is {fmt_number(mark.correct)}, "
-                f"you gave {fmt_number(mark.given)}"
-            )
-        lines.append(line)
+        lines.append(f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}")
     lines.append(f"Abstract: {_marks_value(marks.abstract_mark)}")
     lines.append(f"Total: {fmt_number(marks.total)}/10")
     return lines

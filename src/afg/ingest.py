@@ -24,7 +24,7 @@ from .errors import (
     RowError,
 )
 from .scoring import MarkSheet, marksheet_from_json
-from .textproc import read_json, read_text
+from .textproc import read_json_records, read_text
 
 
 class Label5(Enum):
@@ -146,10 +146,6 @@ class TsvSchema:
         return cls(**columns, score_ranges=ranges)
 
 
-def _text_lines(stream) -> list[str]:
-    return read_text(stream).splitlines()
-
-
 def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
     """Parse a tab-separated scored corpus into raw samples.
 
@@ -157,7 +153,7 @@ def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
     purpose: essay text may contain quote characters that csv-style
     quoting would mangle.
     """
-    lines = _text_lines(stream)
+    lines = read_text(stream).splitlines()
     if not lines:
         raise EmptyInputError("empty TSV corpus")
     header = lines[0].split("\t")
@@ -224,13 +220,13 @@ def parse_rct(stream) -> list[RctAbstract]:
     ``###<id>`` opens an abstract, ``<LABEL>\\t<sentence>`` lines follow,
     a blank line closes it.
     """
-    lines = _text_lines(stream)
+    lines = read_text(stream).splitlines()
     abstracts: list[RctAbstract] = []
     current_id: str | None = None
     current_line = 0
     sentences: list[tuple[Label5, str]] = []
 
-    def close(lineno: int):
+    def close():
         nonlocal current_id, sentences
         if current_id is None:
             return
@@ -242,10 +238,10 @@ def parse_rct(stream) -> list[RctAbstract]:
 
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
-            close(lineno)
+            close()
             continue
         if line.startswith("###"):
-            close(lineno)
+            close()
             current_id = line[3:].strip()
             current_line = lineno
             continue
@@ -261,7 +257,7 @@ def parse_rct(stream) -> list[RctAbstract]:
         if not text.strip():
             raise ParseError("empty sentence", lineno)
         sentences.append((label, text))
-    close(len(lines) + 1)
+    close()
     return abstracts
 
 
@@ -384,26 +380,26 @@ def derive_answer_key(
 # JSON files: submissions and answer keys
 # ---------------------------------------------------------------------------
 
-_SUBMISSION_KEYS = (
-    "submission_id",
-    "paper_id",
-    "impact_factor",
-    "ref_rsc",
-    "ref_acs",
-    "times_cited",
-    "abstract",
-)
+# The four answers a submission gives and an answer key holds. In both
+# dataclasses they follow the id fields, in this order.
+_ANSWER_FIELDS = ("impact_factor", "ref_rsc", "ref_acs", "times_cited")
+_SUBMISSION_KEYS = ("submission_id", "paper_id", *_ANSWER_FIELDS, "abstract")
+
+
+def _answers(entry: dict) -> tuple[float, str, str, int]:
+    """The four answer fields of a submission or answer-key record, converted.
+
+    They are passed by position: keyword arguments make a dataclass's
+    ``__init__`` slower, and loading the submissions is much of ``grade``'s set-up.
+    """
+    return (float(entry["impact_factor"]), str(entry["ref_rsc"]), str(entry["ref_acs"]),
+            int(entry["times_cited"]))
 
 
 def load_submissions(source) -> list[Submission]:
     """Load a JSON array of submissions; human marks are optional."""
-    raw = read_json(source, "submission file")
-    if not isinstance(raw, list):
-        raise DataError("submission file must contain a JSON array")
     out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise DataError(f"submission #{i}: expected a JSON object")
+    for i, entry in enumerate(read_json_records(source, "submission file")):
         for key in _SUBMISSION_KEYS:
             if key not in entry:
                 raise DataError(f"submission #{i}: missing key {key!r}")
@@ -411,12 +407,9 @@ def load_submissions(source) -> list[Submission]:
         try:
             out.append(
                 Submission(
-                    submission_id=str(entry["submission_id"]),
-                    paper_id=str(entry["paper_id"]),
-                    impact_factor=float(entry["impact_factor"]),
-                    ref_rsc=str(entry["ref_rsc"]),
-                    ref_acs=str(entry["ref_acs"]),
-                    times_cited=int(entry["times_cited"]),
+                    str(entry["submission_id"]),
+                    str(entry["paper_id"]),
+                    *_answers(entry),
                     abstract=str(entry["abstract"]),
                     human_marks=marksheet_from_json(marks) if marks is not None else None,
                 )
@@ -427,21 +420,10 @@ def load_submissions(source) -> list[Submission]:
 
 
 def load_answer_keys(source) -> dict[str, AnswerKey]:
-    raw = read_json(source, "answer-key file")
-    if not isinstance(raw, list):
-        raise DataError("answer-key file must contain a JSON array")
     keys: dict[str, AnswerKey] = {}
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise DataError(f"answer key #{i}: expected a JSON object")
+    for i, entry in enumerate(read_json_records(source, "answer-key file")):
         try:
-            key = AnswerKey(
-                paper_id=str(entry["paper_id"]),
-                impact_factor=float(entry["impact_factor"]),
-                ref_rsc=str(entry["ref_rsc"]),
-                ref_acs=str(entry["ref_acs"]),
-                times_cited=int(entry["times_cited"]),
-            )
+            key = AnswerKey(str(entry["paper_id"]), *_answers(entry))
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"answer key #{i}: {exc!r}") from exc
         if key.paper_id in keys:

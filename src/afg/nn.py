@@ -563,17 +563,8 @@ class TrainLog:
         return [float(np.mean(by_epoch[k])) for k in sorted(by_epoch)]
 
     def to_json_dict(self) -> dict:
-        head = {
-            "seed": self.seed,
-            "task": self.task,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "steps_total": self.steps_total,
-        }
-        if self.schedule is not None:
-            head["schedule"] = asdict(self.schedule)
-        head["entries"] = self.entries
-        return head
+        """The log's fields in field order; an unset schedule is left out."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def train(

@@ -194,15 +194,15 @@ class ConfusionMatrix:
     def trace(self) -> int:
         return int(np.trace(self.counts))
 
+    def to_json_dict(self, labels: list | None = None) -> dict:
+        return {
+            "n_classes": self.n_classes,
+            "labels": labels if labels is not None else list(range(self.n_classes)),
+            "counts": self.counts.tolist(),
+        }
+
     def to_json(self, labels: list | None = None) -> str:
-        return json.dumps(
-            {
-                "n_classes": self.n_classes,
-                "labels": labels if labels is not None else list(range(self.n_classes)),
-                "counts": self.counts.tolist(),
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_json_dict(labels), indent=2)
 
 
 def confusion(pred_labels, true_labels, n_classes: int) -> ConfusionMatrix:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
@@ -43,15 +44,14 @@ _VERDICT_FOR_VALUE = {v: k for k, v in _VALUE_FOR_VERDICT.items()}
 class Mark:
     """One question's mark with the statistic that produced it."""
 
-    value: float
     verdict: Verdict
     evidence: str
     given: Optional[float] = None
     correct: Optional[float] = None
 
-    def __post_init__(self):
-        if _VALUE_FOR_VERDICT[self.verdict] != self.value:
-            raise ValueError(f"value {self.value} inconsistent with verdict {self.verdict}")
+    @property
+    def value(self) -> float:
+        return _VALUE_FOR_VERDICT[self.verdict]
 
 
 def fmt_number(x: float) -> str:
@@ -88,10 +88,8 @@ def score_numeric(given: float, correct: float) -> Mark:
     if correct == 0:
         raise DegenerateKeyError("correct value is zero; percentage difference undefined")
     d = 100.0 * abs(given - correct) / abs(correct)
-    verdict = band_for_percent_diff(d)
     return Mark(
-        value=_VALUE_FOR_VERDICT[verdict],
-        verdict=verdict,
+        verdict=band_for_percent_diff(d),
         evidence=f"percentage difference {d:.2f}%",
         given=float(given),
         correct=float(correct),
@@ -103,12 +101,7 @@ def score_reference(given: str, correct: str) -> Mark:
     if not given.strip() or not correct.strip():
         raise ValueError("reference strings must be non-empty")
     s = cosine_similarity(term_vector(given), _key_term_vector(correct))
-    verdict = band_for_similarity(s)
-    return Mark(
-        value=_VALUE_FOR_VERDICT[verdict],
-        verdict=verdict,
-        evidence=f"cosine similarity {s:.4f}",
-    )
+    return Mark(verdict=band_for_similarity(s), evidence=f"cosine similarity {s:.4f}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -128,6 +121,11 @@ def abstract_mark(score01: float) -> int:
     return min(max(mark, 0), 6)
 
 
+# The four question fields of a MarkSheet, in question order.
+_QUESTION_FIELDS = ("q1_impact", "q2_rsc", "q3_acs", "q4_cited")
+_question_marks = operator.attrgetter(*_QUESTION_FIELDS)
+
+
 @dataclass(frozen=True)
 class MarkSheet:
     q1_impact: Mark
@@ -138,48 +136,32 @@ class MarkSheet:
 
     @property
     def total(self) -> float:
-        return (
-            self.q1_impact.value
-            + self.q2_rsc.value
-            + self.q3_acs.value
-            + self.q4_cited.value
-            + self.abstract_mark
-        )
+        return sum(m.value for m in self.question_marks()) + self.abstract_mark
 
     def question_marks(self) -> tuple[Mark, Mark, Mark, Mark]:
-        return (self.q1_impact, self.q2_rsc, self.q3_acs, self.q4_cited)
+        return _question_marks(self)
 
     def to_json_dict(self) -> dict:
-        def mark_dict(m: Mark) -> dict:
-            return {"value": m.value, "verdict": m.verdict.value, "evidence": m.evidence}
-
-        return {
-            "q1_impact": mark_dict(self.q1_impact),
-            "q2_rsc": mark_dict(self.q2_rsc),
-            "q3_acs": mark_dict(self.q3_acs),
-            "q4_cited": mark_dict(self.q4_cited),
-            "abstract_mark": self.abstract_mark,
-            "total": self.total,
+        sheet = {
+            name: {"value": m.value, "verdict": m.verdict.value, "evidence": m.evidence}
+            for name, m in zip(_QUESTION_FIELDS, self.question_marks())
         }
+        sheet["abstract_mark"] = self.abstract_mark
+        sheet["total"] = self.total
+        return sheet
 
 
 def _mark_from_json(obj, name: str) -> Mark:
-    if isinstance(obj, (int, float)):
-        value = float(obj)
-        if value not in _VERDICT_FOR_VALUE:
-            raise DataError(f"{name}: mark value must be 0, 0.5 or 1, got {obj}")
-        return Mark(value=value, verdict=_VERDICT_FOR_VALUE[value], evidence="")
+    """A bare number, or an object with a ``value`` and an optional ``evidence``."""
+    number = isinstance(obj, (int, float))
     try:
-        value = float(obj["value"])
+        value = float(obj if number else obj["value"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{name}: expected a number or an object with 'value'") from exc
     if value not in _VERDICT_FOR_VALUE:
-        raise DataError(f"{name}: mark value must be 0, 0.5 or 1, got {value}")
-    return Mark(
-        value=value,
-        verdict=_VERDICT_FOR_VALUE[value],
-        evidence=str(obj.get("evidence", "")),
-    )
+        raise DataError(f"{name}: mark value must be 0, 0.5 or 1, got {obj if number else value}")
+    return Mark(verdict=_VERDICT_FOR_VALUE[value],
+                evidence="" if number else str(obj.get("evidence", "")))
 
 
 def marksheet_from_json(obj: dict) -> MarkSheet:
@@ -193,7 +175,7 @@ def marksheet_from_json(obj: dict) -> MarkSheet:
     if not 0 <= abstract <= 6:
         raise DataError(f"abstract mark {abstract} outside 0-6")
     marks = {}
-    for name in ("q1_impact", "q2_rsc", "q3_acs", "q4_cited"):
+    for name in _QUESTION_FIELDS:
         if name not in obj:
             raise DataError(f"mark sheet missing {name!r}")
         marks[name] = _mark_from_json(obj[name], name)

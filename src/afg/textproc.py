@@ -114,6 +114,17 @@ def read_json(source, what: str, error: type[Exception] = DataError):
         raise error(f"invalid JSON in {what}: {exc}") from None
 
 
+def read_json_records(source, what: str, error: type[Exception] = DataError) -> list[dict]:
+    """The JSON array of objects in a path or stream; any other JSON is ``error``."""
+    records = read_json(source, what, error)
+    if not isinstance(records, list):
+        raise error(f"{what} must be a JSON array")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise error(f"{what} entry #{i} is not a JSON object")
+    return records
+
+
 def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """One abbreviation per line, blank lines ignored."""
     lines = read_text(path).splitlines()
@@ -127,7 +138,6 @@ def load_abbreviations(path: str | Path) -> tuple[str, ...]:
 @dataclass
 class Vocabulary:
     token_to_id: dict[str, int]
-    marker: str = CONTINUATION_MARKER
 
     def __post_init__(self):
         self.id_to_token = [None] * len(self.token_to_id)

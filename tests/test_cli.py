@@ -518,6 +518,35 @@ class TestGrade:
             "Another abstract.", "It has two sentences.",
         ]
 
+    @pytest.mark.parametrize("problem,message", [
+        ("five_classes", "classifier model has 5 classes, grading needs 3"),
+        ("regression_head", "classifier model does not have a classification head"),
+        ("short_vocabulary", "classifier: vocabulary has"),
+    ])
+    def test_mismatched_classifier_model_exits_2_before_writing(self, tmp_path, capsys,
+                                                                problem, message):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        vocab = build_vocab([s["abstract"] for s in subs], max_size=200, min_frequency=1)
+        head = {"five_classes": {"head": CLASSIFICATION, "n_classes": 5},
+                "regression_head": {},
+                "short_vocabulary": {"head": CLASSIFICATION, "n_classes": 3}}[problem]
+        config = EncoderConfig(vocab_size=len(vocab) + (problem == "short_vocabulary"),
+                               embed_dim=8, hidden_dim=8, attention_dim=6, seed=1, **head)
+        params = init_params(config)
+        # Class 4 wins every sentence, a label the three-class scheme lacks.
+        params.head_b[-1] = 10.0
+        save_model_file(tmp_path / "clf.afgm", params, config)
+        vocab.save(tmp_path / "clf_vocab.txt")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["classifier_model"] = {
+            "type": "file", "path": str(tmp_path / "clf.afgm"),
+            "vocab": str(tmp_path / "clf_vocab.txt"),
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "reports").exists()
+
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path, grade_config(tmp_path, out1))

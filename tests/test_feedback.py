@@ -1,6 +1,7 @@
 """Comment tables, the structure rule engine and report rendering."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +262,11 @@ class TestRenderReport:
         )
         assert "Abstract: 3 marks" in text
         assert "Total: 6/10" in text
+
+    def test_terminal_matches_golden(self):
+        golden = Path(__file__).parent / "golden" / "example2_report.txt"
+        text = render_report(example2_report(), "terminal", color=False)
+        assert text == golden.read_text(encoding="utf-8")
 
     def test_terminal_color_uses_ansi(self):
         text = render_report(example2_report(), "terminal", color=True)

@@ -179,3 +179,31 @@ class TestMarkSheetJson:
                 {"q1_impact": 0.7, "q2_rsc": 0, "q3_acs": 0, "q4_cited": 0,
                  "abstract_mark": 2}
             )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"q1_impact": {"evidence": "x"}}, "q1_impact: expected a number or an object with 'value'"),
+            ({"q2_rsc": {"value": 0.7}}, "q2_rsc: mark value must be 0, 0.5 or 1, got 0.7"),
+            ({"q3_acs": 2}, "q3_acs: mark value must be 0, 0.5 or 1, got 2"),
+            ({"q1_impact": "1"}, "q1_impact: expected a number or an object with 'value'"),
+            ({"abstract_mark": None}, "mark sheet missing integer 'abstract_mark'"),
+            ({"abstract_mark": 7}, "abstract mark 7 outside 0-6"),
+            ({"q4_cited": None}, "mark sheet missing 'q4_cited'"),
+        ],
+    )
+    def test_malformed_sheet_names_the_problem(self, change, message):
+        from afg.errors import DataError
+
+        sheet = {"q1_impact": 1, "q2_rsc": {"value": 0.5}, "q3_acs": 0, "q4_cited": 1,
+                 "abstract_mark": 2, **change}
+        sheet = {key: value for key, value in sheet.items() if value is not None}
+        with pytest.raises(DataError) as info:
+            marksheet_from_json(sheet)
+        assert str(info.value) == message
+
+    def test_non_object_sheet(self):
+        from afg.errors import DataError
+
+        with pytest.raises(DataError, match="mark sheet must be a JSON object"):
+            marksheet_from_json([1, 0.5, 0, 1, 2])
