@@ -13,7 +13,8 @@ before any command runs; a wrong type, a value out of range and an unknown
 key (named with the closest known key) are configuration errors. Keys that
 go straight into ``nn.EncoderConfig``, ``nn.TrainConfig``,
 ``objectives.LossSchedule`` or ``build_vocab`` get their defaults and range
-checks there. The three training commands share one skeleton.
+checks there. The report formats, and the file extension of each, are
+``feedback.REPORT_FORMATS``. The three training commands share one skeleton.
 
 ``grade`` runs each trained model once over the whole cohort, in length-
 bucketed batches, at the model's first use (the first submission's mark or
@@ -55,6 +56,7 @@ from .textproc import (
     DEFAULT_ABBREVIATIONS,
     Vocabulary,
     build_vocab,
+    is_number,
     load_abbreviations,
     read_json,
     segment_sentences,
@@ -80,8 +82,7 @@ class _Key(NamedTuple):
 # relative to the config file's directory; a dict is any JSON object.
 _KINDS = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number",
-            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    float: ("a finite number", is_number),
     bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: type(v) is str),
     Path: ("a printable path", lambda v: type(v) is str and v.isprintable()),
@@ -93,7 +94,6 @@ def _one_of(*values: str) -> tuple[str, Callable]:
     return " or ".join(values), values.__contains__
 
 
-_REPORT_EXTENSIONS = {"terminal": "txt", "html": "html", "markdown": "md"}
 _TRAIN_SHARE = ("in (0, 1)", lambda f: 0.0 < f < 1.0)
 # The nn.TrainConfig fields a training section sets.
 _TRAIN = {"epochs": _Key(int, 5), "batch_size": _Key(int, 64), "learning_rate": float}
@@ -130,7 +130,7 @@ _SCHEMA = {
         "submissions": Path, "keys": Path, "scorer_model": _SCORER,
         "classifier_model": _Key(
             {**_MODEL_FILE, "type": _Key(str, "file", _one_of("file", "fixed_labels"))}, {}),
-        "rules": Path, "format": _Key(str, "markdown", _one_of(*_REPORT_EXTENSIONS)),
+        "rules": Path, "format": _Key(str, "markdown", _one_of(*fb.REPORT_FORMATS)),
     },
     "eval": {"submissions": Path, "scorer_model": _SCORER},
 }
@@ -431,7 +431,7 @@ def cmd_grade(cfg: RunConfig, args) -> int:
                                    lambda: [t for s in subs for t in segment(s.abstract)])
     rules = fb.load_rules(section["rules"]) if "rules" in section else fb.default_rules()
     fmt = section["format"]
-    ext = _REPORT_EXTENSIONS[fmt]
+    ext = fb.REPORT_FORMATS[fmt].extension
 
     reports_dir = cfg.out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)

@@ -22,19 +22,15 @@ class EmptyInputError(DataError):
 
 
 class RowError(DataError):
-    """A single bad row in a tabular corpus."""
+    """A single bad row or line in a corpus file; ``line`` is its line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class ParseError(DataError):
+class ParseError(RowError):
     """A malformed line in a structured text corpus."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class NotFoundError(DataError):

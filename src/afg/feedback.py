@@ -11,26 +11,27 @@ sentence (yellow background, green technique, pink observation).
 
 from __future__ import annotations
 
-import html as html_module
 import json
 import operator
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from html import escape
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .scoring import Mark, MarkSheet, Verdict, fmt_number
 from .structure import ClassDistribution, Label3, LabeledAbstract, distribution
-from .textproc import read_json_records
+from .textproc import is_number, read_json_records
 
 
 class Question(str, Enum):
-    IMPACT = "impact"
-    RSC = "rsc"
-    ACS = "acs"
-    CITED = "cited"
+    """The four database questions, in mark-sheet order; each value labels its report mark line."""
+
+    IMPACT = "Impact Factor"
+    RSC = "Reference in RSC format"
+    ACS = "Reference in ACS format"
+    CITED = "Number of times Cited"
 
 
 COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
@@ -97,10 +98,6 @@ _COMPARATORS = {
 }
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _is_class_name(value) -> bool:
     return type(value) is str and value.upper() in Label3.__members__
 
@@ -112,9 +109,9 @@ _GUARD_CONDITIONS = {
     "dominant": ("a class name", _is_class_name,
                  lambda shares, v: shares.index(max(shares)) == Label3[v.upper()]),
     "share_lt": ("a [class name, number] pair", lambda v: type(v) in (list, tuple)
-                 and len(v) == 2 and _is_class_name(v[0]) and _is_number(v[1]),
+                 and len(v) == 2 and _is_class_name(v[0]) and is_number(v[1]),
                  lambda shares, v: shares[Label3[v[0].upper()]] < v[1]),
-    "min_share_ge": ("a finite number", _is_number, lambda shares, v: min(shares) >= v),
+    "min_share_ge": ("a finite number", is_number, lambda shares, v: min(shares) >= v),
 }
 
 
@@ -172,9 +169,9 @@ def _rule_problem(rule: FeedbackRule) -> str | None:
         return f"unknown comparator {rule.comparator!r:.40} (known: {', '.join(_COMPARATORS)})"
     elif rule.comparator == "within":
         if not (type(rule.threshold) in (list, tuple) and len(rule.threshold) == 2
-                and all(map(_is_number, rule.threshold))):
+                and all(map(is_number, rule.threshold))):
             return f"threshold {rule.threshold!r:.40} is not a [lo, hi] pair of finite numbers"
-    elif not _is_number(rule.threshold):
+    elif not is_number(rule.threshold):
         return f"threshold {rule.threshold!r:.40} is not a finite number"
     if rule.guard is None:
         return None
@@ -400,114 +397,98 @@ def build_report(
     )
 
 
-_MARK_LINE_LABELS = (
-    "Impact Factor",
-    "Reference in RSC format",
-    "Reference in ACS format",
-    "Number of times Cited",
-)
-
-HTML_COLORS = {
-    Label3.BACKGROUND: "#FFFF00",
-    Label3.TECHNIQUE: "#90EE90",
-    Label3.OBSERVATION: "#FFC0CB",
+# Each label's highlight: its tag in plain text and markdown, its HTML and terminal colours.
+LABEL_STYLES = {
+    Label3.BACKGROUND: {"tag": "[B]", "html": "#FFFF00", "ansi": "\x1b[43;30m"},
+    Label3.TECHNIQUE: {"tag": "[T]", "html": "#90EE90", "ansi": "\x1b[42;30m"},
+    Label3.OBSERVATION: {"tag": "[O]", "html": "#FFC0CB", "ansi": "\x1b[45;30m"},
 }
-_ANSI_BG = {
-    Label3.BACKGROUND: "\x1b[43;30m",
-    Label3.TECHNIQUE: "\x1b[42;30m",
-    Label3.OBSERVATION: "\x1b[45;30m",
-}
-_ANSI_RESET = "\x1b[0m"
-_TAGS = {Label3.BACKGROUND: "[B]", Label3.TECHNIQUE: "[T]", Label3.OBSERVATION: "[O]"}
+# The Question values, read once per process: an Enum's iteration and .value are slow.
+_MARK_LINE_LABELS = tuple(question.value for question in Question)
 
 
 def _marks_value(value: float) -> str:
     return "1 mark" if value == 1 else f"{fmt_number(value)} marks"
 
 
-def _mark_lines(marks: MarkSheet) -> list[str]:
-    lines = []
-    for label, mark in zip(_MARK_LINE_LABELS, marks.question_marks()):
-        lines.append(f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}")
-    lines.append(f"Abstract: {_marks_value(marks.abstract_mark)}")
-    lines.append(f"Total: {fmt_number(marks.total)}/10")
-    return lines
+def _sections(report: FeedbackReport) -> tuple:
+    """A report's sections in order: each heading, and its texts or its labelled abstract."""
+    marks = report.marks
+    mark_lines = [f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}"
+                  for label, mark in zip(_MARK_LINE_LABELS, marks.question_marks())]
+    return (
+        ("Marks", [*mark_lines, f"Abstract: {_marks_value(marks.abstract_mark)}",
+                   f"Total: {fmt_number(marks.total)}/10"]),
+        ("Question feedback", report.question_comments),
+        ("Abstract structure", report.labeled_abstract),
+        ("Abstract feedback", report.abstract_comments),
+    )
+
+
+class ReportFormat(NamedTuple):
+    """A report format: its file extension, and how it draws each part of a report.
+
+    ``title``, ``heading``, ``items`` and ``labelled`` give the lines of the title, a section
+    heading, a list of texts, and the sentences and legend, each marked by ``highlight(text,
+    label, color)``. ``end`` closes the document.
+    """
+
+    extension: str
+    title: Callable[[str], list[str]]
+    heading: Callable[[str], list[str]]
+    items: Callable[[Sequence[str]], list[str]]
+    highlight: Callable[[str, Label3, bool], str]
+    labelled: Callable[[list[str], list[str]], list[str]]
+    end: tuple[str, ...] = ()
+
+
+REPORT_FORMATS = {
+    "terminal": ReportFormat(
+        "txt",
+        title=lambda text: [text, "=" * len(text)],
+        heading=lambda text: ["", text, "-" * len(text)],
+        items=list,
+        highlight=lambda text, label, color: (f"{LABEL_STYLES[label]['ansi']}{text}\x1b[0m"
+                                              if color else f"{LABEL_STYLES[label]['tag']} {text}"),
+        labelled=lambda marked, legend: [" ".join(marked), "", "Legend: " + " ".join(legend)],
+    ),
+    "html": ReportFormat(
+        "html",
+        title=lambda text: ["<!DOCTYPE html>", '<html><head><meta charset="utf-8">',
+                            f"<title>{escape(text)}</title></head><body>",
+                            f"<h1>{escape(text)}</h1>"],
+        heading=lambda text: [f"<h2>{escape(text)}</h2>"],
+        items=lambda texts: ["<ul>" + "".join(f"<li>{escape(t)}</li>" for t in texts) + "</ul>"],
+        highlight=lambda text, label, color: (
+            f'<span style="background-color:{LABEL_STYLES[label]["html"]}">{escape(text)}</span>'),
+        labelled=lambda marked, legend: [f"<p>{' '.join(marked)}</p>",
+                                         f"<p>{' '.join(legend)}</p>"],
+        end=("</body></html>",),
+    ),
+    "markdown": ReportFormat(
+        "md",
+        title=lambda text: [f"# {text}"],
+        heading=lambda text: ["", f"## {text}", ""],
+        items=lambda texts: [f"- {t}" for t in texts],
+        highlight=lambda text, label, color: f"**{LABEL_STYLES[label]['tag']}** {text}",
+        labelled=lambda marked, legend: [*(f"- {s}" for s in marked), "",
+                                         "Legend: " + ", ".join(legend)],
+    ),
+}
 
 
 def render_report(report: FeedbackReport, format: str = "terminal", color: bool = True) -> str:
     """Render one report; every sentence gets exactly one highlight span."""
-    if format == "terminal":
-        return _render_terminal(report, color)
-    if format == "html":
-        return _render_html(report)
-    if format == "markdown":
-        return _render_markdown(report)
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def _render_terminal(report: FeedbackReport, color: bool) -> str:
-    def paint(text: str, label: Label3) -> str:
-        if color:
-            return f"{_ANSI_BG[label]}{text}{_ANSI_RESET}"
-        return f"{_TAGS[label]} {text}"
-
-    title = f"Feedback for submission {report.submission_id}"
-    lines = [title, "=" * len(title), "", "Marks", "-----"]
-    lines += _mark_lines(report.marks)
-    lines += ["", "Question feedback", "-----------------"]
-    lines += list(report.question_comments)
-    lines += ["", "Abstract structure", "------------------"]
-    lines.append(" ".join(paint(s.text, s.label) for s in report.labeled_abstract.sentences))
-    lines.append("")
-    lines.append(
-        "Legend: "
-        + " ".join(paint(lbl.name, lbl) for lbl in _CANONICAL_ORDER)
-    )
-    lines += ["", "Abstract feedback", "-----------------"]
-    lines += list(report.abstract_comments)
-    return "\n".join(lines) + "\n"
-
-
-def _render_html(report: FeedbackReport) -> str:
-    esc = html_module.escape
-
-    def span(text: str, label: Label3) -> str:
-        return f'<span style="background-color:{HTML_COLORS[label]}">{esc(text)}</span>'
-
-    parts = [
-        "<!DOCTYPE html>",
-        '<html><head><meta charset="utf-8">',
-        f"<title>Feedback for submission {esc(report.submission_id)}</title></head><body>",
-        f"<h1>Feedback for submission {esc(report.submission_id)}</h1>",
-        "<h2>Marks</h2>",
-        "<ul>" + "".join(f"<li>{esc(line)}</li>" for line in _mark_lines(report.marks)) + "</ul>",
-        "<h2>Question feedback</h2>",
-        "<ul>" + "".join(f"<li>{esc(c)}</li>" for c in report.question_comments) + "</ul>",
-        "<h2>Abstract structure</h2>",
-        "<p>" + " ".join(span(s.text, s.label) for s in report.labeled_abstract.sentences) + "</p>",
-        "<p>" + " ".join(span(lbl.name, lbl) for lbl in _CANONICAL_ORDER) + "</p>",
-        "<h2>Abstract feedback</h2>",
-        "<ul>" + "".join(f"<li>{esc(c)}</li>" for c in report.abstract_comments) + "</ul>",
-        "</body></html>",
-    ]
-    return "\n".join(parts) + "\n"
-
-
-def _render_markdown(report: FeedbackReport) -> str:
-    lines = [f"# Feedback for submission {report.submission_id}", "", "## Marks", ""]
-    lines += [f"- {line}" for line in _mark_lines(report.marks)]
-    lines += ["", "## Question feedback", ""]
-    lines += [f"- {c}" for c in report.question_comments]
-    lines += ["", "## Abstract structure", ""]
-    lines += [
-        f"- **{_TAGS[s.label]}** {s.text}" for s in report.labeled_abstract.sentences
-    ]
-    lines += [
-        "",
-        "Legend: **[B]** BACKGROUND, **[T]** TECHNIQUE, **[O]** OBSERVATION",
-        "",
-        "## Abstract feedback",
-        "",
-    ]
-    lines += [f"- {c}" for c in report.abstract_comments]
-    return "\n".join(lines) + "\n"
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
+    draw = REPORT_FORMATS[format]
+    lines = draw.title(f"Feedback for submission {report.submission_id}")
+    for heading, body in _sections(report):
+        lines += draw.heading(heading)
+        if isinstance(body, LabeledAbstract):
+            lines += draw.labelled(
+                [draw.highlight(s.text, s.label, color) for s in body.sentences],
+                [draw.highlight(label.name, label, color) for label in _CANONICAL_ORDER])
+        else:
+            lines += draw.items(body)
+    return "\n".join([*lines, *draw.end]) + "\n"

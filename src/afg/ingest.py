@@ -24,7 +24,7 @@ from .errors import (
     RowError,
 )
 from .scoring import MarkSheet, marksheet_from_json
-from .textproc import read_json_records, read_text
+from .textproc import is_number, read_json_records, read_text
 
 
 class Label5(Enum):
@@ -387,13 +387,20 @@ _SUBMISSION_KEYS = ("submission_id", "paper_id", *_ANSWER_FIELDS, "abstract")
 
 
 def _answers(entry: dict) -> tuple[float, str, str, int]:
-    """The four answer fields of a submission or answer-key record, converted.
+    """The four answer fields of a submission or answer-key record, type-checked.
 
-    They are passed by position: keyword arguments make a dataclass's
-    ``__init__`` slower, and loading the submissions is much of ``grade``'s set-up.
+    The checks are written out and the fields passed by position: a loop or keyword
+    arguments are slower, and loading the submissions is much of ``grade``'s set-up.
     """
-    return (float(entry["impact_factor"]), str(entry["ref_rsc"]), str(entry["ref_acs"]),
-            int(entry["times_cited"]))
+    impact, rsc, acs, cited = (entry["impact_factor"], entry["ref_rsc"], entry["ref_acs"],
+                               entry["times_cited"])
+    if not is_number(impact):
+        raise TypeError(f"impact_factor {impact!r:.40} is not a finite number")
+    if type(rsc) is not str or type(acs) is not str:
+        raise TypeError(f"ref_rsc {rsc!r:.40} and ref_acs {acs!r:.40} must both be strings")
+    if type(cited) is not int:
+        raise TypeError(f"times_cited {cited!r:.40} is not an integer")
+    return float(impact), rsc, acs, cited
 
 
 def load_submissions(source) -> list[Submission]:
@@ -403,14 +410,16 @@ def load_submissions(source) -> list[Submission]:
         for key in _SUBMISSION_KEYS:
             if key not in entry:
                 raise DataError(f"submission #{i}: missing key {key!r}")
-        marks = entry.get("human_marks")
+        marks, abstract = entry.get("human_marks"), entry["abstract"]
         try:
+            if type(abstract) is not str:
+                raise TypeError(f"abstract {abstract!r:.40} is not a string")
             out.append(
                 Submission(
                     str(entry["submission_id"]),
                     str(entry["paper_id"]),
                     *_answers(entry),
-                    abstract=str(entry["abstract"]),
+                    abstract=abstract,
                     human_marks=marksheet_from_json(marks) if marks is not None else None,
                 )
             )

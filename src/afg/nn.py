@@ -526,6 +526,10 @@ def batch_loss(p: ModelParams, seqs, targets, task: str, p_weight: float = 0.0):
 # Training
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator epsilon.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -533,9 +537,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     schedule: LossSchedule | None = None
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -614,15 +615,15 @@ def train(
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step)
-            b1c = 1.0 - config.beta1**step
-            b2c = 1.0 - config.beta2**step
+            b1c = 1.0 - _ADAM_BETA1**step
+            b2c = 1.0 - _ADAM_BETA2**step
             for name, arr in p64.arrays().items():
                 g, mn, vn = grads[name], m[name], v[name]
-                mn *= config.beta1
-                mn += (1.0 - config.beta1) * g
-                vn *= config.beta2
-                vn += (1.0 - config.beta2) * g * g
-                arr -= config.learning_rate * (mn / b1c) / (np.sqrt(vn / b2c) + config.adam_eps)
+                mn *= _ADAM_BETA1
+                mn += (1.0 - _ADAM_BETA1) * g
+                vn *= _ADAM_BETA2
+                vn += (1.0 - _ADAM_BETA2) * g * g
+                arr -= config.learning_rate * (mn / b1c) / (np.sqrt(vn / b2c) + _ADAM_EPS)
             entry = {"step": step, "epoch": epoch, "loss": loss}
             if schedule is not None:
                 entry["p"] = p_weight

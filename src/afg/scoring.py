@@ -20,7 +20,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DataError, DegenerateKeyError, KeyMismatchError
-from .textproc import cosine_similarity, term_vector
+from .textproc import cosine_similarity, is_number, term_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import AnswerKey, Submission
@@ -153,13 +153,12 @@ class MarkSheet:
 
 def _mark_from_json(obj, name: str) -> Mark:
     """A bare number, or an object with a ``value`` and an optional ``evidence``."""
-    number = isinstance(obj, (int, float))
-    try:
-        value = float(obj if number else obj["value"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{name}: expected a number or an object with 'value'") from exc
+    number = is_number(obj)
+    value = obj if number else obj.get("value") if type(obj) is dict else None
+    if not is_number(value):
+        raise DataError(f"{name}: expected a number or an object with 'value'")
     if value not in _VERDICT_FOR_VALUE:
-        raise DataError(f"{name}: mark value must be 0, 0.5 or 1, got {obj if number else value}")
+        raise DataError(f"{name}: mark value must be 0, 0.5 or 1, got {value}")
     return Mark(verdict=_VERDICT_FOR_VALUE[value],
                 evidence="" if number else str(obj.get("evidence", "")))
 
@@ -168,10 +167,9 @@ def marksheet_from_json(obj: dict) -> MarkSheet:
     """Parse a mark sheet; question marks may be bare numbers or objects."""
     if not isinstance(obj, dict):
         raise DataError("mark sheet must be a JSON object")
-    try:
-        abstract = int(obj["abstract_mark"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("mark sheet missing integer 'abstract_mark'") from exc
+    abstract = obj.get("abstract_mark")
+    if type(abstract) is not int:
+        raise DataError("mark sheet missing integer 'abstract_mark'")
     if not 0 <= abstract <= 6:
         raise DataError(f"abstract mark {abstract} outside 0-6")
     marks = {}

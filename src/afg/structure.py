@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .errors import ConfigError, DataError
 from .ingest import Label5
-from .textproc import DEFAULT_ABBREVIATIONS, segment_sentences
+from .textproc import segment_sentences
 
 
 class Label3(IntEnum):
@@ -104,17 +104,16 @@ def make_fixed_classifier(labels_by_text: dict[str, Label3 | str]) -> SentenceCl
 def classify_abstract(
     text: str,
     classifier: SentenceClassifier,
-    abbreviations=DEFAULT_ABBREVIATIONS,
     *,
     sentences: Sequence[str] | None = None,
 ) -> LabeledAbstract:
-    """Segment an abstract and label every sentence with ``classifier``.
+    """Segment an abstract (default abbreviations) and label each sentence with ``classifier``.
 
     ``sentences``, when given, is ``text`` already segmented, and is
     labelled as it is.
     """
     if sentences is None:
-        sentences = segment_sentences(text, abbreviations)
+        sentences = segment_sentences(text)
     if not sentences:
         raise ValueError("abstract has no sentences after segmentation")
     labeled = []

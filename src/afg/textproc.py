@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,6 +113,11 @@ def read_json(source, what: str, error: type[Exception] = DataError):
         return json.loads(text)
     except (RecursionError, ValueError) as exc:  # ValueError: bad JSON, or a too-long integer
         raise error(f"invalid JSON in {what}: {exc}") from None
+
+
+def is_number(value) -> bool:
+    """Whether a parsed JSON value is a finite number (``true`` and ``false`` are not)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def read_json_records(source, what: str, error: type[Exception] = DataError) -> list[dict]:

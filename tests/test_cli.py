@@ -455,6 +455,16 @@ class TestGrade:
         assert main(["--config", str(cfg), "grade"]) == 3
         assert not out.exists()
 
+    def test_fractional_citation_count_exits_3_before_writing(self, tmp_path):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs[0]["times_cited"] = 3.9
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "grade"]) == 3
+        assert not out.exists()
+
     def test_classifier_truncates_at_the_model_length(self, tmp_path):
         words = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
         vocab = build_vocab([" ".join(words)], max_size=200, min_frequency=1)

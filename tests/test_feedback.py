@@ -272,6 +272,22 @@ class TestRenderReport:
         text = render_report(example2_report(), "terminal", color=True)
         assert "\x1b[43;30m" in text and "\x1b[0m" in text
 
+    def test_terminal_color_matches_golden(self):
+        golden = Path(__file__).parent / "golden" / "example2_report_color.txt"
+        text = render_report(example2_report(), "terminal", color=True)
+        assert text == golden.read_text(encoding="utf-8")
+
+    def test_html_escapes_id_comments_and_sentences(self):
+        sub = Submission(**{**EXAMPLE2_SUBMISSION, "submission_id": 'a<b&"c'})
+        sheet = mark_submission(sub, AnswerKey(**EXAMPLE2_KEY), lambda text: 0.5)
+        labeled = LabeledAbstract((LabeledSentence('We test <tags> & "quotes".', B, 1.0),
+                                   LabeledSentence("Then we report.", O, 1.0)))
+        rule = FeedbackRule(id="r", cls="fallback", comparator=None, threshold=None,
+                            template='Say <more> & "less".', priority=1)
+        html = render_report(build_report(sub.submission_id, sheet, labeled, [rule]), "html")
+        golden = Path(__file__).parent / "golden" / "escaping_report.html"
+        assert html == golden.read_text(encoding="utf-8")
+
     def test_no_color_uses_tags(self):
         text = render_report(example2_report(), "terminal", color=False)
         assert "[B] " in text and "[T] " in text and "[O] " in text

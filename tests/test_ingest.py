@@ -267,6 +267,28 @@ class TestJsonIngest:
         with pytest.raises(DataError, match="submission #0"):
             load_submissions(io.StringIO(json.dumps([entry])))
 
+    @pytest.mark.parametrize("field,value", [
+        ("times_cited", 3.9), ("times_cited", "3"), ("times_cited", True),
+        ("impact_factor", "2.5"), ("impact_factor", True), ("impact_factor", float("inf")),
+        ("ref_rsc", None), ("ref_acs", 5), ("abstract", None),
+    ])
+    def test_wrongly_typed_field_is_data_error(self, field, value):
+        sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
+               "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
+        with pytest.raises(DataError, match=f"submission #0: .*{field}"):
+            load_submissions(io.StringIO(json.dumps([{**sub, field: value}])))
+        if field != "abstract":
+            key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
+                                       "times_cited")}
+            with pytest.raises(DataError, match=f"answer key #0: .*{field}"):
+                load_answer_keys(io.StringIO(json.dumps([{**key, field: value}])))
+
+    def test_integer_impact_factor_loads_as_a_float(self):
+        sub = {"submission_id": 7, "paper_id": "p1", "impact_factor": 6,
+               "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
+        [loaded] = load_submissions(io.StringIO(json.dumps([sub])))
+        assert type(loaded.impact_factor) is float and loaded.submission_id == "7"
+
 
 def test_degenerate_tsv_score_range_is_config_error():
     with pytest.raises(ConfigError, match="empty"):

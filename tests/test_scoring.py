@@ -207,3 +207,15 @@ class TestMarkSheetJson:
 
         with pytest.raises(DataError, match="mark sheet must be a JSON object"):
             marksheet_from_json([1, 0.5, 0, 1, 2])
+
+    @pytest.mark.parametrize("change", [
+        {"abstract_mark": 2.7}, {"abstract_mark": True}, {"q1_impact": True},
+        {"q2_rsc": {"value": "1"}}, {"q3_acs": {"value": True}},
+    ])
+    def test_wrongly_typed_mark_is_data_error(self, change):
+        from afg.errors import DataError
+
+        sheet = {"q1_impact": 1, "q2_rsc": 1, "q3_acs": 0, "q4_cited": 1, "abstract_mark": 2,
+                 **change}
+        with pytest.raises(DataError, match="integer 'abstract_mark'|expected a number"):
+            marksheet_from_json(sheet)
