@@ -16,13 +16,13 @@ go straight into ``nn.EncoderConfig``, ``nn.TrainConfig``,
 checks there. The report formats, and the file extension of each, are
 ``feedback.REPORT_FORMATS``. The three training commands share one skeleton.
 
-``grade`` runs each trained model once over the whole cohort, in length-
-bucketed batches, at the model's first use (the first submission's mark or
-labels) rather than at start-up. So the config and inputs are all checked
-before any model work, and set-up costs no more than reading the files.
-The passes stay at first use because the benchmark's set-up time ends at
-the first ``scoring.mark_submission`` call; run earlier, they would be
-counted as set-up and swamp it.
+``grade`` works over the whole cohort in stages, in submission-id order:
+mark every submission, segment each abstract once, run one classifier
+pass, build and render every report, and only then write the reports and
+the JSON files, so a failure before the writes leaves no output. Each
+model runs once, on its texts in input order, each text once. The scorer's
+pass runs inside the first ``scoring.mark_submission`` call, because the
+benchmark's set-up time ends there; run earlier, it would count as set-up.
 
 Every JSON output file comes from the C encoder with its default
 separators and ASCII escaping, not indented. Each item of a top-level
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import functools
 import json
 import logging
 import os
@@ -243,36 +242,23 @@ def _load_model_with_vocab(spec: dict, what: str, head: str):
     return params, config, vocab
 
 
-def _model_from_spec(spec: dict, what: str, texts: Callable[[], list[str]]):
-    """A text -> output callable for a ``scorer`` or ``classifier`` spec.
-
-    A fixed oracle is returned as it is. A model file runs one batched
-    pass over ``texts()``, the whole run, at first use; every call is then
-    a look-up.
-    """
+def _model_from_spec(spec: dict, what: str) -> Callable[[list[str]], list]:
+    """A ``scorer`` or ``classifier`` spec as a function: a list of texts in, outputs out."""
     if spec["type"] == "fixed_score":
         value = spec["score"]
-        return lambda text: value
+        return lambda texts: [value] * len(texts)
     if spec["type"] == "fixed_labels":
-        return structure.make_fixed_classifier(
+        classify = structure.make_fixed_classifier(
             read_json(spec["path"], "fixed-labels file", ConfigError)
         )
+        return lambda texts: list(map(classify, texts))
     head = nn.REGRESSION if what == "scorer" else nn.CLASSIFICATION
     params, config, vocab = _load_model_with_vocab(spec, what, head)
     if head == nn.CLASSIFICATION and config.n_classes != len(structure.Label3):
         raise ConfigError(f"classifier model has {config.n_classes} classes, "
                           f"grading needs {len(structure.Label3)}")
     predictor = nn.Predictor(params, config, vocab)
-    predict = predictor.scores if what == "scorer" else predictor.probabilities
-    table = {}
-
-    def lookup(text: str):
-        if not table:
-            batch = list(dict.fromkeys(texts()))
-            table.update(zip(batch, predict(batch)))
-        return table[text]
-
-    return lookup
+    return predictor.scores if what == "scorer" else predictor.probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +325,12 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
                             vocab_file="vocab.txt")
 
 
-def _evaluate_scores(predictor: nn.Predictor, held_out: Sequence[tuple[str, float]]):
-    report = objectives.evaluate_regression(
-        predictor.scores([text for text, _ in held_out]), [y for _, y in held_out]
-    )
+def _evaluate_scores(scores: Sequence[float], targets: Sequence[float]):
+    """The eval file's regression fields and headline r2; a degenerate sample is a DataError."""
+    try:
+        report = objectives.evaluate_regression(scores, targets)
+    except ValueError as exc:  # fewer than two samples, or constant scores or targets
+        raise DataError(f"cannot evaluate the scores: {exc}") from None
     return asdict(report), {"r2_paper": report.r2_paper}
 
 
@@ -358,8 +346,10 @@ def cmd_finetune(cfg: RunConfig, args) -> int:
         raise DataError("no submissions carry human marks to fine-tune on")
     ds = ingest.split(data, section["fraction"], cfg.seed)
     log.info("fine-tuning on %d samples, evaluating on %d", len(ds.train), len(ds.eval))
-    return _train_and_write(cfg, args, "finetune", "finetuned.afgm", ds.train, ds.eval,
-                            base=base, evaluate=_evaluate_scores)
+    return _train_and_write(
+        cfg, args, "finetune", "finetuned.afgm", ds.train, ds.eval, base=base,
+        evaluate=lambda predictor, held_out: _evaluate_scores(
+            predictor.scores([text for text, _ in held_out]), [y for _, y in held_out]))
 
 
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
@@ -422,40 +412,50 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     segmenter = cfg.sections["segmenter"]
     abbreviations = (load_abbreviations(segmenter["abbreviations"])
                      if "abbreviations" in segmenter else DEFAULT_ABBREVIATIONS)
-    # Each abstract is segmented once, at its first use: by the classifier's
-    # priming pass or by its own labels, whichever comes first.
-    segment = functools.cache(lambda text: segment_sentences(text, abbreviations))
-    score_fn = _model_from_spec(section["scorer_model"], "scorer",
-                                lambda: [s.abstract for s in subs])
-    classify_fn = _model_from_spec(section["classifier_model"], "classifier",
-                                   lambda: [t for s in subs for t in segment(s.abstract)])
+    score = _model_from_spec(section["scorer_model"], "scorer")
+    classify = _model_from_spec(section["classifier_model"], "classifier")
     rules = fb.load_rules(section["rules"]) if "rules" in section else fb.default_rules()
     fmt = section["format"]
     ext = fb.REPORT_FORMATS[fmt].extension
 
+    cohort = sorted(subs, key=lambda s: s.submission_id)
+    # Each model pass takes its texts in input order, each once: its length-bucketed
+    # chunks, and so its outputs, follow that order. The scorer's pass is the one lazy
+    # pass, because the benchmark's set-up time ends at the first mark_submission call;
+    # the keys of ``scores`` then hold the abstracts in that order for the later stages.
+    scores = {}
+
+    def score_of(abstract: str) -> float:
+        if not scores:
+            abstracts = list(dict.fromkeys(s.abstract for s in subs))
+            scores.update(zip(abstracts, score(abstracts)))
+        return scores[abstract]
+
+    sheets = [scoring.mark_submission(sub, keys[sub.paper_id], score_of) for sub in cohort]
+    sentences = {text: segment_sentences(text, abbreviations) for text in scores}
+    batch = list(dict.fromkeys(t for group in sentences.values() for t in group))
+    probabilities = dict(zip(batch, classify(batch)))
+    reports = [
+        fb.build_report(sub.submission_id, sheet, structure.classify_abstract(
+            sub.abstract, probabilities.__getitem__, sentences=sentences[sub.abstract]), rules)
+        for sub, sheet in zip(cohort, sheets)
+    ]
+    rendered = [fb.render_report(report, fmt, color=not args.no_color) for report in reports]
+
     reports_dir = cfg.out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    marks_out = []
-    feedback_out = []
-    for sub in sorted(subs, key=lambda s: s.submission_id):
-        sheet = scoring.mark_submission(sub, keys[sub.paper_id], score_fn)
-        labeled = structure.classify_abstract(
-            sub.abstract, classify_fn, sentences=segment(sub.abstract)
-        )
-        report = fb.build_report(sub.submission_id, sheet, labeled, rules)
-        rendered = fb.render_report(report, fmt, color=not args.no_color)
-        (reports_dir / f"{sub.submission_id}.{ext}").write_text(rendered, encoding="utf-8")
-        marks_out.append({"submission_id": sub.submission_id, **sheet.to_json_dict()})
-        feedback_out.append(report.to_json_dict())
-
+    for sub, text in zip(cohort, rendered):
+        (reports_dir / f"{sub.submission_id}.{ext}").write_text(text, encoding="utf-8")
     # marks.json is a bare array ordered by submission id (the documented
     # interchange shape); the run seed lives in the manifest and feedback.
-    _write_json(cfg.out_dir / "marks.json", marks_out)
-    _write_json(cfg.out_dir / "feedback.json", {"seed": cfg.seed, "reports": feedback_out})
-    _write_json(
-        cfg.out_dir / "run.json",
-        {"command": "grade", "seed": cfg.seed, "format": fmt, "graded": len(subs)},
-    )
+    _write_json(cfg.out_dir / "marks.json", [
+        {"submission_id": sub.submission_id, **sheet.to_json_dict()}
+        for sub, sheet in zip(cohort, sheets)
+    ])
+    _write_json(cfg.out_dir / "feedback.json",
+                {"seed": cfg.seed, "reports": [report.to_json_dict() for report in reports]})
+    _write_json(cfg.out_dir / "run.json",
+                {"command": "grade", "seed": cfg.seed, "format": fmt, "graded": len(subs)})
     _emit(args, {"graded": len(subs), "out": str(cfg.out_dir), "seed": cfg.seed},
           f"graded {len(subs)} submissions into {cfg.out_dir}")
     return EXIT_OK
@@ -468,15 +468,15 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     ]
     if not subs:
         raise DataError("no submissions with human marks to evaluate against")
-    score_fn = _model_from_spec(section["scorer_model"], "scorer",
-                                lambda: [s.abstract for s in subs])
+    abstracts = list(dict.fromkeys(s.abstract for s in subs))
+    scores = dict(zip(abstracts, _model_from_spec(section["scorer_model"], "scorer")(abstracts)))
 
-    machine01 = [float(score_fn(s.abstract)) for s in subs]
+    machine01 = [scores[s.abstract] for s in subs]
     machine_marks = [scoring.abstract_mark(v) for v in machine01]
     human_marks = [s.human_marks.abstract_mark for s in subs]
     human01 = [m / 6.0 for m in human_marks]
 
-    report = objectives.evaluate_regression(machine01, human01)
+    abstract_score, headline = _evaluate_scores(machine01, human01)
     cm = objectives.confusion(machine_marks, human_marks, 7)
     acc = objectives.accuracy(machine_marks, human_marks)
 
@@ -486,13 +486,12 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         {
             "seed": cfg.seed,
             "n": len(subs),
-            "abstract_score": asdict(report),
+            "abstract_score": abstract_score,
             "exact_mark_agreement": acc,
             "confusion": cm.to_json_dict(list(range(7))),
         },
     )
-    _emit(args, {"eval": str(eval_path), "n": len(subs), "seed": cfg.seed,
-                 "r2_paper": report.r2_paper},
+    _emit(args, {"eval": str(eval_path), "n": len(subs), "seed": cfg.seed, **headline},
           f"evaluation of {len(subs)} submissions written to {eval_path}")
     return EXIT_OK
 

@@ -360,11 +360,9 @@ def derive_answer_key(
 
     def modal_reference(field_name: str) -> str:
         raws = [getattr(s, field_name) for s in subs]
-        canonical = _modal([canonical_reference(r) for r in raws], warnings, f"{paper_id} {field_name}")
-        for r in raws:
-            if canonical_reference(r) == canonical:
-                return r
-        raise AssertionError("modal canonical not found among inputs")
+        canonical = _modal([canonical_reference(r) for r in raws], warnings,
+                           f"{paper_id} {field_name}")
+        return next(r for r in raws if canonical_reference(r) == canonical)
 
     key = AnswerKey(
         paper_id=paper_id,
@@ -384,6 +382,13 @@ def derive_answer_key(
 # dataclasses they follow the id fields, in this order.
 _ANSWER_FIELDS = ("impact_factor", "ref_rsc", "ref_acs", "times_cited")
 _SUBMISSION_KEYS = ("submission_id", "paper_id", *_ANSWER_FIELDS, "abstract")
+_ANSWER_KEY_KEYS = ("paper_id", *_ANSWER_FIELDS)
+
+
+def _require_keys(entry: dict, keys: tuple[str, ...], what: str, i: int) -> None:
+    for key in keys:
+        if key not in entry:
+            raise DataError(f"{what} #{i}: missing key {key!r}")
 
 
 def _answers(entry: dict) -> tuple[float, str, str, int]:
@@ -407,9 +412,7 @@ def load_submissions(source) -> list[Submission]:
     """Load a JSON array of submissions; human marks are optional."""
     out = []
     for i, entry in enumerate(read_json_records(source, "submission file")):
-        for key in _SUBMISSION_KEYS:
-            if key not in entry:
-                raise DataError(f"submission #{i}: missing key {key!r}")
+        _require_keys(entry, _SUBMISSION_KEYS, "submission", i)
         marks, abstract = entry.get("human_marks"), entry["abstract"]
         try:
             if type(abstract) is not str:
@@ -431,10 +434,11 @@ def load_submissions(source) -> list[Submission]:
 def load_answer_keys(source) -> dict[str, AnswerKey]:
     keys: dict[str, AnswerKey] = {}
     for i, entry in enumerate(read_json_records(source, "answer-key file")):
+        _require_keys(entry, _ANSWER_KEY_KEYS, "answer key", i)
         try:
             key = AnswerKey(str(entry["paper_id"]), *_answers(entry))
-        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"answer key #{i}: {exc!r}") from exc
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise DataError(f"answer key #{i}: {exc}") from exc
         if key.paper_id in keys:
             raise DataError(f"duplicate answer key for paper {key.paper_id!r}")
         keys[key.paper_id] = key

@@ -568,6 +568,9 @@ class TrainLog:
         return {key: value for key, value in asdict(self).items() if value is not None}
 
 
+# A diverging run overflows before its loss turns non-finite. The loss check and
+# the final weights check report it; numpy's warnings on the way would be noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     data: Sequence[tuple[str, float | int]],
     config: TrainConfig,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from afg import cli, structure, textproc
+from afg import cli, nn, structure, textproc
 from afg.cli import main
 from afg.feedback import build_report
 from afg.ingest import load_answer_keys, load_submissions
@@ -207,6 +207,38 @@ class TestFinetuneAndEval:
         assert main(["--config", str(write_config(tmp_path, body)), "finetune"]) == 3
         assert "need at least 2 samples" in capsys.readouterr().err
 
+    def test_one_held_out_sample_exits_3_before_writing(self, tmp_path, capsys):
+        # Five marked submissions at the default 0.8 split hold out one.
+        subs = submissions_with_marks(tmp_path, n=5)
+        vocab = build_vocab(["tiny corpus text"], max_size=40, min_frequency=1)
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=4,
+                               attention_dim=3)
+        save_model_file(tmp_path / "base.afgm", init_params(config), config)
+        vocab.save(tmp_path / "vocab.txt")
+        body = {
+            "seed": 1,
+            "out_dir": str(tmp_path / "out"),
+            "finetune": {
+                "base_model": {"path": str(tmp_path / "base.afgm"),
+                               "vocab": str(tmp_path / "vocab.txt")},
+                "submissions": str(subs), "epochs": 1,
+            },
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "finetune"]) == 3
+        assert "need at least 2 elements, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_constant_scores_exit_3_before_writing(self, tmp_path, capsys):
+        body = {
+            "seed": 1,
+            "out_dir": str(tmp_path / "out"),
+            "eval": {"submissions": str(submissions_with_marks(tmp_path, n=2)),
+                     "scorer_model": {"type": "fixed_score", "score": 0.5}},
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "eval"]) == 3
+        assert "degenerate variance: constant predictions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainClassifier:
     def test_small_run_reports_accuracy(self, tmp_path):
@@ -256,6 +288,22 @@ class TestTrainClassifier:
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "train-classifier"]) == 3
         assert "need at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_diverged_training_prints_only_the_error(self, tmp_path, capsys, recwarn):
+        corpus = tmp_path / "rct.txt"
+        corpus.write_text(serialize_rct(generate_rct_corpus(20, seed=4)), encoding="utf-8")
+        body = {
+            "seed": 2, "out_dir": str(tmp_path / "out"),
+            "model": {"embed_dim": 8, "hidden_dim": 8, "attention_dim": 6},
+            "vocab": {"max_size": 200, "min_frequency": 1},
+            "classifier": {"corpus": str(corpus), "epochs": 2, "batch_size": 16,
+                           "learning_rate": 1e300},
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "train-classifier"]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("training error: ") and "step" in line
+        assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "out").exists()
 
 
@@ -556,6 +604,66 @@ class TestGrade:
         assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "reports").exists()
+
+    def test_unlabelled_sentence_in_a_later_submission_writes_nothing(self, tmp_path, capsys):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs.append(dict(subs[0], submission_id="zz-2",
+                         abstract=subs[0]["abstract"] + " This sentence has no fixed label."))
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        assert "no fixed label for sentence 'This sentence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_model_pass_gets_its_texts_in_input_order_once(self, tmp_path, monkeypatch):
+        # A pass's length-bucketed chunks, and so its output bits, follow the
+        # batch order: each text once, at its first occurrence in the input.
+        example = json.loads((DATA / "example_submissions.json").read_text())[0]
+        a = "Alkylation of amines matters. We heated the amines. Yields were high."
+        b = "We heated the amines. Ethanol was used. Methanol was slower."
+        c = "Catalysts are costly. Yields were high."
+        subs = [dict(example, submission_id=sid, abstract=text,
+                     human_marks={"q1_impact": 1, "q2_rsc": 1, "q3_acs": 1, "q4_cited": 1,
+                                  "abstract_mark": mark})
+                for sid, text, mark in (("zz", a, 1), ("aa", b, 5), ("mm", a, 3), ("bb", c, 2))]
+        vocab = build_vocab([a, b, c], max_size=200, min_frequency=1)
+        vocab.save(tmp_path / "vocab.txt")
+        models = {}
+        for name, head in (("scorer", {}), ("classifier", {"head": CLASSIFICATION,
+                                                             "n_classes": 3})):
+            config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                                   attention_dim=6, seed=1, **head)
+            save_model_file(tmp_path / f"{name}.afgm", init_params(config), config)
+            models[name] = {"type": "file", "path": str(tmp_path / f"{name}.afgm"),
+                            "vocab": str(tmp_path / "vocab.txt")}
+        body = grade_config(tmp_path, tmp_path / "out")
+        body["grade"].update(submissions=str(self._grade_subs(tmp_path, subs)),
+                             scorer_model=models["scorer"],
+                             classifier_model=models["classifier"])
+        body["eval"] = {"submissions": body["grade"]["submissions"],
+                        "scorer_model": models["scorer"]}
+        batches = []
+
+        def recording(method):
+            def record(self, texts):
+                batches.append((method.__name__, list(texts)))
+                return method(self, texts)
+            return record
+
+        for name in ("scores", "probabilities"):
+            monkeypatch.setattr(nn.Predictor, name, recording(getattr(nn.Predictor, name)))
+        cfg = str(write_config(tmp_path, body))
+        assert main(["--config", cfg, "grade"]) == 0
+        sentences = list(dict.fromkeys(
+            t for text in (a, b, c) for t in textproc.segment_sentences(text)))
+        assert sentences == ["Alkylation of amines matters.", "We heated the amines.",
+                             "Yields were high.", "Ethanol was used.", "Methanol was slower.",
+                             "Catalysts are costly."]
+        assert batches == [("scores", [a, b, c]), ("probabilities", sentences)]
+        batches.clear()
+        assert main(["--config", cfg, "eval"]) == 0
+        assert batches == [("scores", [a, b, c])]
 
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

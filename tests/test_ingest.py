@@ -275,13 +275,26 @@ class TestJsonIngest:
     def test_wrongly_typed_field_is_data_error(self, field, value):
         sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
-        with pytest.raises(DataError, match=f"submission #0: .*{field}"):
+        with pytest.raises(DataError, match=f"submission #0: .*{field}") as sub_error:
             load_submissions(io.StringIO(json.dumps([{**sub, field: value}])))
         if field != "abstract":
             key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                        "times_cited")}
-            with pytest.raises(DataError, match=f"answer key #0: .*{field}"):
+            with pytest.raises(DataError, match=f"answer key #0: .*{field}") as key_error:
                 load_answer_keys(io.StringIO(json.dumps([{**key, field: value}])))
+            # The same fault reads the same in both files.
+            assert str(key_error.value) == str(sub_error.value).replace(
+                "submission #0", "answer key #0")
+
+    @pytest.mark.parametrize("field", ["paper_id", "impact_factor", "ref_rsc", "ref_acs",
+                                       "times_cited"])
+    def test_missing_answer_key_field_is_named(self, field):
+        key = {"paper_id": "p1", "impact_factor": 1.5, "ref_rsc": "r", "ref_acs": "a",
+               "times_cited": 3}
+        del key[field]
+        with pytest.raises(DataError) as error:
+            load_answer_keys(io.StringIO(json.dumps([key])))
+        assert str(error.value) == f"answer key #0: missing key {field!r}"
 
     def test_integer_impact_factor_loads_as_a_float(self):
         sub = {"submission_id": 7, "paper_id": "p1", "impact_factor": 6,
