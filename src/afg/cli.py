@@ -402,11 +402,18 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     if not subs:
         raise DataError(f"submission file {section['submissions']} is empty")
     keys = ingest.load_answer_keys(section["keys"])
+    fmt = section["format"]
+    ext = fb.REPORT_FORMATS[fmt].extension
     seen = set()
     for sub in subs:
-        if sub.submission_id in seen:
-            raise DataError(f"duplicate submission id {sub.submission_id!r}")
-        seen.add(sub.submission_id)
+        sid = sub.submission_id
+        # isprintable() first: a lone surrogate cannot be encoded.
+        if (sid in ("", ".", "..") or "/" in sid or "\\" in sid or not sid.isprintable()
+                or len(f"{sid}.{ext}".encode()) > 255):
+            raise DataError(f"submission id {sid!r:.60} cannot name a report file")
+        if sid in seen:
+            raise DataError(f"duplicate submission id {sid!r}")
+        seen.add(sid)
         if sub.paper_id not in keys:
             raise DataError(f"no answer key for paper {sub.paper_id!r}")
     segmenter = cfg.sections["segmenter"]
@@ -415,8 +422,6 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     score = _model_from_spec(section["scorer_model"], "scorer")
     classify = _model_from_spec(section["classifier_model"], "classifier")
     rules = fb.load_rules(section["rules"]) if "rules" in section else fb.default_rules()
-    fmt = section["format"]
-    ext = fb.REPORT_FORMATS[fmt].extension
 
     cohort = sorted(subs, key=lambda s: s.submission_id)
     # Each model pass takes its texts in input order, each once: its length-bucketed

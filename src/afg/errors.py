@@ -62,7 +62,7 @@ class ShapeMismatchError(ModelFormatError):
 
 
 class CorruptModelError(ModelFormatError):
-    """Truncated payload or checksum mismatch."""
+    """Truncated payload, checksum mismatch or a non-finite weight."""
 
 
 class TrainingDivergedError(AfgError):

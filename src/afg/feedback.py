@@ -366,10 +366,6 @@ class FeedbackReport:
     labeled_abstract: LabeledAbstract
     marks: MarkSheet
 
-    def __post_init__(self):
-        if not self.abstract_comments:
-            raise ValueError("report needs at least one abstract comment")
-
     def to_json_dict(self) -> dict:
         return {
             "submission_id": self.submission_id,

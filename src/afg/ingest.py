@@ -46,19 +46,6 @@ class RawSample:
     min_score: float
     max_score: float
 
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError(f"sample {self.sample_id}: empty text")
-        if self.min_score >= self.max_score:
-            raise ValueError(
-                f"sample {self.sample_id}: degenerate range [{self.min_score}, {self.max_score}]"
-            )
-        if not self.min_score <= self.raw_score <= self.max_score:
-            raise ValueError(
-                f"sample {self.sample_id}: score {self.raw_score} outside "
-                f"[{self.min_score}, {self.max_score}]"
-            )
-
 
 @dataclass(frozen=True)
 class NormalizedSample:
@@ -403,8 +390,8 @@ def _answers(entry: dict) -> tuple[float, str, str, int]:
         raise TypeError(f"impact_factor {impact!r:.40} is not a finite number")
     if type(rsc) is not str or type(acs) is not str:
         raise TypeError(f"ref_rsc {rsc!r:.40} and ref_acs {acs!r:.40} must both be strings")
-    if type(cited) is not int:
-        raise TypeError(f"times_cited {cited!r:.40} is not an integer")
+    if type(cited) is not int or not is_number(cited):
+        raise TypeError(f"times_cited {cited!r:.40} is not an integer within float range")
     return float(impact), rsc, acs, cited
 
 

@@ -7,10 +7,11 @@ backward and update computation runs in 64-bit, which keeps the
 finite-difference gradient check meaningful. The forward keeps the dtype
 of the weights it is given, so gradient probes run it at extended precision.
 
-One batched forward serves inference, training and the gradient check.
-Sequences are sorted by length and cut into chunks of at most
-TOKEN_BUDGET padded tokens (rows x longest row). A chunk is a (B, T) id
-array, right-padded, so every row's valid tokens come first:
+One batched forward, ``_batch_forward``, serves inference, training and the
+gradient check. It is the only entry to ``_forward``; a single text runs as
+a batch of one. Sequences are sorted by length and cut into chunks of at
+most TOKEN_BUDGET padded tokens (rows x longest row). A chunk is a (B, T)
+id array, right-padded, so every row's valid tokens come first:
   - the forward direction runs over it as is; padded steps come after
     all valid ones and never feed a valid state;
   - the backward direction runs over each row's valid prefix reversed,
@@ -362,18 +363,11 @@ def _prepare_ids(tokens, max_sequence_length: int) -> np.ndarray:
     return ids
 
 
-def _forward_one(ids: np.ndarray, params: ModelParams):
-    return _forward(ids[None], np.array([ids.shape[0]]), params.astype(np.float64))
-
-
-def encode(
-    tokens,
-    params: ModelParams,
-    return_weights: bool = False,
-    max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-):
+def encode(tokens, params: ModelParams, return_weights: bool = False,
+           max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
     """Encode a token sequence into one attention-pooled context vector."""
-    cache = _forward_one(_prepare_ids(tokens, max_sequence_length), params)
+    ids = _prepare_ids(tokens, max_sequence_length)
+    _, [(_, cache)] = _batch_forward(params.astype(np.float64), [ids], keep_cache=True)
     if return_weights:
         return cache["ctx"][0], cache["alpha"][0]
     return cache["ctx"][0]
@@ -401,30 +395,23 @@ def _encode_samples(samples, vocab: Vocabulary, task: str, n_classes: int,
     return seqs, targets
 
 
-def predict_score(
-    text: str,
-    params: ModelParams,
-    vocab: Vocabulary,
-    max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-) -> float:
+def _one_text_logits(text: str, params: ModelParams, vocab: Vocabulary, head: str):
+    """The float64 logits of one text, from ``params`` if they have a ``head`` head."""
+    if (params.head_dim == 1) != (head == REGRESSION):
+        raise ValueError(f"a {head} head is needed, the model has {params.head_dim} outputs")
+    seqs = _encode_texts([text], vocab, DEFAULT_MAX_SEQUENCE_LENGTH)
+    return _batch_forward(params.astype(np.float64), seqs)[0][0]
+
+
+def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
     """Score free text in (0, 1) with the regression head."""
-    if params.head_dim != 1:
-        raise ValueError("predict_score needs a regression head")
-    ids = _encode_texts([text], vocab, max_sequence_length)[0]
-    return float(_sigmoid(_forward_one(ids, params)["logits"][0, 0]))
+    return float(_sigmoid(_one_text_logits(text, params, vocab, REGRESSION)[0]))
 
 
-def classify_sentence(
-    sentence: str,
-    params: ModelParams,
-    vocab: Vocabulary,
-    max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-) -> tuple[float, ...]:
+def classify_sentence(sentence: str, params: ModelParams, vocab: Vocabulary) -> tuple[float, ...]:
     """Class probabilities for one sentence from the classification head."""
-    if params.head_dim < 2:
-        raise ValueError("classify_sentence needs a classification head")
-    ids = _encode_texts([sentence], vocab, max_sequence_length)[0]
-    return tuple(float(v) for v in _softmax(_forward_one(ids, params)["logits"][0]))
+    logits = _one_text_logits(sentence, params, vocab, CLASSIFICATION)
+    return tuple(float(v) for v in _softmax(logits))
 
 
 class Predictor:
@@ -433,14 +420,10 @@ class Predictor:
     It converts the weights to float64 once and truncates at the model's
     own ``max_sequence_length``. Texts are tokenized, run in length-sorted
     chunks of at most TOKEN_BUDGET padded tokens, and returned in input order.
+    It checks nothing: ``load_model`` checks the shapes, the CLI the vocabulary size.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):
-        validate_shapes(params, config)
-        if len(vocab) != config.vocab_size:
-            raise ValueError(
-                f"vocabulary has {len(vocab)} tokens, model expects {config.vocab_size}"
-            )
         self.config = config
         self.vocab = vocab
         self._p64 = params.astype(np.float64)
@@ -703,7 +686,6 @@ def grad_check(
     epsilon: float = 1e-4,
     n_weights: int = 200,
     seed: int = 0,
-    max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> float:
     """Max relative error between analytic and numeric gradients.
 
@@ -716,7 +698,8 @@ def grad_check(
     if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], str):
         samples = [samples]
     task, p_weight = _resolve_loss_spec(loss)
-    seqs, targets = _encode_samples(samples, vocab, task, params.head_dim, max_sequence_length)
+    seqs, targets = _encode_samples(samples, vocab, task, params.head_dim,
+                                    DEFAULT_MAX_SEQUENCE_LENGTH)
 
     p64 = params.astype(np.float64)
     _, grads = batch_loss_and_grads(p64, seqs, targets, task, p_weight)
@@ -789,6 +772,8 @@ def load_model(data) -> tuple[ModelParams, EncoderConfig]:
         raise ShapeMismatchError(
             f"payload holds {len(body)} weight bytes, config implies {expected}"
         )
+    if not np.isfinite(np.frombuffer(body, dtype="<f4")).all():
+        raise CorruptModelError("non-finite weight")
     arrays = {}
     offset = 0
     for name, shape in shapes.items():

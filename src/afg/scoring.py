@@ -87,12 +87,14 @@ def score_numeric(given: float, correct: float) -> Mark:
     """Mark a numeric answer by percentage difference from the key value."""
     if correct == 0:
         raise DegenerateKeyError("correct value is zero; percentage difference undefined")
+    # As floats, a difference too large to hold is inf, which is INCORRECT.
+    given, correct = float(given), float(correct)
     d = 100.0 * abs(given - correct) / abs(correct)
     return Mark(
         verdict=band_for_percent_diff(d),
         evidence=f"percentage difference {d:.2f}%",
-        given=float(given),
-        correct=float(correct),
+        given=given,
+        correct=correct,
     )
 
 

@@ -114,8 +114,6 @@ def classify_abstract(
     """
     if sentences is None:
         sentences = segment_sentences(text)
-    if not sentences:
-        raise ValueError("abstract has no sentences after segmentation")
     labeled = []
     for sentence in sentences:
         probs = classifier(sentence)

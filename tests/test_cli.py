@@ -665,6 +665,77 @@ class TestGrade:
         assert main(["--config", cfg, "eval"]) == 0
         assert batches == [("scores", [a, b, c])]
 
+    @pytest.mark.parametrize("spec", ["scorer_model", "classifier_model"])
+    def test_non_finite_model_weight_exits_3_before_writing(self, tmp_path, capsys, spec):
+        # At float32 the head bias is NaN; the file's checksum is valid.
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        vocab = build_vocab([s["abstract"] for s in subs], max_size=200, min_frequency=1)
+        head = {"head": CLASSIFICATION, "n_classes": 3} if spec == "classifier_model" else {}
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                               attention_dim=6, seed=1, **head)
+        params = init_params(config)
+        params.head_b[0] = np.nan
+        save_model_file(tmp_path / "model.afgm", params, config)
+        vocab.save(tmp_path / "vocab.txt")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"][spec] = {"type": "file", "path": str(tmp_path / "model.afgm"),
+                               "vocab": str(tmp_path / "vocab.txt")}
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        assert "non-finite weight" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_id", [
+        "../escaped", "zz/sub", "a\\b", "", ".", "..", "a\x00b", "a\ud800", "a\nb",
+        10**299, "\u00e9" * 127,
+    ])
+    def test_id_that_cannot_name_a_report_exits_3_before_writing(self, tmp_path, capsys,
+                                                                  bad_id):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs.append(dict(subs[0], submission_id=bad_id))
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        assert "cannot name a report file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_id_of_a_255_byte_file_name_is_graded(self, tmp_path):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs[0]["submission_id"] = "\u00e9" * 126  # 252 bytes, then ".md"
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 0
+        assert (out / "reports" / ("\u00e9" * 126 + ".md")).exists()
+
+    def _grade_citations(self, tmp_path, given, correct) -> tuple[int, Path]:
+        """Grade the example with these citation counts in the submission and the key."""
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        keys = json.loads((DATA / "example_keys.json").read_text())
+        subs[0]["times_cited"], keys[0]["times_cited"] = given, correct
+        (tmp_path / "keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"].update(submissions=str(self._grade_subs(tmp_path, subs)),
+                             keys=str(tmp_path / "keys.json"))
+        return main(["--config", str(write_config(tmp_path, body)), "grade"]), out
+
+    @pytest.mark.parametrize("given, correct", [(10**399, 42), (10, 10**399)])
+    def test_citation_count_beyond_float_range_exits_3_before_writing(self, tmp_path, capsys,
+                                                                      given, correct):
+        code, out = self._grade_citations(tmp_path, given, correct)
+        assert code == 3
+        assert "is not an integer within float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_citation_difference_beyond_float_range_is_incorrect(self, tmp_path):
+        code, out = self._grade_citations(tmp_path, 10**308, -(10**308))
+        assert code == 0
+        [sheet] = json.loads((out / "marks.json").read_text())
+        assert sheet["q4_cited"] == {"value": 0, "verdict": "incorrect",
+                                     "evidence": "percentage difference inf%"}
+
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path, grade_config(tmp_path, out1))
@@ -853,3 +924,45 @@ def test_any_json_value_anywhere_in_the_config_exits_cleanly(path, new_key, valu
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), body)
         assert main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "grade"]) in (0, 2, 3)
+
+
+EXAMPLE_FILES = {"submissions": json.loads((DATA / "example_submissions.json").read_text()),
+                 "keys": json.loads((DATA / "example_keys.json").read_text())}
+DATA_FIELDS = [(name, key) for name, records in EXAMPLE_FILES.items() for key in records[0]]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(DATA_FIELDS),
+       value=JSON_VALUES | st.integers(10**300, 10**320))
+@example(field=("submissions", "submission_id"), value="../escaped")
+@example(field=("submissions", "submission_id"), value="zz/sub")
+@example(field=("submissions", "submission_id"), value=10**299)
+@example(field=("submissions", "submission_id"), value="a\ud800")
+@example(field=("submissions", "times_cited"), value=10**399)
+@example(field=("keys", "times_cited"), value=10**399)
+def test_any_json_value_in_any_data_field_exits_cleanly(field, value):
+    """Data-side twin of the config fuzzing: ``value`` replaces one field of
+    the example submission or answer key. A failed ``grade`` writes nothing;
+    a finished one writes only its JSON files and reports, all strict JSON."""
+    files = json.loads(json.dumps(EXAMPLE_FILES))
+    files[field[0]][0][field[1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp, body = Path(tmp), grade_config(DATA, DATA / "out")
+        for name, records in files.items():
+            (tmp / f"{name}.json").write_text(json.dumps(records), encoding="utf-8")
+            body["grade"][name] = str(tmp / f"{name}.json")
+        out = tmp / "out"
+        code = main(["--config", str(write_config(tmp, body)), "--out", str(out), "grade"])
+        assert code in (0, 3)
+        written = [path.relative_to(out) for path in out.rglob("*") if path.is_file()]
+        if code == 3:
+            assert not list(out.rglob("*"))
+        for path in written:
+            assert path.parts[0] == "reports" and len(path.parts) == 2 or (
+                len(path.parts) == 1 and path.suffix == ".json")
+            if path.suffix == ".json":
+                json.loads((out / path).read_text(), parse_constant=_reject_constant)

@@ -51,6 +51,11 @@ class TestParseScoredTsv:
             parse_scored_tsv(tsv("id\tset\tessay\tscore", "1\t1\tText\t7"), SCHEMA)
         assert err.value.line == 2
 
+    def test_empty_text_is_row_error(self):
+        with pytest.raises(RowError, match="empty text") as err:
+            parse_scored_tsv(tsv("id\tset\tessay\tscore", "1\t1\t\t4"), SCHEMA)
+        assert err.value.line == 2
+
     def test_order_preserved(self):
         out = parse_scored_tsv(
             tsv("id\tset\tessay\tscore", "a\t1\tx\t1", "b\t1\ty\t2", "c\t1\tz\t3"),

@@ -29,7 +29,6 @@ from afg.nn import (
     _batch_forward,
     _chunks,
     _forward,
-    _forward_one,
     _loss_and_dlogits,
     batch_loss,
     batch_loss_and_grads,
@@ -46,6 +45,11 @@ from afg.nn import (
 from afg.objectives import LossSchedule
 from afg.synthdata import SEPARABLE_SENTENCES
 from afg.textproc import build_vocab, tokenize
+
+
+def _forward_one(ids: np.ndarray, params):
+    """The one-row reference forward: ``ids`` alone, at float64."""
+    return _forward(ids[None], np.array([ids.shape[0]]), params.astype(np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +554,17 @@ class TestSerialization:
         blob[-8:] = hashlib.blake2b(payload, digest_size=8).digest()
         with pytest.raises(ShapeMismatchError):
             load_model(bytes(blob))
+
+    @pytest.mark.parametrize("name, value", [
+        ("head_b", np.nan), ("embed", np.inf), ("fw_wh", -np.inf),
+    ])
+    def test_non_finite_weight_is_corrupt(self, reg_setup, name, value):
+        # The checksum is valid: only the weights themselves are wrong.
+        config, params, _ = reg_setup
+        broken = params.copy()
+        getattr(broken, name).flat[0] = value
+        with pytest.raises(CorruptModelError, match="non-finite"):
+            load_model(save_model(broken, config))
 
 
 def _checksummed(payload: bytes) -> bytes:
