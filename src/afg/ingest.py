@@ -75,12 +75,7 @@ class Submission:
     def __post_init__(self):
         if not self.abstract.strip():
             raise ValueError(f"submission {self.submission_id}: empty abstract")
-        if self.impact_factor <= 0:
-            raise ValueError(f"submission {self.submission_id}: impact factor must be > 0")
-        if self.times_cited < 0:
-            raise ValueError(f"submission {self.submission_id}: negative citation count")
-        if not self.ref_rsc.strip() or not self.ref_acs.strip():
-            raise ValueError(f"submission {self.submission_id}: blank reference")
+        _check_answers(self, f"submission {self.submission_id}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,17 @@ class AnswerKey:
     times_cited: int
 
     def __post_init__(self):
-        if not self.ref_rsc.strip() or not self.ref_acs.strip():
-            raise ValueError(f"answer key {self.paper_id}: blank reference")
+        _check_answers(self, f"answer key {self.paper_id}")
+
+
+def _check_answers(record: Submission | AnswerKey, what: str) -> None:
+    """The checks a submission's answers and an answer key share."""
+    if record.impact_factor <= 0:
+        raise ValueError(f"{what}: impact factor must be > 0")
+    if record.times_cited < 0:
+        raise ValueError(f"{what}: negative citation count")
+    if not record.ref_rsc.strip() or not record.ref_acs.strip():
+        raise ValueError(f"{what}: blank reference")
 
 
 @dataclass(frozen=True)
@@ -378,6 +382,14 @@ def _require_keys(entry: dict, keys: tuple[str, ...], what: str, i: int) -> None
             raise DataError(f"{what} #{i}: missing key {key!r}")
 
 
+def _string(entry: dict, key: str) -> str:
+    """The value of ``key`` in a record, which must be a JSON string."""
+    value = entry[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} {value!r:.40} is not a string")
+    return value
+
+
 def _answers(entry: dict) -> tuple[float, str, str, int]:
     """The four answer fields of a submission or answer-key record, type-checked.
 
@@ -400,16 +412,14 @@ def load_submissions(source) -> list[Submission]:
     out = []
     for i, entry in enumerate(read_json_records(source, "submission file")):
         _require_keys(entry, _SUBMISSION_KEYS, "submission", i)
-        marks, abstract = entry.get("human_marks"), entry["abstract"]
+        marks = entry.get("human_marks")
         try:
-            if type(abstract) is not str:
-                raise TypeError(f"abstract {abstract!r:.40} is not a string")
             out.append(
                 Submission(
-                    str(entry["submission_id"]),
-                    str(entry["paper_id"]),
+                    _string(entry, "submission_id"),
+                    _string(entry, "paper_id"),
                     *_answers(entry),
-                    abstract=abstract,
+                    abstract=_string(entry, "abstract"),
                     human_marks=marksheet_from_json(marks) if marks is not None else None,
                 )
             )
@@ -423,7 +433,7 @@ def load_answer_keys(source) -> dict[str, AnswerKey]:
     for i, entry in enumerate(read_json_records(source, "answer-key file")):
         _require_keys(entry, _ANSWER_KEY_KEYS, "answer key", i)
         try:
-            key = AnswerKey(str(entry["paper_id"]), *_answers(entry))
+            key = AnswerKey(_string(entry, "paper_id"), *_answers(entry))
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise DataError(f"answer key #{i}: {exc}") from exc
         if key.paper_id in keys:

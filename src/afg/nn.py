@@ -8,17 +8,32 @@ finite-difference gradient check meaningful. The forward keeps the dtype
 of the weights it is given, so gradient probes run it at extended precision.
 
 One batched forward, ``_batch_forward``, serves inference, training and the
-gradient check. It is the only entry to ``_forward``; a single text runs as
-a batch of one. Sequences are sorted by length and cut into chunks of at
-most TOKEN_BUDGET padded tokens (rows x longest row). A chunk is a (B, T)
-id array, right-padded, so every row's valid tokens come first:
-  - the forward direction runs over it as is; padded steps come after
-    all valid ones and never feed a valid state;
+gradient check; a single text runs as a batch of one. Sequences are sorted
+by length and cut into chunks of at most TOKEN_BUDGET padded tokens (rows x
+longest row), and runs of consecutive chunks into groups of at most twice
+that. The LSTM recurrence runs over a group, the attention and head over
+each chunk. A group is a (B, T) id array, right-padded, rows in ascending
+length, so every row's valid tokens come first:
+  - the forward direction runs over it as is; at step t the rows still
+    inside their sequence are a suffix of the rows, and only those are
+    updated, so padded states stay exact zeros;
   - the backward direction runs over each row's valid prefix reversed,
     gathered with one index array that leaves the padding at the end,
     and its outputs are put back in order with the same array;
-  - padded positions score -inf before the attention softmax, so their
-    weight is exactly 0.
+  - each chunk reads its block of the group's states (its rows, its own
+    longest T) as views; padded positions score -inf before the attention
+    softmax, so their weight is exactly 0.
+A step costs about the same in numpy calls for a handful of rows as for
+dozens, so grouping chunks cuts the steps, not the arithmetic. The result is
+bit-identical to running each chunk alone, every row through every step:
+  - numpy runs a one-row product as a gemv, whose rounding differs from a
+    gemm's, and a row of a gemm with two or more rows does not depend on
+    the other rows. So a step multiplies at least two rows, and a one-row
+    chunk is a group of its own;
+  - a chunk's softmax and attention-weighted sum run over its padded T,
+    and their summation order depends on T. So the chunks, and with them
+    TOKEN_BUDGET, stay as they are; a larger budget changes the bytes of
+    the confidences ``grade`` writes.
 Results come back in input order. Backprop runs each chunk as a whole from
 its cache: one reverse time loop per direction over (B, H) rows, each weight
 gradient one matmul over the chunk's T x B steps. It needs no mask: padded
@@ -171,8 +186,8 @@ def init_params(config: EncoderConfig) -> ModelParams:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-# Padded tokens (rows x longest row) per batched forward call. It bounds the
-# padding work of a chunk and the memory of its cache.
+# Padded tokens (rows x longest row) per chunk; a group of chunks holds at most
+# twice as many. It bounds the padding work of a chunk and the memory of its cache.
 TOKEN_BUDGET = 512
 
 
@@ -187,25 +202,31 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_forward(x: np.ndarray, wx, wh, b):
-    """Run one direction over time-major (T, B, E) inputs.
+def _lstm_forward(x: np.ndarray, lengths: np.ndarray, wx, wh, b, keep_cache: bool):
+    """Run one direction over time-major (T, B, E) inputs, rows in ascending length.
 
-    Each row's valid steps come before its padding, so no valid state ever
-    depends on a padded step and the recurrence needs no masking. Returns
-    the time-major states (T+1, B, H) and backprop cache.
+    Each row's valid steps come before its padding, so the rows still inside
+    their sequence at step t are a suffix ``[lo:]`` of the rows, and step t
+    updates only those; padded states stay exact zeros. Returns the time-major
+    states (T+1, B, H) and, with ``keep_cache``, the rest of the backprop cache.
     """
     t_len, n, _ = x.shape
     h_dim = wh.shape[0]
     g_lo, g_hi = 2 * h_dim, 3 * h_dim
     # Step t turns its input pre-activations into its gate activations in
-    # place. Time-major storage keeps each step's rows contiguous.
+    # place. Time-major storage keeps each step's active rows contiguous.
     gates = x @ wx
     gates += b
     hs = np.zeros((t_len + 1, n, h_dim), dtype=gates.dtype)
     cs = np.zeros_like(hs)
-    for t in range(t_len):
-        z = gates[t]
-        z += hs[t] @ wh
+    for t, lo in enumerate(np.searchsorted(lengths, np.arange(t_len), side="right").tolist()):
+        # Numpy runs a one-row product as a gemv, whose rounding differs from a
+        # gemm's, and a gemm row does not depend on the other rows. So the product
+        # takes at least two rows, when there are two, and each active row gets
+        # the bits it would get with every row in the product.
+        mm = max(min(lo, n - 2), 0)
+        z = gates[t, lo:]
+        z += (hs[t, mm:] @ wh)[lo - mm :]
         g = np.tanh(z[:, g_lo:g_hi])
         # In-place sigmoid, 1 / (1 + exp(-z)), over all four blocks.
         np.negative(z, out=z)
@@ -213,12 +234,14 @@ def _lstm_forward(x: np.ndarray, wx, wh, b):
         z += 1.0
         np.divide(1.0, z, out=z)
         z[:, g_lo:g_hi] = g
-        c = cs[t + 1]
-        np.multiply(z[:, h_dim:g_lo], cs[t], out=c)
+        c = cs[t + 1, lo:]
+        np.multiply(z[:, h_dim:g_lo], cs[t, lo:], out=c)
         c += z[:, :h_dim] * g
-        h = hs[t + 1]
+        h = hs[t + 1, lo:]
         np.tanh(c, out=h)
         h *= z[:, g_hi:]
+    if not keep_cache:
+        return {"hs": hs}
     return {"x": x, "hs": hs, "cs": cs, "gates": gates}
 
 
@@ -257,23 +280,16 @@ def _lstm_backward(dh_out: np.ndarray, cache, wx, wh, grads, prefix: str):
     return (dz @ wx.T).reshape(t_len, n, -1)
 
 
-def _forward(ids: np.ndarray, lengths: np.ndarray, p: ModelParams):
-    """Forward pass over right-padded (B, T) token ids, in the dtype of ``p``.
+def _forward(ids: np.ndarray, lengths: np.ndarray, rev: np.ndarray, fw, bw, p: ModelParams):
+    """Attention and head of one chunk, from its block of its group's states.
 
     Returns the chunk cache that ``_backward`` reads.
     """
-    n, t_len = ids.shape
-    rows = np.arange(n)[:, None]
-    steps = np.arange(t_len)
-    valid = steps < lengths[:, None]
-    # Reverses each row's valid prefix and keeps its padding at the end; the
-    # permutation is its own inverse, so the same array undoes it.
-    rev = np.where(valid, lengths[:, None] - 1 - steps, steps)
-    fw = _lstm_forward(p.embed[ids.T], p.fw_wx, p.fw_wh, p.fw_b)
-    bw = _lstm_forward(p.embed[ids[rows, rev].T], p.bw_wx, p.bw_wh, p.bw_b)
+    rows = np.arange(len(ids))[:, None]
     h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw["hs"][1:].swapaxes(0, 1)
     h_cat = np.concatenate([h_fw, h_bw[rows, rev]], axis=2)
     u = np.tanh(h_cat @ p.att_w)
+    valid = np.arange(ids.shape[1]) < lengths[:, None]
     alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
     ctx = (alpha[:, None, :] @ h_cat)[:, 0]
     logits = ctx @ p.head_w + p.head_b
@@ -324,26 +340,66 @@ def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
         yield chunk
 
 
+def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
+    """``_chunks`` cut into runs of at most 2 * TOKEN_BUDGET padded tokens.
+
+    A one-row chunk is a group of its own, so its steps stay one-row products.
+    """
+    group: list[list[int]] = []
+    rows = 0
+    for chunk in _chunks(lengths):
+        rows += len(chunk)
+        if group and (len(chunk) == 1 or len(group[0]) == 1
+                      or rows * lengths[chunk[-1]] > 2 * TOKEN_BUDGET):
+            yield group
+            group, rows = [], len(chunk)
+        group.append(chunk)
+    if group:
+        yield group
+
+
+def _direction_block(direction: dict, t_len: int, lo: int, hi: int) -> dict:
+    """Rows ``lo:hi`` and the first ``t_len`` steps of a direction's group cache, as views."""
+    return {k: v[: t_len + (k in ("hs", "cs")), lo:hi] for k, v in direction.items()}
+
+
 def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool = False):
     """Logits of ``seqs`` in list order, run over length-sorted padded chunks.
 
-    With ``keep_cache`` the second result lists each chunk's (indices into
-    ``seqs``, chunk cache) in ``_chunks`` order; otherwise it is None and each
-    chunk's cache is dropped once its logits are read.
+    The recurrence runs over each group of chunks, the attention and head over
+    each chunk. With ``keep_cache`` the second result lists each chunk's
+    (indices into ``seqs``, chunk cache) in ``_chunks`` order; otherwise it is
+    None and each group's states are dropped once its logits are read.
     """
     logits = np.empty((len(seqs), p.head_dim), dtype=p.embed.dtype)
     caches = [] if keep_cache else None
-    for idx in _chunks([len(s) for s in seqs]):
-        lengths = np.array([len(seqs[i]) for i in idx])
-        # Padding reuses id 0: padded steps never reach a valid output.
-        ids = np.zeros((len(idx), lengths.max()), dtype=np.int64)
+    seq_lengths = [len(s) for s in seqs]
+    for group in _groups(seq_lengths):
+        idx = [i for chunk in group for i in chunk]
+        lengths = np.array([seq_lengths[i] for i in idx])
+        # Padding reuses id 0: the recurrence never steps a padded position.
+        ids = np.zeros((len(idx), lengths[-1]), dtype=np.int64)
         for row, i in enumerate(idx):
             ids[row, : lengths[row]] = seqs[i]
-        cache = _forward(ids, lengths, p)
-        logits[idx] = cache["logits"]
-        if keep_cache:
-            caches.append((idx, cache))
-        del cache  # else it stays alive while the next chunk runs
+        steps = np.arange(lengths[-1])
+        # Reverses each row's valid prefix and keeps its padding at the end; the
+        # permutation is its own inverse, so the same array undoes it.
+        rev = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)
+        fw = _lstm_forward(p.embed[ids.T], lengths, p.fw_wx, p.fw_wh, p.fw_b, keep_cache)
+        bw_ids = ids[np.arange(len(idx))[:, None], rev]
+        bw = _lstm_forward(p.embed[bw_ids.T], lengths, p.bw_wx, p.bw_wh, p.bw_b, keep_cache)
+        lo = 0
+        for chunk in group:
+            hi = lo + len(chunk)
+            t_len = lengths[hi - 1]
+            cache = _forward(ids[lo:hi, :t_len], lengths[lo:hi], rev[lo:hi, :t_len],
+                             _direction_block(fw, t_len, lo, hi),
+                             _direction_block(bw, t_len, lo, hi), p)
+            logits[chunk] = cache["logits"]
+            if keep_cache:
+                caches.append((chunk, cache))
+            lo = hi
+        del fw, bw, cache  # else they stay alive while the next group runs
     return logits, caches
 
 

@@ -151,6 +151,8 @@ class Vocabulary:
             self.id_to_token[i] = tok
         self.pad_id = self.token_to_id[PAD_TOKEN]
         self.unk_id = self.token_to_id[UNK_TOKEN]
+        # Each lowered word's token ids, filled in by ``tokenize``.
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.token_to_id)
@@ -336,16 +338,18 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Greedy longest-prefix subword tokenization of whitespace words.
 
     Any word that cannot be fully covered by vocabulary pieces maps to the
-    single unknown token spanning the whole word.
+    single unknown token spanning the whole word. Each distinct word is
+    matched once per vocabulary, which keeps its ids.
     """
-    token_to_id = vocab.token_to_id
+    word_ids = vocab._word_ids
     ids: list[int] = []
     for word in _lowered_words(text):
-        pieces = _match_word(word, vocab)
-        if pieces is None:
-            ids.append(vocab.unk_id)
-        else:
-            ids.extend([token_to_id[token] for _, _, token in pieces])
+        known = word_ids.get(word)
+        if known is None:
+            pieces = _match_word(word, vocab)
+            known = word_ids[word] = ((vocab.unk_id,) if pieces is None else
+                                      tuple(vocab.token_to_id[token] for _, _, token in pieces))
+        ids.extend(known)
     return TokenSequence(tuple(ids), text, vocab)
 
 

@@ -687,7 +687,7 @@ class TestGrade:
 
     @pytest.mark.parametrize("bad_id", [
         "../escaped", "zz/sub", "a\\b", "", ".", "..", "a\x00b", "a\ud800", "a\nb",
-        10**299, "\u00e9" * 127,
+        "\u00e9" * 127,
     ])
     def test_id_that_cannot_name_a_report_exits_3_before_writing(self, tmp_path, capsys,
                                                                   bad_id):
@@ -698,6 +698,21 @@ class TestGrade:
         body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
         assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
         assert "cannot name a report file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("submission_id", 10**299, id="submission_id-int"),
+        ("submission_id", None), ("submission_id", [1]), ("paper_id", True),
+    ])
+    def test_id_that_is_not_a_string_exits_3_before_writing(self, tmp_path, capsys, field,
+                                                            value):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs.append(dict(subs[0], **{field: value}))
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        assert f"submission #1: {field} " in capsys.readouterr().err
         assert not out.exists()
 
     def test_id_of_a_255_byte_file_name_is_graded(self, tmp_path):
@@ -730,11 +745,32 @@ class TestGrade:
         assert not out.exists()
 
     def test_citation_difference_beyond_float_range_is_incorrect(self, tmp_path):
-        code, out = self._grade_citations(tmp_path, 10**308, -(10**308))
+        code, out = self._grade_citations(tmp_path, 10**308, 1)
         assert code == 0
         [sheet] = json.loads((out / "marks.json").read_text())
         assert sheet["q4_cited"] == {"value": 0, "verdict": "incorrect",
                                      "evidence": "percentage difference inf%"}
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("times_cited", -(10**308), "negative citation count",
+                     id="times_cited--1e308"),
+        ("times_cited", -5, "negative citation count"),
+        ("impact_factor", -3, "impact factor must be > 0"),
+        ("impact_factor", 0, "impact factor must be > 0"),
+        ("paper_id", True, "paper_id True is not a string"),
+    ])
+    def test_answer_key_checked_like_a_submission_exits_3_before_writing(
+            self, tmp_path, capsys, field, value, message):
+        keys = json.loads((DATA / "example_keys.json").read_text())
+        keys[0][field] = value
+        (tmp_path / "keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["keys"] = str(tmp_path / "keys.json")
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        err = capsys.readouterr().err
+        assert "answer key #0: " in err and message in err
+        assert not out.exists()
 
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -944,6 +980,11 @@ def _reject_constant(name):
 @example(field=("submissions", "submission_id"), value="a\ud800")
 @example(field=("submissions", "times_cited"), value=10**399)
 @example(field=("keys", "times_cited"), value=10**399)
+@example(field=("keys", "times_cited"), value=-(10**308))
+@example(field=("keys", "impact_factor"), value=-3)
+@example(field=("submissions", "submission_id"), value=None)
+@example(field=("submissions", "paper_id"), value=True)
+@example(field=("keys", "paper_id"), value=[1])
 def test_any_json_value_in_any_data_field_exits_cleanly(field, value):
     """Data-side twin of the config fuzzing: ``value`` replaces one field of
     the example submission or answer key. A failed ``grade`` writes nothing;

@@ -276,13 +276,15 @@ class TestJsonIngest:
         ("times_cited", 3.9), ("times_cited", "3"), ("times_cited", True),
         ("impact_factor", "2.5"), ("impact_factor", True), ("impact_factor", float("inf")),
         ("ref_rsc", None), ("ref_acs", 5), ("abstract", None),
+        ("submission_id", None), ("submission_id", 7), ("submission_id", [1]),
+        ("paper_id", True), ("paper_id", 7.0), ("paper_id", {"id": "p1"}),
     ])
     def test_wrongly_typed_field_is_data_error(self, field, value):
         sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
         with pytest.raises(DataError, match=f"submission #0: .*{field}") as sub_error:
             load_submissions(io.StringIO(json.dumps([{**sub, field: value}])))
-        if field != "abstract":
+        if field not in ("submission_id", "abstract"):
             key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                        "times_cited")}
             with pytest.raises(DataError, match=f"answer key #0: .*{field}") as key_error:
@@ -290,6 +292,23 @@ class TestJsonIngest:
             # The same fault reads the same in both files.
             assert str(key_error.value) == str(sub_error.value).replace(
                 "submission #0", "answer key #0")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("impact_factor", -3, "impact factor must be > 0"),
+        ("impact_factor", 0, "impact factor must be > 0"),
+        ("times_cited", -5, "negative citation count"),
+        pytest.param("times_cited", -(10**308), "negative citation count",
+                     id="times_cited--1e308"),
+    ])
+    def test_answer_key_checks_what_a_submission_checks(self, field, value, message):
+        sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
+               "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
+        key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
+                                   "times_cited")}
+        with pytest.raises(DataError, match=f"submission #0: submission s1: {message}"):
+            load_submissions(io.StringIO(json.dumps([{**sub, field: value}])))
+        with pytest.raises(DataError, match=f"answer key #0: answer key p1: {message}"):
+            load_answer_keys(io.StringIO(json.dumps([{**key, field: value}])))
 
     @pytest.mark.parametrize("field", ["paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                        "times_cited"])
@@ -302,7 +321,7 @@ class TestJsonIngest:
         assert str(error.value) == f"answer key #0: missing key {field!r}"
 
     def test_integer_impact_factor_loads_as_a_float(self):
-        sub = {"submission_id": 7, "paper_id": "p1", "impact_factor": 6,
+        sub = {"submission_id": "7", "paper_id": "p1", "impact_factor": 6,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
         [loaded] = load_submissions(io.StringIO(json.dumps([sub])))
         assert type(loaded.impact_factor) is float and loaded.submission_id == "7"

@@ -27,9 +27,12 @@ from afg.nn import (
     Predictor,
     TrainConfig,
     _batch_forward,
+    _backward,
     _chunks,
-    _forward,
+    _groups,
     _loss_and_dlogits,
+    _softmax,
+    _zero_grads,
     batch_loss,
     batch_loss_and_grads,
     classify_sentence,
@@ -45,6 +48,70 @@ from afg.nn import (
 from afg.objectives import LossSchedule
 from afg.synthdata import SEPARABLE_SENTENCES
 from afg.textproc import build_vocab, tokenize
+
+
+def _lstm_forward_padded(x: np.ndarray, wx, wh, b):
+    """One direction over time-major (T, B, E) inputs, every row through all T steps."""
+    t_len, n, _ = x.shape
+    h_dim = wh.shape[0]
+    gates = x @ wx + b
+    hs = np.zeros((t_len + 1, n, h_dim), dtype=gates.dtype)
+    cs = np.zeros_like(hs)
+    for t in range(t_len):
+        z = gates[t]
+        z += hs[t] @ wh
+        g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        z[:, 2 * h_dim : 3 * h_dim] = g
+        np.multiply(z[:, h_dim : 2 * h_dim], cs[t], out=cs[t + 1])
+        cs[t + 1] += z[:, :h_dim] * g
+        np.tanh(cs[t + 1], out=hs[t + 1])
+        hs[t + 1] *= z[:, 3 * h_dim :]
+    return {"x": x, "hs": hs, "cs": cs, "gates": gates}
+
+
+def _forward(ids: np.ndarray, lengths: np.ndarray, p):
+    """The reference forward of one right-padded (B, T) chunk, padded steps included.
+
+    Returns the chunk cache that ``nn._backward`` reads.
+    """
+    rows = np.arange(len(ids))[:, None]
+    steps = np.arange(ids.shape[1])
+    valid = steps < lengths[:, None]
+    rev = np.where(valid, lengths[:, None] - 1 - steps, steps)
+    fw = _lstm_forward_padded(p.embed[ids.T], p.fw_wx, p.fw_wh, p.fw_b)
+    bw = _lstm_forward_padded(p.embed[ids[rows, rev].T], p.bw_wx, p.bw_wh, p.bw_b)
+    h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw["hs"][1:].swapaxes(0, 1)
+    h_cat = np.concatenate([h_fw, h_bw[rows, rev]], axis=2)
+    u = np.tanh(h_cat @ p.att_w)
+    alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
+    ctx = (alpha[:, None, :] @ h_cat)[:, 0]
+    logits = ctx @ p.head_w + p.head_b
+    return {
+        "ids": ids, "rev": rev, "fw": fw, "bw": bw, "h_cat": h_cat,
+        "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
+    }
+
+
+def _reference_loss_and_grads(p, seqs, targets, task, p_weight):
+    """Logits, loss and gradients with every ``_chunks`` chunk run by the reference forward."""
+    logits = np.empty((len(seqs), p.head_dim))
+    caches = []
+    for idx in _chunks([len(s) for s in seqs]):
+        lengths = np.array([len(seqs[i]) for i in idx])
+        ids = np.zeros((len(idx), lengths.max()), dtype=np.int64)
+        for row, i in enumerate(idx):
+            ids[row, : lengths[row]] = seqs[i]
+        caches.append((idx, _forward(ids, lengths, p)))
+        logits[idx] = caches[-1][1]["logits"]
+    loss, dlogits = _loss_and_dlogits(logits, targets, task, p_weight)
+    grads = _zero_grads(p)
+    for idx, cache in caches:
+        _backward(cache, dlogits[idx], p, grads)
+    return logits, float(loss), grads
 
 
 def _forward_one(ids: np.ndarray, params):
@@ -233,6 +300,62 @@ class TestBatchedBackward:
             np.testing.assert_allclose(grads[name], ref, rtol=1e-10, atol=1e-12,
                                        err_msg=name)
         assert (grads["embed"][0] == 0.0).all()
+
+
+class TestGroupedRecurrence:
+    """The recurrence over groups of chunks, stepping only the rows still inside their
+    sequence, against every chunk run on its own with every row through every step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # A unique longest row, so that the last steps have one active row.
+        lengths=st.lists(st.integers(1, 59), min_size=1, max_size=28).map(
+            lambda ls: ls + [max(ls) + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        task=st.sampled_from([REGRESSION, CLASSIFICATION]),
+        # Small budgets make one-row chunks, and groups of several chunks.
+        budget=st.sampled_from([8, 64, TOKEN_BUDGET]),
+    )
+    @example(lengths=[3, 5, 9], seed=0, task=CLASSIFICATION, budget=TOKEN_BUDGET)
+    @example(lengths=[10, 10, 300, 301], seed=1, task=REGRESSION, budget=TOKEN_BUDGET)
+    @example(lengths=TestBatchedForward.ONE_TO_FORTY, seed=2, task=CLASSIFICATION,
+             budget=TOKEN_BUDGET)
+    def test_logits_and_gradients_equal_the_reference(self, reg_setup, cls_setup, lengths,
+                                                      seed, task, budget):
+        config, params, _ = cls_setup if task == CLASSIFICATION else reg_setup
+        p64 = params.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        # Spread the weights well beyond their initial range, as training does.
+        for arr in p64.arrays().values():
+            arr += rng.normal(0.0, 0.5, arr.shape)
+        seqs = [rng.integers(0, config.vocab_size, n) for n in lengths]
+        if task == CLASSIFICATION:
+            targets = rng.integers(0, config.n_classes, len(seqs))
+        else:
+            targets = rng.uniform(0.0, 1.0, len(seqs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "TOKEN_BUDGET", budget)
+            ref_logits, ref_loss, ref_grads = _reference_loss_and_grads(
+                p64, seqs, targets, task, 0.5)
+            logits, _ = _batch_forward(p64, seqs)
+            loss, grads = batch_loss_and_grads(p64, seqs, targets, task, 0.5)
+        assert np.array_equal(logits, ref_logits)
+        assert loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), name
+
+    def test_groups_hold_whole_chunks_within_twice_the_budget(self):
+        lengths = TestBatchedForward.ONE_TO_FORTY + [300, 300, 10, 10]
+        chunks = list(_chunks(lengths))
+        groups = list(_groups(lengths))
+        assert [chunk for group in groups for chunk in group] == chunks
+        assert any(len(group) > 1 for group in groups)
+        for group in groups:
+            rows = sum(len(chunk) for chunk in group)
+            if any(len(chunk) == 1 for chunk in group):
+                assert len(group) == 1
+            elif len(group) > 1:
+                assert rows * lengths[group[-1][-1]] <= 2 * TOKEN_BUDGET
 
 
 class TestPredictor:

@@ -17,6 +17,7 @@ from afg.textproc import (
     PAD_TOKEN,
     UNK_TOKEN,
     Vocabulary,
+    _match_word,
     _safe_lower,
     _word_symbols,
     build_vocab,
@@ -381,6 +382,22 @@ class TestTokenizePaths:
             else:
                 piece = MIXED_VOCAB.id_to_token[token_id].removeprefix(CONTINUATION_MARKER)
                 assert _lower_keeping_length(covered) == piece
+
+    @given(st.lists(st.text(alphabet=st.sampled_from("abcehmstzÜüßéωİÉ.-"), min_size=1,
+                            max_size=12), min_size=1, max_size=8))
+    @example(["a" * 101, "cat", "a" * 101, "CAT"])
+    def test_each_word_is_matched_once_and_its_ids_kept(self, words):
+        vocab = Vocabulary(dict(MIXED_VOCAB.token_to_id))
+        expected = []
+        for word in words:
+            pieces = _match_word(_safe_lower(word), vocab)
+            expected.extend([vocab.unk_id] if pieces is None
+                            else [vocab.token_to_id[token] for _, _, token in pieces])
+        text = " ".join(words)
+        first = tokenize(text, vocab).token_ids
+        assert first == tuple(expected)
+        assert set(vocab._word_ids) == {_safe_lower(word) for word in words}
+        assert tokenize(text, vocab).token_ids == first
 
 
 class TestTermVector:
