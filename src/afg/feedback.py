@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from html import escape
 from pathlib import Path
@@ -117,18 +117,22 @@ _GUARD_CONDITIONS = {
 
 @dataclass(frozen=True)
 class FeedbackRule:
-    """One declarative feedback trigger, checked when it is made.
+    """One declarative feedback trigger, checked when it is made; also a rule-file entry.
 
-    ``cls`` picks the statistic: a class name compares that class's share,
-    "spread" compares max share minus min share, "order" checks that the
-    run-length-compressed label sequence is a subsequence of
-    background -> technique -> observation, and "fallback" fires only when
-    nothing else did. ``comparator`` is lt, le, ge, gt or within; only
-    order and fallback rules may leave it and ``threshold`` None.
-    ``threshold`` is a finite number, or a (lo, hi) pair for within.
-    ``guard`` is an OR-list of AND-condition dicts with keys "dominant",
-    "share_lt" ([class, x]) and "min_share_ge". A rule that breaks any of
-    this is a ConfigError naming its id.
+    A rule file is a JSON array of objects keyed by these fields, ``class`` for
+    ``cls``. ``id`` (string) is unique. ``class`` (string) picks the statistic: a
+    class name compares that class's share, "spread" compares max share minus min
+    share, "order" checks that the run-length-compressed label sequence is a
+    subsequence of background -> technique -> observation, and "fallback" fires
+    only when nothing else did. ``comparator`` (string or null) is lt, le, ge, gt
+    or within; only order and fallback rules may leave it and ``threshold`` null.
+    ``threshold`` is a finite number, a [lo, hi] array of them for within, or null.
+    ``template`` (string) is the comment. ``priority`` (integer), then ``id``, order
+    fired rules. ``guard`` (array or null) is an OR-list of AND-condition objects
+    with keys "dominant" (class name), "share_lt" ([class name, number]) and
+    "min_share_ge" (number). The nullable keys may be left out; any other missing
+    key, or an unknown one, is a ConfigError naming the entry's index and the key.
+    A rule that breaks any other of this is a ConfigError naming its id.
     """
 
     id: str
@@ -142,7 +146,7 @@ class FeedbackRule:
     def __post_init__(self):
         problem = _rule_problem(self)
         if problem:
-            raise ConfigError(f"rule {self.id!r}: {problem}")
+            raise ConfigError(f"rule {self.id!r:.40}: {problem}")
 
     def fires(self, dist: ClassDistribution, labels: Sequence[Label3]) -> bool:
         if self.cls == "fallback":
@@ -156,8 +160,10 @@ class FeedbackRule:
 
 def _rule_problem(rule: FeedbackRule) -> str | None:
     """What is wrong with ``rule`` (see FeedbackRule), or None."""
-    if type(rule.priority) is not int:
-        return f"priority {rule.priority!r:.40} is not an integer"
+    for name, kind, what in (("id", str, "a string"), ("template", str, "a string"),
+                             ("priority", int, "an integer")):
+        if type(getattr(rule, name)) is not kind:
+            return f"{name} {getattr(rule, name)!r:.40} is not {what}"
     if rule.cls not in _RULE_CLASSES:
         return f"unknown class {rule.cls!r:.40} (known: {', '.join(_RULE_CLASSES)})"
     if rule.comparator is None:
@@ -292,23 +298,22 @@ def default_rules() -> list[FeedbackRule]:
     return list(_DEFAULT_RULES)
 
 
+# Each rule-file key and its FeedbackRule field; the file says "class" for ``cls``.
+_RULE_KEYS = {"class" if f.name == "cls" else f.name: f for f in fields(FeedbackRule)}
+
+
 def load_rules(path: str | Path) -> list[FeedbackRule]:
+    """The rules in a rule file (see FeedbackRule), with JSON arrays as tuples."""
     rules = []
-    for entry in read_json_records(path, "rule config", ConfigError):
-        threshold, guard = entry.get("threshold"), entry.get("guard")
-        try:
-            rule = FeedbackRule(
-                id=str(entry["id"]),
-                cls=entry["class"],
-                comparator=entry.get("comparator"),
-                threshold=tuple(threshold) if type(threshold) is list else threshold,
-                template=str(entry["template"]),
-                priority=entry["priority"],
-                guard=(tuple(guard) or None) if type(guard) is list else guard,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"rule entry missing key {exc}") from exc
-        rules.append(rule)
+    for index, entry in enumerate(read_json_records(path, "rule config", ConfigError)):
+        problems = [*(f"unknown key {key!r:.40}" for key in entry if key not in _RULE_KEYS),
+                    *(f"missing key {key!r}" for key, f in _RULE_KEYS.items()
+                      if key not in entry and "None" not in f.type)]
+        if problems:
+            raise ConfigError(f"rule entry #{index}: {problems[0]}")
+        values = {f.name: entry.get(key) for key, f in _RULE_KEYS.items()}
+        rules.append(FeedbackRule(**{name: tuple(value) if type(value) is list else value
+                                     for name, value in values.items()}))
     ids = [r.id for r in rules]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate rule ids in rule config")
@@ -316,20 +321,10 @@ def load_rules(path: str | Path) -> list[FeedbackRule]:
 
 
 def rules_to_json(rules: Sequence[FeedbackRule]) -> str:
-    out = []
-    for r in rules:
-        entry = {
-            "id": r.id,
-            "class": r.cls,
-            "comparator": r.comparator,
-            "threshold": list(r.threshold) if isinstance(r.threshold, tuple) else r.threshold,
-            "template": r.template,
-            "priority": r.priority,
-        }
-        if r.guard:
-            entry["guard"] = list(r.guard)
-        out.append(entry)
-    return json.dumps(out, indent=2)
+    """The rule file of ``rules``; a field that has a default is left out while empty."""
+    return json.dumps([{key: getattr(rule, f.name) for key, f in _RULE_KEYS.items()
+                        if getattr(rule, f.name) or f.default is MISSING} for rule in rules],
+                      indent=2)
 
 
 def abstract_feedback(
@@ -340,8 +335,7 @@ def abstract_feedback(
     """Evaluate the rule set; always returns at least one comment."""
     if not labels:
         raise ValueError("need at least one labeled sentence")
-    if rules is None:
-        rules = _DEFAULT_RULES
+    rules = _DEFAULT_RULES if rules is None else rules
     fired = sorted(
         (r for r in rules if r.fires(dist, labels)),
         key=lambda r: (r.priority, r.id),
@@ -383,11 +377,10 @@ def build_report(
     rules: Sequence[FeedbackRule] | None = None,
 ) -> FeedbackReport:
     comments = tuple(fixed_comment(q, m) for q, m in zip(Question, marks.question_marks()))
-    labels = labeled.labels()
     return FeedbackReport(
         submission_id=submission_id,
         question_comments=comments,
-        abstract_comments=tuple(abstract_feedback(distribution(labeled), labels, rules)),
+        abstract_comments=tuple(abstract_feedback(distribution(labeled), labeled.labels(), rules)),
         labeled_abstract=labeled,
         marks=marks,
     )

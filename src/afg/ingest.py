@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, auto
 from typing import Optional, Sequence
 
@@ -104,8 +104,6 @@ def _check_answers(record: Submission | AnswerKey, what: str) -> None:
 class DatasetSplit:
     train: tuple
     eval: tuple
-    seed: int
-    fraction: float
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +122,21 @@ class TsvSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TsvSchema":
+        """A corpus entry's schema: ``score_ranges`` maps each prompt to a finite [min, max]."""
         if "score_ranges" not in d:
             raise ConfigError("TSV schema missing key 'score_ranges'")
-        try:
-            ranges = {str(k): (float(v[0]), float(v[1])) for k, v in d["score_ranges"].items()}
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"TSV score_ranges must map prompts to [min, max]: {exc!r}") from None
-        for prompt, (lo, hi) in ranges.items():
+        if type(d["score_ranges"]) is not dict:
+            raise ConfigError(f"TSV score_ranges {d['score_ranges']!r:.40} is not an object")
+        columns = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        columns["score_ranges"] = ranges = {}
+        for prompt, bounds in d["score_ranges"].items():
+            if not (type(bounds) is list and len(bounds) == 2 and all(map(is_number, bounds))):
+                raise ConfigError(f"score range {bounds!r:.40} of prompt {prompt!r:.40} is not "
+                                  "a [min, max] array of finite numbers")
+            lo, hi = ranges[prompt] = float(bounds[0]), float(bounds[1])
             if not lo < hi:
-                raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r} is empty")
-        columns = {k: d[k] for k in ("id_col", "prompt_col", "text_col", "score_col") if k in d}
-        return cls(**columns, score_ranges=ranges)
+                raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r:.40} is empty")
+        return cls(**columns)
 
 
 def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
@@ -310,7 +312,7 @@ def split(samples: Sequence, fraction: float, seed: int) -> DatasetSplit:
     order = shuffled_indices(n, seed)
     train = tuple(samples[i] for i in order[:n_train])
     evals = tuple(samples[i] for i in order[n_train:])
-    return DatasetSplit(train=train, eval=evals, seed=seed, fraction=fraction)
+    return DatasetSplit(train=train, eval=evals)
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,11 @@ _FAMILIES = {
     },
 }
 
+_SCORE_NOISE = 0.04  # the standard deviation of each regression score's Gaussian noise
 
-def generate_regression_samples(
-    n: int, seed: int = 0, family: str = "A", noise: float = 0.04
-) -> list[tuple[str, float]]:
+
+def generate_regression_samples(n: int, seed: int = 0,
+                                family: str = "A") -> list[tuple[str, float]]:
     """Texts whose [0,1] score tracks distinct content-keyword coverage.
 
     Families share two thirds of their content keywords and most filler
@@ -134,7 +135,7 @@ def generate_regression_samples(
         while len(words) < length:
             words.append(fillers[int(rng.integers(len(fillers)))])
         rng.shuffle(words)
-        score = k / len(content) + float(rng.normal(0.0, noise))
+        score = k / len(content) + float(rng.normal(0.0, _SCORE_NOISE))
         samples.append((" ".join(words), float(min(max(score, 0.0), 1.0))))
     return samples
 

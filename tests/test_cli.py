@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from afg import cli, nn, structure, textproc
+from afg import cli, feedback, nn, structure, textproc
 from afg.cli import main
-from afg.feedback import build_report
+from afg.feedback import build_report, default_rules, rules_to_json
 from afg.ingest import load_answer_keys, load_submissions
 from afg.ingest import serialize_rct
 from afg.nn import CLASSIFICATION, EncoderConfig, classify_sentence, init_params, save_model_file
@@ -89,6 +89,34 @@ class TestPretrain:
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "pretrain"]) == 2
         assert "nowhere.tsv" in capsys.readouterr().err
+
+    def test_named_columns_train_the_same_model(self, tmp_path):
+        out, renamed_out = tmp_path / "out", tmp_path / "renamed_out"
+        body = pretrain_config(tmp_path, out)
+        assert main(["--config", str(write_config(tmp_path, body)), "pretrain"]) == 0
+        corpus = Path(body["pretrain"]["corpora"][0]["path"])
+        renamed = tmp_path / "renamed.tsv"
+        rows = corpus.read_text(encoding="utf-8").split("\n", 1)[1]
+        renamed.write_text("ident\tprompt\ttext\tmark\n" + rows, encoding="utf-8")
+        body["pretrain"]["corpora"][0].update(path=str(renamed), id_col="ident",
+                                              prompt_col="prompt", text_col="text",
+                                              score_col="mark")
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(renamed_out), "pretrain"]) == 0
+        model = (out / "pretrained.afgm").read_bytes()
+        assert (renamed_out / "pretrained.afgm").read_bytes() == model
+
+    def test_infinite_score_range_exits_2_before_writing(self, tmp_path, capsys):
+        # [0, 1e400] used to read as [0.0, inf] and pretrain on targets all 0.0.
+        out = tmp_path / "out"
+        body = pretrain_config(tmp_path, out)
+        body["pretrain"]["corpora"][0]["score_ranges"] = {"1": [0, "max"]}
+        cfg = write_config(tmp_path, body)
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace('"max"', "1e400"),
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "pretrain"]) == 2
+        assert "finite numbers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "out_dir": str(tmp_path / "o")})
@@ -280,6 +308,25 @@ class TestTrainClassifier:
         assert main(["--config", str(cfg), "--out", str(out1), "train-classifier"]) == 0
         assert main(["--config", str(cfg), "--out", str(out2), "train-classifier"]) == 0
         assert (out1 / "classifier.afgm").read_bytes() == (out2 / "classifier.afgm").read_bytes()
+
+    def test_given_vocabulary_file_is_the_models(self, tmp_path):
+        corpus = tmp_path / "rct.txt"
+        corpus.write_text(serialize_rct(generate_rct_corpus(20, seed=4)), encoding="utf-8")
+        # A vocabulary from other texts, which the corpus's own would not equal.
+        given = tmp_path / "given_vocab.txt"
+        build_vocab([text for abstract in generate_rct_corpus(10, seed=8)
+                     for _, text in abstract.sentences], max_size=120, min_frequency=1).save(given)
+        out = tmp_path / "out"
+        body = {
+            "seed": 2, "out_dir": str(out),
+            "model": {"embed_dim": 8, "hidden_dim": 8, "attention_dim": 6},
+            "vocab": {"path": str(given)},
+            "classifier": {"corpus": str(corpus), "epochs": 1, "batch_size": 16},
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "train-classifier"]) == 0
+        assert (out / "classifier_vocab.txt").read_bytes() == given.read_bytes()
+        _, config = nn.load_model_file(out / "classifier.afgm")
+        assert config.vocab_size == len(given.read_text(encoding="utf-8").splitlines())
 
     def test_one_sentence_corpus_exits_3(self, tmp_path, capsys):
         corpus = tmp_path / "rct.txt"
@@ -960,6 +1007,57 @@ def test_any_json_value_anywhere_in_the_config_exits_cleanly(path, new_key, valu
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), body)
         assert main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "grade"]) in (0, 2, 3)
+
+
+RULE_FILE_ENTRIES = json.loads(rules_to_json(default_rules()))
+RULE_FILE_KEYS = sorted({key for entry in RULE_FILE_ENTRIES for key in entry})
+
+
+def _grade_with_rules(tmp: Path, entries: list) -> tuple[int, Path]:
+    """``grade`` on the example files with ``entries`` as the rule file: its exit code and out."""
+    body, out = grade_config(DATA, DATA / "out"), tmp / "out"
+    (tmp / "rules.json").write_text(json.dumps(entries), encoding="utf-8")
+    body["grade"]["rules"] = str(tmp / "rules.json")
+    return main(["--config", str(write_config(tmp, body)), "--out", str(out), "grade"]), out
+
+
+# Each exited 0: the null template printed the comment "None", the id 7 read
+# as "7", and the "guards" key was ignored, so balance_suggest lost its guard.
+@pytest.mark.parametrize("entry", [
+    {**RULE_FILE_ENTRIES[0], "template": None},
+    {**RULE_FILE_ENTRIES[0], "id": 7},
+    {"guards" if key == "guard" else key: value for key, value in RULE_FILE_ENTRIES[0].items()},
+], ids=["null template", "integer id", "guards key"])
+def test_mistyped_or_unknown_rule_key_exits_2_before_writing(tmp_path, capsys, entry):
+    code, out = _grade_with_rules(tmp_path, [entry, *RULE_FILE_ENTRIES[1:]])
+    assert code == 2
+    assert "rule" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, len(RULE_FILE_ENTRIES) - 1),
+       key=st.sampled_from(RULE_FILE_KEYS) | st.text(max_size=8), value=JSON_VALUES)
+@example(index=0, key="template", value=None)
+@example(index=0, key="id", value=7)
+@example(index=0, key="guards", value=RULE_FILE_ENTRIES[0]["guard"])
+def test_any_json_value_in_any_rule_field_exits_cleanly(index, key, value):
+    """Rule-file twin of the data fuzzing: ``value`` replaces one field of one
+    default rule, or goes under a new key. A failed ``grade`` writes nothing;
+    a finished one comments on each abstract only with the file's templates
+    or the engine's fallback sentence."""
+    entries = json.loads(json.dumps(RULE_FILE_ENTRIES))
+    entries[index][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _grade_with_rules(Path(tmp), entries)
+        assert code in (0, 2)
+        if code == 2:
+            assert not list(out.rglob("*"))
+            return
+        templates = {entry.get("template") for entry in entries}
+        for report in json.loads((out / "feedback.json").read_text())["reports"]:
+            for comment in report["abstract_comments"]:
+                assert comment in templates or comment == feedback._FALLBACK_COMMENT
 
 
 EXAMPLE_FILES = {"submissions": json.loads((DATA / "example_submissions.json").read_text()),

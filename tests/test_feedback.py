@@ -179,6 +179,8 @@ class TestRuleConfig:
         {"guard": [{"dominant": "nope"}]},
         {"guard": [{"share_lt": [0.4, "background"]}]},
         {"guard": [{"min_share_ge": "0.1"}]},
+        {"template": None},
+        {"template": ["t"]},
     ], ids=lambda change: json.dumps(change))
     def test_invalid_rule_rejected_at_load(self, tmp_path, change):
         from afg.errors import ConfigError
@@ -191,23 +193,64 @@ class TestRuleConfig:
 
     def test_valid_rule_variants_load(self, tmp_path):
         [rule] = json.loads(rules_to_json([default_rules()[2]]))
+        assert "guard" not in rule  # background_praise has none
+        bare = {key: rule[key] for key in ("template", "priority")}
         variants = [
-            {"guard": []},
-            {"guard": [{}, {"dominant": "Observation", "min_share_ge": 0}]},
-            {"guard": [{"share_lt": ["technique", 1]}]},
-            {"comparator": "within", "threshold": [0, 1]},
-            {"class": "order", "comparator": None, "threshold": None},
+            rule,
+            {**rule, "guard": []},
+            {**rule, "guard": [{}, {"dominant": "Observation", "min_share_ge": 0}]},
+            {**rule, "guard": [{"share_lt": ["technique", 1]}]},
+            {**rule, "comparator": "within", "threshold": [0, 1]},
+            {**rule, "class": "order", "comparator": None, "threshold": None},
+            {**bare, "class": "order"},
+            {**bare, "class": "fallback", "guard": None},
         ]
         path = tmp_path / "rules.json"
-        path.write_text(json.dumps([{**rule, **change, "id": f"r{i}"}
-                                    for i, change in enumerate(variants)]), encoding="utf-8")
+        path.write_text(json.dumps([{**variant, "id": f"r{i}"}
+                                    for i, variant in enumerate(variants)]), encoding="utf-8")
         labels = [B, T, O]
         assert abstract_feedback(dist_for(labels), labels, load_rules(path))
+
+    def test_rule_file_format_is_unchanged_and_reads_back_equal(self, tmp_path):
+        golden = Path(__file__).parent / "golden" / "default_rules.json"
+        assert rules_to_json(default_rules()) == golden.read_text(encoding="utf-8")
+        assert load_rules(golden) == default_rules()
+
+    # An unknown key used to be ignored, so a misspelt guard dropped the
+    # guard; a missing key's message did not name the entry.
+    @pytest.mark.parametrize("index, change, message", [
+        (1, {"guards": [{"min_share_ge": 0.15}]}, "rule entry #1: unknown key 'guards'"),
+        (0, {"class": None}, "rule entry #0: missing key 'class'"),
+        (2, {"template": None}, "rule entry #2: missing key 'template'"),
+        (0, {"priority": None, "colour": 1}, "rule entry #0: unknown key 'colour'"),
+    ], ids=repr)
+    def test_unknown_or_missing_rule_key_names_entry_and_key(self, tmp_path, index, change,
+                                                             message):
+        entries = json.loads(rules_to_json(default_rules()))
+        for key, value in change.items():
+            if value is None:
+                del entries[index][key]
+            else:
+                entries[index][key] = value
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(ConfigError) as error:
+            load_rules(path)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("rule_id", [7, None, ["a"], {"a": 1}], ids=repr)
+    def test_non_string_rule_id_rejected(self, tmp_path, rule_id):
+        [rule] = json.loads(rules_to_json([default_rules()[2]]))
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([{**rule, "id": rule_id}]), encoding="utf-8")
+        with pytest.raises(ConfigError, match="is not a string"):
+            load_rules(path)
 
     @pytest.mark.parametrize("change", [
         {"cls": "nope"},
         {"comparator": "zz"},
         {"guard": ({"dominant_class": "observation"},)},
+        {"template": None},
     ], ids=repr)
     def test_invalid_rule_built_in_code_rejected(self, change):
         # Each used to construct, then raise only when first evaluated.

@@ -332,6 +332,17 @@ def test_degenerate_tsv_score_range_is_config_error():
         TsvSchema.from_dict({"score_ranges": {"1": [5, 5]}})
 
 
+# Each used to load: "06" as (0.0, 6.0), true as 1.0, strings as numbers, a
+# third item was ignored, and 1e400 (read as inf) gave targets all 0.0.
+@pytest.mark.parametrize("ranges", [
+    '{"1": "06"}', '{"1": [true, 5]}', '{"1": ["0", "6"]}', '{"1": [0, 6, 9]}',
+    '{"1": [0, 1e400]}', '[[0, 6]]', '"x"', "null",
+])
+def test_mistyped_tsv_score_range_is_config_error(ranges):
+    with pytest.raises(ConfigError, match="is not an? (object|\\[min, max\\] array)"):
+        TsvSchema.from_dict({"score_ranges": json.loads(ranges)})
+
+
 def _returns_or_raises_afg_error(parse, data: bytes) -> None:
     try:
         parse(io.BytesIO(data))
