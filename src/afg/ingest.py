@@ -136,6 +136,10 @@ class TsvSchema:
             lo, hi = ranges[prompt] = float(bounds[0]), float(bounds[1])
             if not lo < hi:
                 raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r:.40} is empty")
+            # Normalizing divides by the width, so it must be a finite float too.
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r:.40} is "
+                                  "wider than a float can hold")
         return cls(**columns)
 
 

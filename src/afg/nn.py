@@ -10,13 +10,16 @@ of the weights it is given, so gradient probes run it at extended precision.
 One batched forward, ``_batch_forward``, serves inference, training and the
 gradient check; a single text runs as a batch of one. Sequences are sorted
 by length and cut into chunks of at most TOKEN_BUDGET padded tokens (rows x
-longest row), and runs of consecutive chunks into groups of at most twice
-that. The LSTM recurrence runs over a group, the attention and head over
-each chunk. A group is a (B, T) id array, right-padded, rows in ascending
-length, so every row's valid tokens come first:
-  - the forward direction runs over it as is; at step t the rows still
-    inside their sequence are a suffix of the rows, and only those are
-    updated, so padded states stay exact zeros;
+longest row), and runs of consecutive chunks into groups of at most eight
+times that. The LSTM recurrence runs over a group, the attention and head
+over each chunk. A group is a (B, T) id array, right-padded, rows in
+ascending length, so every row's valid tokens come first:
+  - each direction's input pre-activations are a table, one product of
+    the embeddings of the group's distinct ids with the input weights, and
+    step t gathers its rows of the table into a gate slot;
+  - the forward direction runs over the group as is; at step t the rows
+    still inside their sequence are a suffix of the rows, and only those
+    are updated, so padded states stay exact zeros;
   - the backward direction runs over each row's valid prefix reversed,
     gathered with one index array that leaves the padding at the end,
     and its outputs are put back in order with the same array;
@@ -24,14 +27,23 @@ length, so every row's valid tokens come first:
     longest T) as views; padded positions score -inf before the attention
     softmax, so their weight is exactly 0.
 A step costs about the same in numpy calls for a handful of rows as for
-dozens, so grouping chunks cuts the steps, not the arithmetic. The result is
-bit-identical to running each chunk alone, every row through every step:
+dozens, so grouping chunks cuts the steps, not the arithmetic. Training keeps
+every step's gate and cell slots, the (T, B, 4H) and (T+1, B, H) histories
+that backprop reads; inference reuses one (B, 4H) and one (B, H) slot and
+keeps only the (T+1, B, H) states that the attention reads. That saving pays
+for the eight-fold group budget. The result is bit-identical to running each
+chunk alone, every row through every step:
   - numpy runs a one-row product as a gemv, whose rounding differs from a
-    gemm's, and a row of a gemm with two or more rows does not depend on
-    the other rows. So a step multiplies at least two rows, and a one-row
-    chunk is a group of its own;
-  - a chunk's softmax and attention-weighted sum run over its padded T,
-    and their summation order depends on T. So the chunks, and with them
+    gemm's, and a row of a 4H-wide gemm with two or more rows does not
+    depend on the other rows. So a step multiplies at least two rows, a
+    table of one distinct id repeats it, and a one-row chunk is a group
+    of its own, whose table is its stacked (T, 1, E) product, one gemv per
+    step. That row independence does not hold for every width: with
+    OpenBLAS, a row of a product whose output width n has n % 8 in
+    {1, 2, 3} (the heads) can depend on the row count;
+  - so the attention and head run over a chunk, not a group; a chunk's
+    softmax and attention-weighted sum run over its padded T, and their
+    summation order depends on T. So the chunks, and with them
     TOKEN_BUDGET, stay as they are; a larger budget changes the bytes of
     the confidences ``grade`` writes.
 Results come back in input order. Backprop runs each chunk as a whole from
@@ -187,7 +199,7 @@ def init_params(config: EncoderConfig) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 # Padded tokens (rows x longest row) per chunk; a group of chunks holds at most
-# twice as many. It bounds the padding work of a chunk and the memory of its cache.
+# eight times as many. It bounds the padding work of a chunk and the memory of its cache.
 TOKEN_BUDGET = 512
 
 
@@ -202,30 +214,40 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_forward(x: np.ndarray, lengths: np.ndarray, wx, wh, b, keep_cache: bool):
-    """Run one direction over time-major (T, B, E) inputs, rows in ascending length.
+def _lstm_forward(x: np.ndarray, idx: np.ndarray, lengths: np.ndarray, wx, wh, b,
+                  keep_cache: bool):
+    """Run one direction over a group, rows in ascending length.
 
-    Each row's valid steps come before its padding, so the rows still inside
-    their sequence at step t are a suffix ``[lo:]`` of the rows, and step t
-    updates only those; padded states stay exact zeros. Returns the time-major
-    states (T+1, B, H) and, with ``keep_cache``, the rest of the backprop cache.
+    ``x`` holds the embeddings of the ids of the group's gate table (see
+    ``_gate_table``) and the time-major (T, B) ``idx`` picks step t's rows of
+    the table. Each row's valid steps come before its padding, so the rows
+    still inside their sequence at step t are a suffix ``[lo:]`` of the rows,
+    and step t updates only those; padded states stay exact zeros. Returns the
+    time-major states (T+1, B, H) and, with ``keep_cache``, the gate and cell
+    histories that backprop reads.
     """
-    t_len, n, _ = x.shape
+    t_len, n = idx.shape
     h_dim = wh.shape[0]
     g_lo, g_hi = 2 * h_dim, 3 * h_dim
-    # Step t turns its input pre-activations into its gate activations in
-    # place. Time-major storage keeps each step's active rows contiguous.
-    gates = x @ wx
-    gates += b
-    hs = np.zeros((t_len + 1, n, h_dim), dtype=gates.dtype)
-    cs = np.zeros_like(hs)
+    proj = (x @ wx).reshape(len(x), 4 * h_dim)
+    proj += b
+    hs = np.zeros((t_len + 1, n, h_dim), dtype=proj.dtype)
+    # Step t gathers its input pre-activations into gate slot s and turns them
+    # into its gate activations in place; the cell state goes from slot s to
+    # s + 1. Backprop reads every step's slots, padded ones as zeros; without it
+    # one slot of each serves every step, and the cell state is updated in place.
+    # Time-major slots keep each step's active rows contiguous.
+    gates = np.zeros((t_len if keep_cache else 1, n, 4 * h_dim), dtype=proj.dtype)
+    cs = np.zeros((t_len + 1 if keep_cache else 1, n, h_dim), dtype=proj.dtype)
     for t, lo in enumerate(np.searchsorted(lengths, np.arange(t_len), side="right").tolist()):
+        s = t if keep_cache else 0
+        z = gates[s, lo:]
+        np.take(proj, idx[t, lo:], axis=0, out=z, mode="clip")
         # Numpy runs a one-row product as a gemv, whose rounding differs from a
-        # gemm's, and a gemm row does not depend on the other rows. So the product
-        # takes at least two rows, when there are two, and each active row gets
-        # the bits it would get with every row in the product.
+        # gemm's, and a row of a 4H-wide gemm does not depend on the other rows.
+        # So the product takes at least two rows, when there are two, and each
+        # active row gets the bits it would get with every row in the product.
         mm = max(min(lo, n - 2), 0)
-        z = gates[t, lo:]
         z += (hs[t, mm:] @ wh)[lo - mm :]
         g = np.tanh(z[:, g_lo:g_hi])
         # In-place sigmoid, 1 / (1 + exp(-z)), over all four blocks.
@@ -234,24 +256,24 @@ def _lstm_forward(x: np.ndarray, lengths: np.ndarray, wx, wh, b, keep_cache: boo
         z += 1.0
         np.divide(1.0, z, out=z)
         z[:, g_lo:g_hi] = g
-        c = cs[t + 1, lo:]
-        np.multiply(z[:, h_dim:g_lo], cs[t, lo:], out=c)
+        c = cs[s + keep_cache, lo:]
+        np.multiply(z[:, h_dim:g_lo], cs[s, lo:], out=c)
         c += z[:, :h_dim] * g
         h = hs[t + 1, lo:]
         np.tanh(c, out=h)
         h *= z[:, g_hi:]
     if not keep_cache:
         return {"hs": hs}
-    return {"x": x, "hs": hs, "cs": cs, "gates": gates}
+    return {"hs": hs, "cs": cs, "gates": gates}
 
 
-def _lstm_backward(dh_out: np.ndarray, cache, wx, wh, grads, prefix: str):
+def _lstm_backward(dh_out: np.ndarray, x: np.ndarray, cache, wx, wh, grads, prefix: str):
     """Backprop one direction over time-major (T, B, H) output gradients.
 
-    Adds the weight gradients over all T x B steps and returns the (T, B, E)
-    gradient wrt the inputs.
+    ``x`` holds the (T, B, E) inputs. Adds the weight gradients over all
+    T x B steps and returns the (T, B, E) gradient wrt the inputs.
     """
-    x, hs, cs, gates = cache["x"], cache["hs"], cache["cs"], cache["gates"]
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
     t_len, n, h_dim = dh_out.shape
     i, f, g, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
     tc = np.tanh(cs[1:])
@@ -315,14 +337,15 @@ def _backward(cache, dlogits: np.ndarray, p: ModelParams, grads):
     dh_cat += dpre @ p.att_w.T
 
     h_dim = p.hidden_dim
-    rev = cache["rev"]
+    ids, rev = cache["ids"], cache["rev"]
     rows = np.arange(len(rev))[:, None]
-    dx = _lstm_backward(dh_cat[:, :, :h_dim].swapaxes(0, 1), cache["fw"],
+    dx = _lstm_backward(dh_cat[:, :, :h_dim].swapaxes(0, 1), p.embed[ids.T], cache["fw"],
                         p.fw_wx, p.fw_wh, grads, "fw").swapaxes(0, 1)
-    dx_bw = _lstm_backward(dh_cat[:, :, h_dim:][rows, rev].swapaxes(0, 1), cache["bw"],
+    dx_bw = _lstm_backward(dh_cat[:, :, h_dim:][rows, rev].swapaxes(0, 1),
+                           p.embed[ids[rows, rev].T], cache["bw"],
                            p.bw_wx, p.bw_wh, grads, "bw").swapaxes(0, 1)
     dx += dx_bw[rows, rev]
-    np.add.at(grads["embed"], cache["ids"], dx)
+    np.add.at(grads["embed"], ids, dx)
 
 
 def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
@@ -341,7 +364,7 @@ def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
 
 
 def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
-    """``_chunks`` cut into runs of at most 2 * TOKEN_BUDGET padded tokens.
+    """``_chunks`` cut into runs of at most 8 * TOKEN_BUDGET padded tokens.
 
     A one-row chunk is a group of its own, so its steps stay one-row products.
     """
@@ -350,12 +373,30 @@ def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
     for chunk in _chunks(lengths):
         rows += len(chunk)
         if group and (len(chunk) == 1 or len(group[0]) == 1
-                      or rows * lengths[chunk[-1]] > 2 * TOKEN_BUDGET):
+                      or rows * lengths[chunk[-1]] > 8 * TOKEN_BUDGET):
             yield group
             group, rows = [], len(chunk)
         group.append(chunk)
     if group:
         yield group
+
+
+def _gate_table(ids: np.ndarray, rev: np.ndarray):
+    """The token ids of a group's gate tables and each direction's (T, B) index into them.
+
+    A multi-row group's table holds its distinct ids, at least two of them
+    (one is repeated), so its product is a gemm. A one-row group's table is
+    its (T, 1) ids in step order, so its stacked product stays one gemv per
+    step.
+    """
+    if len(ids) == 1:
+        steps = np.arange(ids.shape[1])
+        return ids.T, steps[:, None], steps[::-1, None]
+    tok, inv = np.unique(ids, return_inverse=True)
+    if len(tok) == 1:
+        tok = np.repeat(tok, 2)
+    inv = inv.reshape(ids.shape)
+    return tok, inv.T.copy(), inv[np.arange(len(ids))[:, None], rev].T.copy()
 
 
 def _direction_block(direction: dict, t_len: int, lo: int, hi: int) -> dict:
@@ -385,9 +426,10 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
         # Reverses each row's valid prefix and keeps its padding at the end; the
         # permutation is its own inverse, so the same array undoes it.
         rev = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)
-        fw = _lstm_forward(p.embed[ids.T], lengths, p.fw_wx, p.fw_wh, p.fw_b, keep_cache)
-        bw_ids = ids[np.arange(len(idx))[:, None], rev]
-        bw = _lstm_forward(p.embed[bw_ids.T], lengths, p.bw_wx, p.bw_wh, p.bw_b, keep_cache)
+        tok, fw_idx, bw_idx = _gate_table(ids, rev)
+        x = p.embed[tok]
+        fw = _lstm_forward(x, fw_idx, lengths, p.fw_wx, p.fw_wh, p.fw_b, keep_cache)
+        bw = _lstm_forward(x, bw_idx, lengths, p.bw_wx, p.bw_wh, p.bw_b, keep_cache)
         lo = 0
         for chunk in group:
             hi = lo + len(chunk)
@@ -474,9 +516,12 @@ class Predictor:
     """A trained model bound to its vocabulary: a list of texts in, outputs out.
 
     It converts the weights to float64 once and truncates at the model's
-    own ``max_sequence_length``. Texts are tokenized, run in length-sorted
-    chunks of at most TOKEN_BUDGET padded tokens, and returned in input order.
-    It checks nothing: ``load_model`` checks the shapes, the CLI the vocabulary size.
+    own ``max_sequence_length``. Texts are tokenized and sorted by length. The
+    recurrence steps over groups of up to 8 x TOKEN_BUDGET padded tokens and
+    keeps no gate or cell history; the attention and head run over chunks of
+    at most TOKEN_BUDGET. Outputs are returned in input order, and their bits
+    depend on the chunks (see the module docstring). It checks nothing:
+    ``load_model`` checks the shapes, the CLI the vocabulary size.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):

@@ -118,6 +118,16 @@ class TestPretrain:
         assert "finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_score_range_wider_than_a_float_exits_2_before_writing(self, tmp_path, capsys):
+        # [-1e308, 1e308] has a width of inf: pretrain used to exit 4, "training diverged".
+        out = tmp_path / "out"
+        body = pretrain_config(tmp_path, out)
+        body["pretrain"]["corpora"][0]["score_ranges"] = {"1": [-1e308, 1e308]}
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "pretrain"]) == 2
+        assert "prompt '1' is wider than a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "out_dir": str(tmp_path / "o")})
         assert main(["--config", str(cfg), "pretrain"]) == 2

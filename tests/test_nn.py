@@ -70,7 +70,7 @@ def _lstm_forward_padded(x: np.ndarray, wx, wh, b):
         cs[t + 1] += z[:, :h_dim] * g
         np.tanh(cs[t + 1], out=hs[t + 1])
         hs[t + 1] *= z[:, 3 * h_dim :]
-    return {"x": x, "hs": hs, "cs": cs, "gates": gates}
+    return {"hs": hs, "cs": cs, "gates": gates}
 
 
 def _forward(ids: np.ndarray, lengths: np.ndarray, p):
@@ -306,7 +306,7 @@ class TestGroupedRecurrence:
     """The recurrence over groups of chunks, stepping only the rows still inside their
     sequence, against every chunk run on its own with every row through every step."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         # A unique longest row, so that the last steps have one active row.
         lengths=st.lists(st.integers(1, 59), min_size=1, max_size=28).map(
@@ -315,20 +315,39 @@ class TestGroupedRecurrence:
         task=st.sampled_from([REGRESSION, CLASSIFICATION]),
         # Small budgets make one-row chunks, and groups of several chunks.
         budget=st.sampled_from([8, 64, TOKEN_BUDGET]),
+        # Hidden sizes with 4H % 8 == 4, and inner sizes below and above 8.
+        dims=st.tuples(st.sampled_from([2, 5, 8, 13]), st.sampled_from([1, 2, 3, 5, 8]),
+                       st.sampled_from([3, 6, 10])),
+        one_id=st.booleans(),
     )
-    @example(lengths=[3, 5, 9], seed=0, task=CLASSIFICATION, budget=TOKEN_BUDGET)
-    @example(lengths=[10, 10, 300, 301], seed=1, task=REGRESSION, budget=TOKEN_BUDGET)
+    @example(lengths=[3, 5, 9], seed=0, task=CLASSIFICATION, budget=TOKEN_BUDGET,
+             dims=(8, 8, 6), one_id=False)
+    @example(lengths=[10, 10, 300, 301], seed=1, task=REGRESSION, budget=TOKEN_BUDGET,
+             dims=(8, 8, 6), one_id=False)
     @example(lengths=TestBatchedForward.ONE_TO_FORTY, seed=2, task=CLASSIFICATION,
-             budget=TOKEN_BUDGET)
-    def test_logits_and_gradients_equal_the_reference(self, reg_setup, cls_setup, lengths,
-                                                      seed, task, budget):
-        config, params, _ = cls_setup if task == CLASSIFICATION else reg_setup
-        p64 = params.astype(np.float64)
+             budget=TOKEN_BUDGET, dims=(13, 3, 10), one_id=False)
+    # A multi-row group whose every token has the same id: a one-id gate table.
+    @example(lengths=[24, 24, 24, 24, 24, 24], seed=3, task=REGRESSION, budget=TOKEN_BUDGET,
+             dims=(5, 3, 6), one_id=True)
+    def test_logits_and_gradients_equal_the_reference(self, tiny_vocab, lengths, seed, task,
+                                                      budget, dims, one_id):
+        embed_dim, hidden_dim, attention_dim = dims
+        config = EncoderConfig(
+            vocab_size=len(tiny_vocab), embed_dim=embed_dim, hidden_dim=hidden_dim,
+            attention_dim=attention_dim, head=task,
+            n_classes=3 if task == CLASSIFICATION else 0, seed=3,
+        )
+        p64 = init_params(config).astype(np.float64)
         rng = np.random.default_rng(seed)
         # Spread the weights well beyond their initial range, as training does.
         for arr in p64.arrays().values():
             arr += rng.normal(0.0, 0.5, arr.shape)
-        seqs = [rng.integers(0, config.vocab_size, n) for n in lengths]
+        if one_id:
+            # Id 0 is also the padding id: then rows of any lengths have one id.
+            token = rng.integers(0, 2)
+            seqs = [np.full(n, token) for n in lengths]
+        else:
+            seqs = [rng.integers(0, config.vocab_size, n) for n in lengths]
         if task == CLASSIFICATION:
             targets = rng.integers(0, config.n_classes, len(seqs))
         else:
@@ -344,18 +363,40 @@ class TestGroupedRecurrence:
         for name, ref in ref_grads.items():
             assert np.array_equal(grads[name], ref), name
 
-    def test_groups_hold_whole_chunks_within_twice_the_budget(self):
-        lengths = TestBatchedForward.ONE_TO_FORTY + [300, 300, 10, 10]
-        chunks = list(_chunks(lengths))
-        groups = list(_groups(lengths))
+    LENGTHS = TestBatchedForward.ONE_TO_FORTY + [300, 300, 10, 10]
+
+    def test_groups_hold_whole_chunks_within_eight_times_the_budget(self):
+        chunks = list(_chunks(self.LENGTHS))
+        groups = list(_groups(self.LENGTHS))
         assert [chunk for group in groups for chunk in group] == chunks
         assert any(len(group) > 1 for group in groups)
+        padded = []
         for group in groups:
             rows = sum(len(chunk) for chunk in group)
+            padded.append(rows * self.LENGTHS[group[-1][-1]])
             if any(len(chunk) == 1 for chunk in group):
                 assert len(group) == 1
             elif len(group) > 1:
-                assert rows * lengths[group[-1][-1]] <= 2 * TOKEN_BUDGET
+                assert padded[-1] <= 8 * TOKEN_BUDGET
+        assert max(padded) > 2 * TOKEN_BUDGET
+
+    @pytest.mark.parametrize("budget", [8, TOKEN_BUDGET])
+    def test_inference_logits_equal_the_cached_forward(self, cls_setup, monkeypatch, budget):
+        # Without a cache one gate slot and one cell slot serve every step.
+        config, params, _ = cls_setup
+        p64 = params.astype(np.float64)
+        rng = np.random.default_rng(budget)
+        for arr in p64.arrays().values():
+            arr += rng.normal(0.0, 0.5, arr.shape)
+        seqs = [rng.integers(0, config.vocab_size, n) for n in self.LENGTHS]
+        monkeypatch.setattr(nn, "TOKEN_BUDGET", budget)
+        groups = list(_groups(self.LENGTHS))
+        assert any(len(group) == 1 and len(group[0]) == 1 for group in groups)
+        assert any(len(group) > 1 for group in groups)
+        logits, caches = _batch_forward(p64, seqs)
+        cached, _ = _batch_forward(p64, seqs, keep_cache=True)
+        assert caches is None
+        assert np.array_equal(logits, cached)
 
 
 class TestPredictor:
