@@ -2,10 +2,14 @@
 
 One encoder architecture serves both tasks, behind either a sigmoid
 regression head (abstract scoring) or a softmax classification head
-(sentence roles). Weights are stored as 32-bit floats; every forward,
-backward and update computation runs in 64-bit, which keeps the
-finite-difference gradient check meaningful. The forward keeps the dtype
-of the weights it is given, so gradient probes run it at extended precision.
+(sentence roles). Weights are stored as 32-bit floats, and the forward
+keeps the dtype of the weights it is given. Inference (``Predictor``,
+``predict_score``, ``classify_sentence``, ``encode``) runs it on the weights
+as loaded, at 32-bit, and applies the sigmoid or softmax to the logits
+widened to 64-bit, where the sigmoid's ``exp`` overflows only for a logit
+below about -709, not -88. Training and the loss run at 64-bit and the
+gradient probes at extended precision, which keeps the finite-difference
+gradient check meaningful.
 
 One batched forward, ``_batch_forward``, serves inference, training and the
 gradient check; a single text runs as a batch of one. Sequences are sorted
@@ -40,7 +44,9 @@ chunk alone, every row through every step:
     of its own, whose table is its stacked (T, 1, E) product, one gemv per
     step. That row independence does not hold for every width: with
     OpenBLAS, a row of a product whose output width n has n % 8 in
-    {1, 2, 3} (the heads) can depend on the row count;
+    {1, 2, 3} can depend on the row count. So the head, 1 or C wide, is
+    an elementwise product summed along each row; the one-wide attention
+    score ``u @ att_v`` can still depend on it;
   - so the attention and head run over a chunk, not a group; a chunk's
     softmax and attention-weighted sum run over its padded T, and their
     summation order depends on T. So the chunks, and with them
@@ -314,7 +320,9 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, rev: np.ndarray, fw, bw, p: M
     valid = np.arange(ids.shape[1]) < lengths[:, None]
     alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
     ctx = (alpha[:, None, :] @ h_cat)[:, 0]
-    logits = ctx @ p.head_w + p.head_b
+    # Not ``ctx @ head_w``: a row of that product can depend on the row count
+    # (see the module docstring), so a text's logits would follow its chunk.
+    logits = (ctx[:, :, None] * p.head_w).sum(axis=1) + p.head_b
     return {
         "ids": ids, "rev": rev, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
@@ -465,7 +473,7 @@ def encode(tokens, params: ModelParams, return_weights: bool = False,
            max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
     """Encode a token sequence into one attention-pooled context vector."""
     ids = _prepare_ids(tokens, max_sequence_length)
-    _, [(_, cache)] = _batch_forward(params.astype(np.float64), [ids], keep_cache=True)
+    _, [(_, cache)] = _batch_forward(params, [ids], keep_cache=True)
     if return_weights:
         return cache["ctx"][0], cache["alpha"][0]
     return cache["ctx"][0]
@@ -494,11 +502,14 @@ def _encode_samples(samples, vocab: Vocabulary, task: str, n_classes: int,
 
 
 def _one_text_logits(text: str, params: ModelParams, vocab: Vocabulary, head: str):
-    """The float64 logits of one text, from ``params`` if they have a ``head`` head."""
+    """One text's logits, run at the dtype of ``params`` and widened to float64.
+
+    ``params`` must have a ``head`` head.
+    """
     if (params.head_dim == 1) != (head == REGRESSION):
         raise ValueError(f"a {head} head is needed, the model has {params.head_dim} outputs")
     seqs = _encode_texts([text], vocab, DEFAULT_MAX_SEQUENCE_LENGTH)
-    return _batch_forward(params.astype(np.float64), seqs)[0][0]
+    return _batch_forward(params, seqs)[0][0].astype(np.float64)
 
 
 def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
@@ -509,42 +520,44 @@ def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
 def classify_sentence(sentence: str, params: ModelParams, vocab: Vocabulary) -> tuple[float, ...]:
     """Class probabilities for one sentence from the classification head."""
     logits = _one_text_logits(sentence, params, vocab, CLASSIFICATION)
-    return tuple(float(v) for v in _softmax(logits))
+    return tuple(_softmax(logits).tolist())
 
 
 class Predictor:
     """A trained model bound to its vocabulary: a list of texts in, outputs out.
 
-    It converts the weights to float64 once and truncates at the model's
-    own ``max_sequence_length``. Texts are tokenized and sorted by length. The
-    recurrence steps over groups of up to 8 x TOKEN_BUDGET padded tokens and
-    keeps no gate or cell history; the attention and head run over chunks of
-    at most TOKEN_BUDGET. Outputs are returned in input order, and their bits
-    depend on the chunks (see the module docstring). It checks nothing:
+    It runs the forward on the weights as given, float32 for a loaded model,
+    with no copy, and truncates at the model's own ``max_sequence_length``.
+    Texts are tokenized and sorted by length. The recurrence steps over
+    groups of up to 8 x TOKEN_BUDGET padded tokens and keeps no gate or cell
+    history; the attention and head run over chunks of at most TOKEN_BUDGET.
+    Outputs are returned in input order, and their bits depend on the chunks
+    (see the module docstring). It checks nothing:
     ``load_model`` checks the shapes, the CLI the vocabulary size.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):
         self.config = config
         self.vocab = vocab
-        self._p64 = params.astype(np.float64)
+        self.params = params
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
-        """(len(texts), head_dim) head outputs before the sigmoid or softmax."""
+        """(len(texts), head_dim) head outputs before the sigmoid or softmax, in
+        the dtype of the weights."""
         seqs = _encode_texts(texts, self.vocab, self.config.max_sequence_length)
-        return _batch_forward(self._p64, seqs)[0]
+        return _batch_forward(self.params, seqs)[0]
 
     def scores(self, texts: Sequence[str]) -> list[float]:
-        """Regression-head scores in (0, 1)."""
+        """Regression-head scores in (0, 1), from the logits widened to float64."""
         if self.config.head != REGRESSION:
             raise ValueError("scores need a regression head")
-        return [float(s) for s in _sigmoid(self.logits(texts)[:, 0])]
+        return _sigmoid(self.logits(texts)[:, 0].astype(np.float64)).tolist()
 
     def probabilities(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
-        """Classification-head class probabilities."""
+        """Classification-head class probabilities, from the logits widened to float64."""
         if self.config.head != CLASSIFICATION:
             raise ValueError("probabilities need a classification head")
-        return [tuple(float(v) for v in row) for row in _softmax(self.logits(texts))]
+        return list(map(tuple, _softmax(self.logits(texts).astype(np.float64)).tolist()))
 
 
 # ---------------------------------------------------------------------------

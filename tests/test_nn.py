@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from afg.nn import (
     _chunks,
     _groups,
     _loss_and_dlogits,
+    _sigmoid,
     _softmax,
     _zero_grads,
     batch_loss,
@@ -46,7 +48,13 @@ from afg.nn import (
     train,
 )
 from afg.objectives import LossSchedule
-from afg.synthdata import SEPARABLE_SENTENCES
+from afg.scoring import abstract_mark
+from afg.synthdata import (
+    SEPARABLE_SENTENCES,
+    generate_rct_corpus,
+    generate_regression_samples,
+    mapped_sentences,
+)
 from afg.textproc import build_vocab, tokenize
 
 
@@ -89,7 +97,7 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, p):
     u = np.tanh(h_cat @ p.att_w)
     alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
     ctx = (alpha[:, None, :] @ h_cat)[:, 0]
-    logits = ctx @ p.head_w + p.head_b
+    logits = (ctx[:, :, None] * p.head_w).sum(axis=1) + p.head_b
     return {
         "ids": ids, "rev": rev, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
@@ -114,9 +122,9 @@ def _reference_loss_and_grads(p, seqs, targets, task, p_weight):
     return logits, float(loss), grads
 
 
-def _forward_one(ids: np.ndarray, params):
-    """The one-row reference forward: ``ids`` alone, at float64."""
-    return _forward(ids[None], np.array([ids.shape[0]]), params.astype(np.float64))
+def _forward_one(ids: np.ndarray, params, dtype=np.float64):
+    """The one-row reference forward: ``ids`` alone, at ``dtype``."""
+    return _forward(ids[None], np.array([ids.shape[0]]), params.astype(dtype))
 
 
 @pytest.fixture(scope="module")
@@ -435,9 +443,90 @@ class TestPredictor:
 
 
 def _softmax_ref(ids, params) -> np.ndarray:
-    logits = _forward_one(np.asarray(ids), params)["logits"][0]
+    """Inference's reference: the forward at the weights' dtype, the softmax at float64."""
+    logits = _forward_one(np.asarray(ids), params, params.embed.dtype)["logits"][0]
+    logits = logits.astype(np.float64)
     e = np.exp(logits - logits.max())
     return e / e.sum()
+
+
+class TestInferencePrecision:
+    """Inference runs the forward at the weights' dtype and the heads at float64;
+    training and the gradient check run at float64."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """A small trained classifier and scorer, float32 as ``train`` returns them."""
+        sentences = [(text, int(label)) for text, label in
+                     mapped_sentences(generate_rct_corpus(24, seed=5))]
+        samples = generate_regression_samples(120, seed=6)
+        models = {}
+        for head, data in ((CLASSIFICATION, sentences), (REGRESSION, samples)):
+            vocab = build_vocab([text for text, _ in data], max_size=200, min_frequency=1)
+            config = EncoderConfig(vocab_size=len(vocab), embed_dim=12, hidden_dim=12,
+                                   attention_dim=6, head=head,
+                                   n_classes=3 if head == CLASSIFICATION else 0, seed=1)
+            params, _ = train(data, TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2,
+                                                seed=2), init_params(config), vocab)
+            models[head] = (config, params, vocab, [text for text, _ in data])
+        return models
+
+    def test_logits_keep_the_weights_dtype(self, cls_setup):
+        config, params, vocab = cls_setup
+        texts = TestPredictor.TEXTS
+        assert Predictor(params, config, vocab).logits(texts).dtype == np.float32
+        wide = Predictor(params.astype(np.float64), config, vocab).logits(texts)
+        assert wide.dtype == np.float64
+
+    def test_training_and_gradient_check_run_at_float64(self, reg_setup, monkeypatch):
+        _, params, vocab = reg_setup
+        seen = []
+
+        def recording(p, *args):
+            loss, grads = batch_loss_and_grads(p, *args)
+            seen.append((p.embed.dtype.name, {g.dtype.name for g in grads.values()}, type(loss)))
+            return loss, grads
+
+        monkeypatch.setattr(nn, "batch_loss_and_grads", recording)
+        samples = TestGradCheck.SAMPLES
+        train(samples, TrainConfig(epochs=1, batch_size=2), params, vocab)
+        grad_check(params, samples, vocab, n_weights=4)
+        assert len(seen) == 3
+        assert all(record == ("float64", {"float64"}, float) for record in seen)
+
+    def test_float32_and_float64_inference_agree(self, trained):
+        config, params, vocab, texts = trained[CLASSIFICATION]
+        probs32 = np.array(Predictor(params, config, vocab).probabilities(texts))
+        probs64 = np.array(Predictor(params.astype(np.float64), config, vocab)
+                           .probabilities(texts))
+        assert len(set(probs64.argmax(axis=1).tolist())) == 3
+        assert np.array_equal(probs32.argmax(axis=1), probs64.argmax(axis=1))
+        np.testing.assert_allclose(probs32, probs64, rtol=0, atol=1e-6)
+        config, params, vocab, texts = trained[REGRESSION]
+        scores32 = Predictor(params, config, vocab).scores(texts)
+        scores64 = Predictor(params.astype(np.float64), config, vocab).scores(texts)
+        assert len({abstract_mark(s) for s in scores64}) > 2
+        assert [abstract_mark(s) for s in scores32] == [abstract_mark(s) for s in scores64]
+        np.testing.assert_allclose(scores32, scores64, rtol=0, atol=1e-6)
+
+    def test_heads_run_on_widened_logits(self, reg_setup, cls_setup):
+        # At float32, exp overflows for a sigmoid logit below about -88 and underflows
+        # to 0 for a softmax gap above about 104; at float64 neither happens here.
+        config, params, vocab = reg_setup
+        low = params.copy()
+        low.head_b[:] = -100.0
+        text = "the cat sat on the mat"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = [predict_score(text, low, vocab),
+                      *Predictor(low, config, vocab).scores([text, "dog"])]
+        assert all(0.0 < s < 1e-40 for s in scores)
+        config, params, vocab = cls_setup
+        spread = params.copy()
+        spread.head_b[:] = [-100.0, 0.0, 100.0]
+        for probs in (classify_sentence(text, spread, vocab),
+                      *Predictor(spread, config, vocab).probabilities([text, "dog"])):
+            assert 0.0 < min(probs) < 1e-80
 
 
 class TestPredictScore:
@@ -649,9 +738,9 @@ class TestGradCheck:
     def test_zero_loss_sample_has_zero_head_gradient(self, reg_setup):
         _, params, vocab = reg_setup
         text = "the cat sat on the mat"
-        target = predict_score(text, params, vocab)  # exact stationary point
         p64 = params.astype(np.float64)
         seqs = [np.asarray(tokenize(text, vocab).token_ids)]
+        target = _sigmoid(_batch_forward(p64, seqs)[0][:, 0])[0]  # exact stationary point
         _, grads = batch_loss_and_grads(p64, seqs, np.array([target]), REGRESSION, 0.0)
         assert np.abs(grads["head_w"]).max() < 1e-12
         assert np.abs(grads["head_b"]).max() < 1e-12
