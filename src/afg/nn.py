@@ -6,8 +6,8 @@ regression head (abstract scoring) or a softmax classification head
 keeps the dtype of the weights it is given. Inference (``Predictor``,
 ``predict_score``, ``classify_sentence``, ``encode``) runs it on the weights
 as loaded, at 32-bit, and applies the sigmoid or softmax to the logits
-widened to 64-bit, where the sigmoid's ``exp`` overflows only for a logit
-below about -709, not -88. Training and the loss run at 64-bit and the
+widened to 64-bit, with the sigmoid's logit clamped at -700 so that its
+``exp`` stays finite. Training and the loss run at 64-bit and the
 gradient probes at extended precision, which keeps the finite-difference
 gradient check meaningful.
 
@@ -36,17 +36,18 @@ every step's gate and cell slots, the (T, B, 4H) and (T+1, B, H) histories
 that backprop reads; inference reuses one (B, 4H) and one (B, H) slot and
 keeps only the (T+1, B, H) states that the attention reads. That saving pays
 for the eight-fold group budget. The result is bit-identical to running each
-chunk alone, every row through every step:
+chunk alone, every row through every step, a one-row chunk as two copies:
   - numpy runs a one-row product as a gemv, whose rounding differs from a
     gemm's, and a row of a 4H-wide gemm with two or more rows does not
-    depend on the other rows. So a step multiplies at least two rows, a
-    table of one distinct id repeats it, and a one-row chunk is a group
-    of its own, whose table is its stacked (T, 1, E) product, one gemv per
-    step. That row independence does not hold for every width: with
-    OpenBLAS, a row of a product whose output width n has n % 8 in
-    {1, 2, 3} can depend on the row count. So the head, 1 or C wide, is
-    an elementwise product summed along each row; the one-wide attention
-    score ``u @ att_v`` can still depend on it;
+    depend on the other rows. So every recurrent product has at least two
+    rows: a step multiplies at least two, a table of one distinct id repeats
+    it, and a one-row group (a batch of one text, or a group left with one
+    row) runs as two copies of its row, whose chunk reads row 0. That row
+    independence does not hold for every width: with OpenBLAS, a row of a
+    product whose output width n has n % 8 in {1, 2, 3} can depend on the
+    row count. So the head, 1 or C wide, is an elementwise product summed
+    along each row; the one-wide attention score ``u @ att_v`` can still
+    depend on it;
   - so the attention and head run over a chunk, not a group; a chunk's
     softmax and attention-weighted sum run over its padded T, and their
     summation order depends on T. So the chunks, and with them
@@ -210,7 +211,8 @@ TOKEN_BUDGET = 512
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows at float64 below about -709; a logit at or above -700 keeps its bits.
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -700.0)))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -251,9 +253,9 @@ def _lstm_forward(x: np.ndarray, idx: np.ndarray, lengths: np.ndarray, wx, wh, b
         np.take(proj, idx[t, lo:], axis=0, out=z, mode="clip")
         # Numpy runs a one-row product as a gemv, whose rounding differs from a
         # gemm's, and a row of a 4H-wide gemm does not depend on the other rows.
-        # So the product takes at least two rows, when there are two, and each
-        # active row gets the bits it would get with every row in the product.
-        mm = max(min(lo, n - 2), 0)
+        # So the product takes at least two rows, and each active row gets the
+        # bits it would get with every row in the product.
+        mm = min(lo, n - 2)
         z += (hs[t, mm:] @ wh)[lo - mm :]
         g = np.tanh(z[:, g_lo:g_hi])
         # In-place sigmoid, 1 / (1 + exp(-z)), over all four blocks.
@@ -374,14 +376,13 @@ def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
 def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
     """``_chunks`` cut into runs of at most 8 * TOKEN_BUDGET padded tokens.
 
-    A one-row chunk is a group of its own, so its steps stay one-row products.
+    A chunk larger than that is a group of its own.
     """
     group: list[list[int]] = []
     rows = 0
     for chunk in _chunks(lengths):
         rows += len(chunk)
-        if group and (len(chunk) == 1 or len(group[0]) == 1
-                      or rows * lengths[chunk[-1]] > 8 * TOKEN_BUDGET):
+        if group and rows * lengths[chunk[-1]] > 8 * TOKEN_BUDGET:
             yield group
             group, rows = [], len(chunk)
         group.append(chunk)
@@ -392,14 +393,9 @@ def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
 def _gate_table(ids: np.ndarray, rev: np.ndarray):
     """The token ids of a group's gate tables and each direction's (T, B) index into them.
 
-    A multi-row group's table holds its distinct ids, at least two of them
-    (one is repeated), so its product is a gemm. A one-row group's table is
-    its (T, 1) ids in step order, so its stacked product stays one gemv per
-    step.
+    The table holds the group's distinct ids, at least two of them (one is
+    repeated), so its product is a gemm.
     """
-    if len(ids) == 1:
-        steps = np.arange(ids.shape[1])
-        return ids.T, steps[:, None], steps[::-1, None]
     tok, inv = np.unique(ids, return_inverse=True)
     if len(tok) == 1:
         tok = np.repeat(tok, 2)
@@ -416,7 +412,8 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
     """Logits of ``seqs`` in list order, run over length-sorted padded chunks.
 
     The recurrence runs over each group of chunks, the attention and head over
-    each chunk. With ``keep_cache`` the second result lists each chunk's
+    each chunk. A one-row group runs as two copies of its row, and its chunk
+    reads row 0. With ``keep_cache`` the second result lists each chunk's
     (indices into ``seqs``, chunk cache) in ``_chunks`` order; otherwise it is
     None and each group's states are dropped once its logits are read.
     """
@@ -425,6 +422,8 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
     seq_lengths = [len(s) for s in seqs]
     for group in _groups(seq_lengths):
         idx = [i for chunk in group for i in chunk]
+        if len(idx) == 1:
+            idx *= 2
         lengths = np.array([seq_lengths[i] for i in idx])
         # Padding reuses id 0: the recurrence never steps a padded position.
         ids = np.zeros((len(idx), lengths[-1]), dtype=np.int64)
@@ -529,11 +528,11 @@ class Predictor:
     It runs the forward on the weights as given, float32 for a loaded model,
     with no copy, and truncates at the model's own ``max_sequence_length``.
     Texts are tokenized and sorted by length. The recurrence steps over
-    groups of up to 8 x TOKEN_BUDGET padded tokens and keeps no gate or cell
-    history; the attention and head run over chunks of at most TOKEN_BUDGET.
-    Outputs are returned in input order, and their bits depend on the chunks
-    (see the module docstring). It checks nothing:
-    ``load_model`` checks the shapes, the CLI the vocabulary size.
+    groups of up to 8 x TOKEN_BUDGET padded tokens, at least two rows each,
+    and keeps no gate or cell history; the attention and head run over
+    chunks of at most TOKEN_BUDGET. Outputs are returned in input order, and
+    their bits depend on the chunks (see the module docstring). It checks
+    nothing: ``load_model`` checks the shapes, the CLI the vocabulary size.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):

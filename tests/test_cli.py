@@ -944,6 +944,61 @@ def test_config_checked_against_schema_before_writing(tmp_path, capsys, command,
     assert not out.exists()
 
 
+TSV_HEADER = "id\tset\tessay\tscore\n"
+UNMARKED = str(DATA / "example_submissions.json")
+BLANK_ABSTRACTS = json.dumps([dict(sub, abstract="   ") for sub in json.loads(
+    (DATA / "example_submissions.json").read_text(encoding="utf-8"))])
+
+
+# A (name, text) value is a file of that text in the config's directory; None drops the
+# key. Relative paths resolve against the config's directory.
+@pytest.mark.parametrize("command, keys, value, code, message", [
+    ("train-classifier", ("classifier", "corpus"), ("input.txt", ""), 3, "no abstracts in"),
+    ("train-classifier", ("classifier", "corpus"), ("input.txt", "###1\nBACKGROUND\t   \n"),
+     3, "line 2: empty sentence"),
+    ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER),
+     3, "no training samples"),
+    ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER + "e0\t1\tx\n"),
+     3, "line 2: expected 4 columns, got 3"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
+     2, "missing key 'score_ranges'"),
+    ("eval", ("eval",), {"submissions": UNMARKED,
+                         "scorer_model": {"type": "fixed_score", "score": 0.5}},
+     3, "no submissions with human marks"),
+    ("finetune", ("finetune",), {"submissions": UNMARKED,
+                                 "base_model": {"path": "scorer.afgm", "vocab": "vocab.txt"}},
+     3, "no submissions carry human marks"),
+    ("grade", ("grade", "scorer_model"),
+     {"type": "file", "path": "scorer.afgm", "vocab": "no_unk.txt"},
+     3, "missing reserved token [UNK]"),
+    ("grade", ("grade", "submissions"), ("input.json", BLANK_ABSTRACTS), 3, "empty abstract"),
+])
+def test_unusable_input_exits_with_its_code_before_writing(tmp_path, capsys, command, keys,
+                                                           value, code, message):
+    vocab = build_vocab(["tiny corpus text"], max_size=40, min_frequency=1)
+    vocab.save(tmp_path / "vocab.txt")
+    lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "no_unk.txt").write_text(
+        "".join(f"{line}\n" for line in lines if line != "[UNK]"), encoding="utf-8")
+    config = EncoderConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=4, attention_dim=3)
+    save_model_file(tmp_path / "scorer.afgm", init_params(config), config)
+    out = tmp_path / "out"
+    body = command_config(tmp_path, command, out)
+    section = body
+    for key in keys[:-1]:
+        section = section[key]
+    if value is None:
+        del section[keys[-1]]
+    elif isinstance(value, tuple):
+        (tmp_path / value[0]).write_text(value[1], encoding="utf-8")
+        section[keys[-1]] = value[0]
+    else:
+        section[keys[-1]] = value
+    assert main(["--config", str(write_config(tmp_path, body)), command]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_seed_flag_exits_2_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, grade_config(tmp_path, out))

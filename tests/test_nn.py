@@ -84,14 +84,20 @@ def _lstm_forward_padded(x: np.ndarray, wx, wh, b):
 def _forward(ids: np.ndarray, lengths: np.ndarray, p):
     """The reference forward of one right-padded (B, T) chunk, padded steps included.
 
+    A one-row chunk runs its recurrence as two copies of its row and keeps
+    row 0, so every recurrent product has two rows or more, as in ``nn``.
     Returns the chunk cache that ``nn._backward`` reads.
     """
     rows = np.arange(len(ids))[:, None]
     steps = np.arange(ids.shape[1])
     valid = steps < lengths[:, None]
     rev = np.where(valid, lengths[:, None] - 1 - steps, steps)
-    fw = _lstm_forward_padded(p.embed[ids.T], p.fw_wx, p.fw_wh, p.fw_b)
-    bw = _lstm_forward_padded(p.embed[ids[rows, rev].T], p.bw_wx, p.bw_wh, p.bw_b)
+    ids_fw, ids_bw = ids, ids[rows, rev]
+    if len(ids) == 1:
+        ids_fw, ids_bw = np.repeat(ids_fw, 2, axis=0), np.repeat(ids_bw, 2, axis=0)
+    fw = _lstm_forward_padded(p.embed[ids_fw.T], p.fw_wx, p.fw_wh, p.fw_b)
+    bw = _lstm_forward_padded(p.embed[ids_bw.T], p.bw_wx, p.bw_wh, p.bw_b)
+    fw, bw = ({k: v[:, : len(ids)] for k, v in d.items()} for d in (fw, bw))
     h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw["hs"][1:].swapaxes(0, 1)
     h_cat = np.concatenate([h_fw, h_bw[rows, rev]], axis=2)
     u = np.tanh(h_cat @ p.att_w)
@@ -123,7 +129,7 @@ def _reference_loss_and_grads(p, seqs, targets, task, p_weight):
 
 
 def _forward_one(ids: np.ndarray, params, dtype=np.float64):
-    """The one-row reference forward: ``ids`` alone, at ``dtype``."""
+    """The reference forward of ``ids`` alone, at ``dtype``."""
     return _forward(ids[None], np.array([ids.shape[0]]), params.astype(dtype))
 
 
@@ -337,6 +343,10 @@ class TestGroupedRecurrence:
     # A multi-row group whose every token has the same id: a one-id gate table.
     @example(lengths=[24, 24, 24, 24, 24, 24], seed=3, task=REGRESSION, budget=TOKEN_BUDGET,
              dims=(5, 3, 6), one_id=True)
+    # Rows over half the budget: one-row chunks sharing a group, then a group left
+    # with one row, the unique longest.
+    @example(lengths=[257, 300, 300, 411, 480, 480, 500, 500, 512], seed=4,
+             task=CLASSIFICATION, budget=TOKEN_BUDGET, dims=(8, 8, 6), one_id=False)
     def test_logits_and_gradients_equal_the_reference(self, tiny_vocab, lengths, seed, task,
                                                       budget, dims, one_id):
         embed_dim, hidden_dim, attention_dim = dims
@@ -378,13 +388,15 @@ class TestGroupedRecurrence:
         groups = list(_groups(self.LENGTHS))
         assert [chunk for group in groups for chunk in group] == chunks
         assert any(len(group) > 1 for group in groups)
+        # One-row chunks share groups like any other chunk.
+        assert any(len(group) > 1 and any(len(chunk) == 1 for chunk in group)
+                   for group in groups)
+        assert list(_groups([300] * 8)) == [[[i] for i in range(8)]]
         padded = []
         for group in groups:
             rows = sum(len(chunk) for chunk in group)
             padded.append(rows * self.LENGTHS[group[-1][-1]])
-            if any(len(chunk) == 1 for chunk in group):
-                assert len(group) == 1
-            elif len(group) > 1:
+            if len(group) > 1:
                 assert padded[-1] <= 8 * TOKEN_BUDGET
         assert max(padded) > 2 * TOKEN_BUDGET
 
@@ -398,13 +410,13 @@ class TestGroupedRecurrence:
             arr += rng.normal(0.0, 0.5, arr.shape)
         seqs = [rng.integers(0, config.vocab_size, n) for n in self.LENGTHS]
         monkeypatch.setattr(nn, "TOKEN_BUDGET", budget)
-        groups = list(_groups(self.LENGTHS))
-        assert any(len(group) == 1 and len(group[0]) == 1 for group in groups)
-        assert any(len(group) > 1 for group in groups)
-        logits, caches = _batch_forward(p64, seqs)
-        cached, _ = _batch_forward(p64, seqs, keep_cache=True)
-        assert caches is None
-        assert np.array_equal(logits, cached)
+        assert any(len(group) > 1 for group in _groups(self.LENGTHS))
+        # A batch of one text is a one-row group.
+        for batch in (seqs, seqs[:1]):
+            logits, caches = _batch_forward(p64, batch)
+            cached, _ = _batch_forward(p64, batch, keep_cache=True)
+            assert caches is None
+            assert np.array_equal(logits, cached)
 
 
 class TestPredictor:
@@ -511,16 +523,18 @@ class TestInferencePrecision:
 
     def test_heads_run_on_widened_logits(self, reg_setup, cls_setup):
         # At float32, exp overflows for a sigmoid logit below about -88 and underflows
-        # to 0 for a softmax gap above about 104; at float64 neither happens here.
+        # to 0 for a softmax gap above about 104. At float64 the sigmoid's exp overflows
+        # below about -709, so a logit of -1000 is clamped.
         config, params, vocab = reg_setup
-        low = params.copy()
-        low.head_b[:] = -100.0
         text = "the cat sat on the mat"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scores = [predict_score(text, low, vocab),
-                      *Predictor(low, config, vocab).scores([text, "dog"])]
-        assert all(0.0 < s < 1e-40 for s in scores)
+        for bias in (-100.0, -1000.0):
+            low = params.copy()
+            low.head_b[:] = bias
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scores = [predict_score(text, low, vocab),
+                          *Predictor(low, config, vocab).scores([text, "dog"])]
+            assert all(0.0 < s < 1e-40 for s in scores), bias
         config, params, vocab = cls_setup
         spread = params.copy()
         spread.head_b[:] = [-100.0, 0.0, 100.0]
