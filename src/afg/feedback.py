@@ -126,7 +126,8 @@ class FeedbackRule:
     subsequence of background -> technique -> observation, and "fallback" fires
     only when nothing else did. ``comparator`` (string or null) is lt, le, ge, gt
     or within; only order and fallback rules may leave it and ``threshold`` null.
-    ``threshold`` is a finite number, a [lo, hi] array of them for within, or null.
+    ``threshold`` is a finite number, a [lo, hi] array of them with lo < hi for
+    within, or null.
     ``template`` (string) is the comment. ``priority`` (integer), then ``id``, order
     fired rules. ``guard`` (array or null) is an OR-list of AND-condition objects
     with keys "dominant" (class name), "share_lt" ([class name, number]) and
@@ -177,6 +178,8 @@ def _rule_problem(rule: FeedbackRule) -> str | None:
         if not (type(rule.threshold) in (list, tuple) and len(rule.threshold) == 2
                 and all(map(is_number, rule.threshold))):
             return f"threshold {rule.threshold!r:.40} is not a [lo, hi] pair of finite numbers"
+        if rule.threshold[0] >= rule.threshold[1]:
+            return f"within range {list(rule.threshold)} is empty"
     elif not is_number(rule.threshold):
         return f"threshold {rule.threshold!r:.40} is not a finite number"
     if rule.guard is None:

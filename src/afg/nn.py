@@ -21,12 +21,12 @@ ascending length, so every row's valid tokens come first:
   - each direction's input pre-activations are a table, one product of
     the embeddings of the group's distinct ids with the input weights, and
     step t gathers its rows of the table into a gate slot;
-  - the forward direction runs over the group as is; at step t the rows
-    still inside their sequence are a suffix of the rows, and only those
-    are updated, so padded states stay exact zeros;
-  - the backward direction runs over each row's valid prefix reversed,
-    gathered with one index array that leaves the padding at the end,
-    and its outputs are put back in order with the same array;
+  - the forward direction steps the group from t = 0 up, the backward one
+    from the last step down; at step t the rows still inside their sequence
+    are a suffix of the rows, and only those are updated, so padded states
+    stay exact zeros. Going forward, step t reads state slot t and writes
+    slot t + 1; going backward, it reads slot t + 1 and writes slot t, so a
+    row's first step reads the zero state of its first padded slot;
   - each chunk reads its block of the group's states (its rows, its own
     longest T) as views; padded positions score -inf before the attention
     softmax, so their weight is exactly 0.
@@ -54,12 +54,12 @@ chunk alone, every row through every step, a one-row chunk as two copies:
     TOKEN_BUDGET, stay as they are; a larger budget changes the bytes of
     the confidences ``grade`` writes.
 Results come back in input order. Backprop runs each chunk as a whole from
-its cache: one reverse time loop per direction over (B, H) rows, each weight
-gradient one matmul over the chunk's T x B steps. It needs no mask: padded
-positions get exactly zero gradient from the attention and follow each
-row's valid steps in both directions, so the dh and dc they pass back are
-exact zeros. Gradients are summed chunk by chunk in ``_chunks`` order, a
-fixed order, so the same inputs give byte-identical results run to run.
+its cache: one time loop per direction over (B, H) rows, against the
+direction's step order, each weight gradient one matmul over the chunk's
+T x B steps. It needs no mask: padded positions get exactly zero gradient
+from the attention and their gate slots hold zeros, so the dh and dc they
+pass on are exact zeros. Gradients are summed chunk by chunk in ``_chunks``
+order, a fixed order, so the same inputs give byte-identical results run to run.
 One loss function serves training and the gradient probes.
 
 Layout conventions (the ModelParams field order, also the serialization order):
@@ -223,31 +223,33 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_forward(x: np.ndarray, idx: np.ndarray, lengths: np.ndarray, wx, wh, b,
-                  keep_cache: bool):
+                  keep_cache: bool, reverse: bool):
     """Run one direction over a group, rows in ascending length.
 
     ``x`` holds the embeddings of the ids of the group's gate table (see
     ``_gate_table``) and the time-major (T, B) ``idx`` picks step t's rows of
     the table. Each row's valid steps come before its padding, so the rows
     still inside their sequence at step t are a suffix ``[lo:]`` of the rows,
-    and step t updates only those; padded states stay exact zeros. Returns the
-    time-major states (T+1, B, H) and, with ``keep_cache``, the gate and cell
-    histories that backprop reads.
+    and step t updates only those; padded states stay exact zeros. Forward,
+    step t reads state slot t and writes t + 1; backward (``reverse``, t from
+    T - 1 down), it reads slot t + 1 and writes t. Returns the time-major
+    states (T+1, B, H) and, with ``keep_cache``, the gate and cell histories.
     """
     t_len, n = idx.shape
     h_dim = wh.shape[0]
     g_lo, g_hi = 2 * h_dim, 3 * h_dim
+    src, dst = (1, 0) if reverse else (0, 1)
     proj = (x @ wx).reshape(len(x), 4 * h_dim)
     proj += b
     hs = np.zeros((t_len + 1, n, h_dim), dtype=proj.dtype)
     # Step t gathers its input pre-activations into gate slot s and turns them
-    # into its gate activations in place; the cell state goes from slot s to
-    # s + 1. Backprop reads every step's slots, padded ones as zeros; without it
-    # one slot of each serves every step, and the cell state is updated in place.
-    # Time-major slots keep each step's active rows contiguous.
+    # into gate activations in place. Backprop reads every step's slots, padded
+    # ones as zeros; without it one slot of each serves every step, the cell
+    # state updated in place. Time-major slots keep a step's active rows contiguous.
     gates = np.zeros((t_len if keep_cache else 1, n, 4 * h_dim), dtype=proj.dtype)
     cs = np.zeros((t_len + 1 if keep_cache else 1, n, h_dim), dtype=proj.dtype)
-    for t, lo in enumerate(np.searchsorted(lengths, np.arange(t_len), side="right").tolist()):
+    active = enumerate(np.searchsorted(lengths, np.arange(t_len), side="right").tolist())
+    for t, lo in reversed(list(active)) if reverse else active:
         s = t if keep_cache else 0
         z = gates[s, lo:]
         np.take(proj, idx[t, lo:], axis=0, out=z, mode="clip")
@@ -256,7 +258,7 @@ def _lstm_forward(x: np.ndarray, idx: np.ndarray, lengths: np.ndarray, wx, wh, b
         # So the product takes at least two rows, and each active row gets the
         # bits it would get with every row in the product.
         mm = min(lo, n - 2)
-        z += (hs[t, mm:] @ wh)[lo - mm :]
+        z += (hs[t + src, mm:] @ wh)[lo - mm :]
         g = np.tanh(z[:, g_lo:g_hi])
         # In-place sigmoid, 1 / (1 + exp(-z)), over all four blocks.
         np.negative(z, out=z)
@@ -264,38 +266,38 @@ def _lstm_forward(x: np.ndarray, idx: np.ndarray, lengths: np.ndarray, wx, wh, b
         z += 1.0
         np.divide(1.0, z, out=z)
         z[:, g_lo:g_hi] = g
-        c = cs[s + keep_cache, lo:]
-        np.multiply(z[:, h_dim:g_lo], cs[s, lo:], out=c)
+        c = cs[s + dst * keep_cache, lo:]
+        np.multiply(z[:, h_dim:g_lo], cs[s + src * keep_cache, lo:], out=c)
         c += z[:, :h_dim] * g
-        h = hs[t + 1, lo:]
+        h = hs[t + dst, lo:]
         np.tanh(c, out=h)
         h *= z[:, g_hi:]
-    if not keep_cache:
-        return {"hs": hs}
-    return {"hs": hs, "cs": cs, "gates": gates}
+    return {"hs": hs, "cs": cs, "gates": gates} if keep_cache else {"hs": hs}
 
 
-def _lstm_backward(dh_out: np.ndarray, x: np.ndarray, cache, wx, wh, grads, prefix: str):
+def _lstm_backward(dh_out: np.ndarray, x: np.ndarray, cache, wx, wh, grads, prefix, reverse):
     """Backprop one direction over time-major (T, B, H) output gradients.
 
-    ``x`` holds the (T, B, E) inputs. Adds the weight gradients over all
-    T x B steps and returns the (T, B, E) gradient wrt the inputs.
+    ``x`` holds the (T, B, E) inputs. Forward, step t read state slot t and
+    wrote t + 1; backward (``reverse``), it read slot t + 1 and wrote t. Adds the
+    weight gradients over all T x B steps; returns the gradient wrt ``x``.
     """
     hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
     t_len, n, h_dim = dh_out.shape
+    before, after = (slice(None, -1), slice(1, None))[:: -1 if reverse else 1]
     i, f, g, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
-    tc = np.tanh(cs[1:])
+    tc = np.tanh(cs[after])
     # Each gate's pre-activation gradient is dc (i, f, g) or dh (o) times a
     # factor known from the forward; step t scales its factors in place.
     dz = np.empty((t_len, n, 4, h_dim), dtype=gates.dtype)
     np.multiply(g, i * (1.0 - i), out=dz[:, :, 0])
-    np.multiply(cs[:-1], f * (1.0 - f), out=dz[:, :, 1])
+    np.multiply(cs[before], f * (1.0 - f), out=dz[:, :, 1])
     np.multiply(i, 1.0 - g * g, out=dz[:, :, 2])
     np.multiply(tc, o * (1.0 - o), out=dz[:, :, 3])
     dc_dh = o * (1.0 - tc * tc)
     dh_next = np.zeros((n, h_dim), dtype=dh_out.dtype)
     dc_next = np.zeros_like(dh_next)
-    for t in range(t_len - 1, -1, -1):
+    for t in range(t_len)[::1 if reverse else -1]:
         dh = dh_out[t] + dh_next
         dc = dh * dc_dh[t]
         dc += dc_next
@@ -305,19 +307,20 @@ def _lstm_backward(dh_out: np.ndarray, x: np.ndarray, cache, wx, wh, grads, pref
         dh_next = dz[t].reshape(n, 4 * h_dim) @ wh.T
     dz = dz.reshape(t_len * n, 4 * h_dim)
     grads[prefix + "_wx"] += x.reshape(t_len * n, -1).T @ dz
-    grads[prefix + "_wh"] += hs[:-1].reshape(t_len * n, h_dim).T @ dz
+    grads[prefix + "_wh"] += hs[before].reshape(t_len * n, h_dim).T @ dz
     grads[prefix + "_b"] += dz.sum(axis=0)
     return (dz @ wx.T).reshape(t_len, n, -1)
 
 
-def _forward(ids: np.ndarray, lengths: np.ndarray, rev: np.ndarray, fw, bw, p: ModelParams):
+def _forward(ids: np.ndarray, lengths: np.ndarray, fw, bw, p: ModelParams):
     """Attention and head of one chunk, from its block of its group's states.
 
     Returns the chunk cache that ``_backward`` reads.
     """
-    rows = np.arange(len(ids))[:, None]
-    h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw["hs"][1:].swapaxes(0, 1)
-    h_cat = np.concatenate([h_fw, h_bw[rows, rev]], axis=2)
+    # Batch-major in memory, as the products over it round by its layout; a plain
+    # concatenate of the time-major states would be laid out time-major.
+    h_cat = np.empty((*ids.shape, 2 * p.hidden_dim), fw["hs"].dtype)
+    np.concatenate([fw["hs"][1:], bw["hs"][:-1]], axis=2, out=h_cat.swapaxes(0, 1))
     u = np.tanh(h_cat @ p.att_w)
     valid = np.arange(ids.shape[1]) < lengths[:, None]
     alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
@@ -326,7 +329,7 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, rev: np.ndarray, fw, bw, p: M
     # (see the module docstring), so a text's logits would follow its chunk.
     logits = (ctx[:, :, None] * p.head_w).sum(axis=1) + p.head_b
     return {
-        "ids": ids, "rev": rev, "fw": fw, "bw": bw, "h_cat": h_cat,
+        "ids": ids, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
     }
 
@@ -346,16 +349,11 @@ def _backward(cache, dlogits: np.ndarray, p: ModelParams, grads):
     grads["att_w"] += np.tensordot(h_cat, dpre, axes=([0, 1], [0, 1]))
     dh_cat += dpre @ p.att_w.T
 
-    h_dim = p.hidden_dim
-    ids, rev = cache["ids"], cache["rev"]
-    rows = np.arange(len(rev))[:, None]
-    dx = _lstm_backward(dh_cat[:, :, :h_dim].swapaxes(0, 1), p.embed[ids.T], cache["fw"],
-                        p.fw_wx, p.fw_wh, grads, "fw").swapaxes(0, 1)
-    dx_bw = _lstm_backward(dh_cat[:, :, h_dim:][rows, rev].swapaxes(0, 1),
-                           p.embed[ids[rows, rev].T], cache["bw"],
-                           p.bw_wx, p.bw_wh, grads, "bw").swapaxes(0, 1)
-    dx += dx_bw[rows, rev]
-    np.add.at(grads["embed"], ids, dx)
+    dh_fw, dh_bw = np.split(dh_cat.swapaxes(0, 1), 2, axis=2)
+    x = p.embed[cache["ids"].T]
+    dx = _lstm_backward(dh_fw, x, cache["fw"], p.fw_wx, p.fw_wh, grads, "fw", reverse=False)
+    dx += _lstm_backward(dh_bw, x, cache["bw"], p.bw_wx, p.bw_wh, grads, "bw", reverse=True)
+    np.add.at(grads["embed"], cache["ids"], dx.swapaxes(0, 1))
 
 
 def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
@@ -390,17 +388,16 @@ def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
         yield group
 
 
-def _gate_table(ids: np.ndarray, rev: np.ndarray):
-    """The token ids of a group's gate tables and each direction's (T, B) index into them.
+def _gate_table(ids: np.ndarray):
+    """The token ids of a group's gate tables and the (T, B) index into them.
 
     The table holds the group's distinct ids, at least two of them (one is
-    repeated), so its product is a gemm.
+    repeated), so its product is a gemm. Both directions share the index.
     """
     tok, inv = np.unique(ids, return_inverse=True)
     if len(tok) == 1:
         tok = np.repeat(tok, 2)
-    inv = inv.reshape(ids.shape)
-    return tok, inv.T.copy(), inv[np.arange(len(ids))[:, None], rev].T.copy()
+    return tok, inv.reshape(ids.shape).T.copy()
 
 
 def _direction_block(direction: dict, t_len: int, lo: int, hi: int) -> dict:
@@ -421,27 +418,23 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
     caches = [] if keep_cache else None
     seq_lengths = [len(s) for s in seqs]
     for group in _groups(seq_lengths):
-        idx = [i for chunk in group for i in chunk]
-        if len(idx) == 1:
-            idx *= 2
-        lengths = np.array([seq_lengths[i] for i in idx])
+        rows = [i for chunk in group for i in chunk]
+        if len(rows) == 1:
+            rows *= 2
+        lengths = np.array([seq_lengths[i] for i in rows])
         # Padding reuses id 0: the recurrence never steps a padded position.
-        ids = np.zeros((len(idx), lengths[-1]), dtype=np.int64)
-        for row, i in enumerate(idx):
+        ids = np.zeros((len(rows), lengths[-1]), dtype=np.int64)
+        for row, i in enumerate(rows):
             ids[row, : lengths[row]] = seqs[i]
-        steps = np.arange(lengths[-1])
-        # Reverses each row's valid prefix and keeps its padding at the end; the
-        # permutation is its own inverse, so the same array undoes it.
-        rev = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)
-        tok, fw_idx, bw_idx = _gate_table(ids, rev)
+        tok, idx = _gate_table(ids)
         x = p.embed[tok]
-        fw = _lstm_forward(x, fw_idx, lengths, p.fw_wx, p.fw_wh, p.fw_b, keep_cache)
-        bw = _lstm_forward(x, bw_idx, lengths, p.bw_wx, p.bw_wh, p.bw_b, keep_cache)
+        fw = _lstm_forward(x, idx, lengths, p.fw_wx, p.fw_wh, p.fw_b, keep_cache, reverse=False)
+        bw = _lstm_forward(x, idx, lengths, p.bw_wx, p.bw_wh, p.bw_b, keep_cache, reverse=True)
         lo = 0
         for chunk in group:
             hi = lo + len(chunk)
             t_len = lengths[hi - 1]
-            cache = _forward(ids[lo:hi, :t_len], lengths[lo:hi], rev[lo:hi, :t_len],
+            cache = _forward(ids[lo:hi, :t_len], lengths[lo:hi],
                              _direction_block(fw, t_len, lo, hi),
                              _direction_block(bw, t_len, lo, hi), p)
             logits[chunk] = cache["logits"]
@@ -531,8 +524,8 @@ class Predictor:
     groups of up to 8 x TOKEN_BUDGET padded tokens, at least two rows each,
     and keeps no gate or cell history; the attention and head run over
     chunks of at most TOKEN_BUDGET. Outputs are returned in input order, and
-    their bits depend on the chunks (see the module docstring). It checks
-    nothing: ``load_model`` checks the shapes, the CLI the vocabulary size.
+    their bits depend on the chunks (see the module docstring). ``load_model``
+    checks the shapes, the CLI the vocabulary size, ``logits`` the outputs.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):
@@ -542,9 +535,15 @@ class Predictor:
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), head_dim) head outputs before the sigmoid or softmax, in
-        the dtype of the weights."""
+        the dtype of the weights. Finite weights can still overflow: a text whose
+        outputs are not all finite is a CorruptModelError."""
         seqs = _encode_texts(texts, self.vocab, self.config.max_sequence_length)
-        return _batch_forward(self.params, seqs)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = _batch_forward(self.params, seqs)[0]
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        if bad.size:
+            raise CorruptModelError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
+        return logits
 
     def scores(self, texts: Sequence[str]) -> list[float]:
         """Regression-head scores in (0, 1), from the logits widened to float64."""

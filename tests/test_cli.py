@@ -742,6 +742,31 @@ class TestGrade:
         assert "non-finite weight" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["scorer_model", "classifier_model"])
+    def test_non_finite_model_output_exits_3_before_writing(self, tmp_path, capsys, spec):
+        # Every weight is a finite float32, but the saturated gates and a head of
+        # +-3e38 overflow the logits: the scorer's sigmoid gave a NaN score, the
+        # classifier NaN confidences.
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        vocab = build_vocab([s["abstract"] for s in subs], max_size=200, min_frequency=1)
+        head = {"head": CLASSIFICATION, "n_classes": 3} if spec == "classifier_model" else {}
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                               attention_dim=6, seed=1, **head)
+        params = init_params(config)
+        params.fw_b[:] = params.bw_b[:] = 50.0
+        params.head_w[:] = np.where(np.arange(16) % 8 < 4, 3e38, -3e38)[:, None]
+        save_model_file(tmp_path / "model.afgm", params, config)
+        vocab.save(tmp_path / "vocab.txt")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"][spec] = {"type": "file", "path": str(tmp_path / "model.afgm"),
+                               "vocab": str(tmp_path / "vocab.txt")}
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite model output for text" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_id", [
         "../escaped", "zz/sub", "a\\b", "", ".", "..", "a\x00b", "a\ud800", "a\nb",
         "\u00e9" * 127,

@@ -173,6 +173,8 @@ class TestRuleConfig:
         {"comparator": None},
         {"comparator": "within", "threshold": 0.2},
         {"comparator": "within", "threshold": [0.1, 0.2, 0.3]},
+        {"comparator": "within", "threshold": [0.5, 0.2]},
+        {"comparator": "within", "threshold": [0.2, 0.2]},
         {"class": "nope"},
         {"class": "order", "comparator": None, "threshold": 0.5},
         {"guard": [{"dominant_class": "observation"}]},
@@ -459,7 +461,8 @@ def rules(draw, rule_id="r"):
     if comparator is None:
         threshold = None
     elif comparator == "within":
-        threshold = (draw(thresholds), draw(thresholds))
+        # An empty range, lo >= hi, is rejected when the rule is made.
+        threshold = tuple(sorted(draw(st.lists(thresholds, min_size=2, max_size=2, unique=True))))
     else:
         threshold = draw(thresholds)
     return FeedbackRule(id=rule_id, cls=cls, comparator=comparator, threshold=threshold,

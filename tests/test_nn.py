@@ -81,11 +81,31 @@ def _lstm_forward_padded(x: np.ndarray, wx, wh, b):
     return {"hs": hs, "cs": cs, "gates": gates}
 
 
+def _in_input_order(bw, lengths):
+    """The backward direction's histories, moved from each row's reversed valid
+    prefix into ``nn``'s input-order slots, padded slots exactly zero.
+
+    ``nn`` steps position t by reading state slot t + 1 and writing slot t, so a
+    row of length n gets slots n..0 of its reversed run in slots 0..n. Backprop
+    passes a row's start-state gradient on into its padded slots, where zero
+    gates stop it. Backprop's products round by the arrays' memory layout, so
+    each keeps its input's time-major layout; fancy indexing could make it
+    batch-major.
+    """
+    out = {k: np.zeros_like(v) for k, v in bw.items()}
+    for row, n in enumerate(lengths):
+        for k in ("hs", "cs"):
+            out[k][: n + 1, row] = bw[k][n::-1, row]
+        out["gates"][:n, row] = bw["gates"][n - 1 :: -1, row]
+    return out
+
+
 def _forward(ids: np.ndarray, lengths: np.ndarray, p):
     """The reference forward of one right-padded (B, T) chunk, padded steps included.
 
-    A one-row chunk runs its recurrence as two copies of its row and keeps
-    row 0, so every recurrent product has two rows or more, as in ``nn``.
+    The backward direction runs over each row's valid prefix reversed, then its
+    padding. A one-row chunk runs its recurrence as two copies of its row and
+    keeps row 0, so every recurrent product has two rows or more, as in ``nn``.
     Returns the chunk cache that ``nn._backward`` reads.
     """
     rows = np.arange(len(ids))[:, None]
@@ -96,16 +116,17 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, p):
     if len(ids) == 1:
         ids_fw, ids_bw = np.repeat(ids_fw, 2, axis=0), np.repeat(ids_bw, 2, axis=0)
     fw = _lstm_forward_padded(p.embed[ids_fw.T], p.fw_wx, p.fw_wh, p.fw_b)
-    bw = _lstm_forward_padded(p.embed[ids_bw.T], p.bw_wx, p.bw_wh, p.bw_b)
+    bw_rev = _lstm_forward_padded(p.embed[ids_bw.T], p.bw_wx, p.bw_wh, p.bw_b)
+    bw = _in_input_order(bw_rev, lengths)
     fw, bw = ({k: v[:, : len(ids)] for k, v in d.items()} for d in (fw, bw))
-    h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw["hs"][1:].swapaxes(0, 1)
+    h_fw, h_bw = fw["hs"][1:].swapaxes(0, 1), bw_rev["hs"][1:, : len(ids)].swapaxes(0, 1)
     h_cat = np.concatenate([h_fw, h_bw[rows, rev]], axis=2)
     u = np.tanh(h_cat @ p.att_w)
     alpha = _softmax(np.where(valid, u @ p.att_v, -np.inf))
     ctx = (alpha[:, None, :] @ h_cat)[:, 0]
     logits = (ctx[:, :, None] * p.head_w).sum(axis=1) + p.head_b
     return {
-        "ids": ids, "rev": rev, "fw": fw, "bw": bw, "h_cat": h_cat,
+        "ids": ids, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
     }
 
@@ -347,6 +368,10 @@ class TestGroupedRecurrence:
     # with one row, the unique longest.
     @example(lengths=[257, 300, 300, 411, 480, 480, 500, 500, 512], seed=4,
              task=CLASSIFICATION, budget=TOKEN_BUDGET, dims=(8, 8, 6), one_id=False)
+    # One hidden unit, rows of different lengths in one group: the products over the
+    # attention input round by its memory layout, which must be batch-major.
+    @example(lengths=[3, 5, 9], seed=5, task=CLASSIFICATION, budget=TOKEN_BUDGET,
+             dims=(2, 1, 3), one_id=False)
     def test_logits_and_gradients_equal_the_reference(self, tiny_vocab, lengths, seed, task,
                                                       budget, dims, one_id):
         embed_dim, hidden_dim, attention_dim = dims
