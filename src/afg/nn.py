@@ -14,10 +14,11 @@ gradient check meaningful.
 One batched forward, ``_batch_forward``, serves inference, training and the
 gradient check; a single text runs as a batch of one. Sequences are sorted
 by length and cut into chunks of at most TOKEN_BUDGET padded tokens (rows x
-longest row), and runs of consecutive chunks into groups of at most eight
-times that. The LSTM recurrence runs over a group, the attention and head
-over each chunk. A group is a (B, T) id array, right-padded, rows in
-ascending length, so every row's valid tokens come first:
+longest row), and runs of consecutive chunks into groups that keep at most
+48 x TOKEN_BUDGET state values per hidden unit (see ``_groups``). The LSTM
+recurrence runs over a group, the attention and head over each chunk. A
+group is a (B, T) id array, right-padded, rows in ascending length, so every
+row's valid tokens come first:
   - each direction's input pre-activations are a table, one product of
     the embeddings of the group's distinct ids with the input weights, and
     step t gathers its rows of the table into a gate slot;
@@ -33,10 +34,12 @@ ascending length, so every row's valid tokens come first:
 A step costs about the same in numpy calls for a handful of rows as for
 dozens, so grouping chunks cuts the steps, not the arithmetic. Training keeps
 every step's gate and cell slots, the (T, B, 4H) and (T+1, B, H) histories
-that backprop reads; inference reuses one (B, 4H) and one (B, H) slot and
-keeps only the (T+1, B, H) states that the attention reads. That saving pays
-for the eight-fold group budget. The result is bit-identical to running each
-chunk alone, every row through every step, a one-row chunk as two copies:
+that backprop reads: six values per padded token and hidden unit with the
+states. Inference reuses one (B, 4H) and one (B, H) slot and keeps only the
+(T+1, B, H) states that the attention reads, one value per padded token, so
+its groups hold six times the padded tokens of a training group in the same
+memory. The result is bit-identical to running each chunk alone, every row
+through every step, a one-row chunk as two copies:
   - numpy runs a one-row product as a gemv, whose rounding differs from a
     gemm's, and a row of a 4H-wide gemm with two or more rows does not
     depend on the other rows. So every recurrent product has at least two
@@ -45,9 +48,9 @@ chunk alone, every row through every step, a one-row chunk as two copies:
     row) runs as two copies of its row, whose chunk reads row 0. That row
     independence does not hold for every width: with OpenBLAS, a row of a
     product whose output width n has n % 8 in {1, 2, 3} can depend on the
-    row count. So the head, 1 or C wide, is an elementwise product summed
-    along each row; the one-wide attention score ``u @ att_v`` can still
-    depend on it;
+    row count. So the head, 1 or C wide, is an ``einsum``, which sums each
+    row on its own whatever the row count; the one-wide attention score
+    ``u @ att_v`` can still depend on it;
   - so the attention and head run over a chunk, not a group; a chunk's
     softmax and attention-weighted sum run over its padded T, and their
     summation order depends on T. So the chunks, and with them
@@ -205,8 +208,9 @@ def init_params(config: EncoderConfig) -> ModelParams:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-# Padded tokens (rows x longest row) per chunk; a group of chunks holds at most
-# eight times as many. It bounds the padding work of a chunk and the memory of its cache.
+# Padded tokens (rows x longest row) per chunk; a group of chunks keeps at most 48
+# times as many state values per hidden unit. It bounds the padding work of a
+# chunk and the memory of its cache.
 TOKEN_BUDGET = 512
 
 
@@ -327,7 +331,7 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, fw, bw, p: ModelParams):
     ctx = (alpha[:, None, :] @ h_cat)[:, 0]
     # Not ``ctx @ head_w``: a row of that product can depend on the row count
     # (see the module docstring), so a text's logits would follow its chunk.
-    logits = (ctx[:, :, None] * p.head_w).sum(axis=1) + p.head_b
+    logits = np.einsum("bk,kc->bc", ctx, p.head_w) + p.head_b
     return {
         "ids": ids, "fw": fw, "bw": bw, "h_cat": h_cat,
         "u": u, "alpha": alpha, "ctx": ctx, "logits": logits,
@@ -371,16 +375,20 @@ def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
         yield chunk
 
 
-def _groups(lengths: Sequence[int]) -> Iterator[list[list[int]]]:
-    """``_chunks`` cut into runs of at most 8 * TOKEN_BUDGET padded tokens.
+def _groups(lengths: Sequence[int], values_per_token: int) -> Iterator[list[list[int]]]:
+    """``_chunks`` cut into runs that keep at most 48 * TOKEN_BUDGET state values
+    per hidden unit, ``values_per_token`` for each padded token (rows x longest row).
 
-    A chunk larger than that is a group of its own.
+    A padded token keeps 6 values with the training cache (4 gate, 1 cell, 1
+    state), so a cached group holds at most 8 * TOKEN_BUDGET padded tokens, and
+    1 without it (its state), so an uncached group holds six times as many. A
+    chunk larger than that is a group of its own.
     """
     group: list[list[int]] = []
     rows = 0
     for chunk in _chunks(lengths):
         rows += len(chunk)
-        if group and rows * lengths[chunk[-1]] > 8 * TOKEN_BUDGET:
+        if group and rows * lengths[chunk[-1]] * values_per_token > 48 * TOKEN_BUDGET:
             yield group
             group, rows = [], len(chunk)
         group.append(chunk)
@@ -417,7 +425,7 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
     logits = np.empty((len(seqs), p.head_dim), dtype=p.embed.dtype)
     caches = [] if keep_cache else None
     seq_lengths = [len(s) for s in seqs]
-    for group in _groups(seq_lengths):
+    for group in _groups(seq_lengths, 6 if keep_cache else 1):
         rows = [i for chunk in group for i in chunk]
         if len(rows) == 1:
             rows *= 2
@@ -493,6 +501,19 @@ def _encode_samples(samples, vocab: Vocabulary, task: str, n_classes: int,
     return seqs, targets
 
 
+def _checked_logits(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
+                    max_sequence_length: int) -> np.ndarray:
+    """Logits of ``texts`` in the dtype of ``params``. Finite weights can still
+    overflow: a text whose outputs are not all finite is a CorruptModelError."""
+    seqs = _encode_texts(texts, vocab, max_sequence_length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _batch_forward(params, seqs)[0]
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise CorruptModelError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
+    return logits
+
+
 def _one_text_logits(text: str, params: ModelParams, vocab: Vocabulary, head: str):
     """One text's logits, run at the dtype of ``params`` and widened to float64.
 
@@ -500,17 +521,19 @@ def _one_text_logits(text: str, params: ModelParams, vocab: Vocabulary, head: st
     """
     if (params.head_dim == 1) != (head == REGRESSION):
         raise ValueError(f"a {head} head is needed, the model has {params.head_dim} outputs")
-    seqs = _encode_texts([text], vocab, DEFAULT_MAX_SEQUENCE_LENGTH)
-    return _batch_forward(params, seqs)[0][0].astype(np.float64)
+    logits = _checked_logits(params, vocab, [text], DEFAULT_MAX_SEQUENCE_LENGTH)
+    return logits[0].astype(np.float64)
 
 
 def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
-    """Score free text in (0, 1) with the regression head."""
+    """Score free text in (0, 1) with the regression head; a non-finite logit
+    is a CorruptModelError."""
     return float(_sigmoid(_one_text_logits(text, params, vocab, REGRESSION)[0]))
 
 
 def classify_sentence(sentence: str, params: ModelParams, vocab: Vocabulary) -> tuple[float, ...]:
-    """Class probabilities for one sentence from the classification head."""
+    """Class probabilities for one sentence from the classification head; a
+    non-finite logit is a CorruptModelError."""
     logits = _one_text_logits(sentence, params, vocab, CLASSIFICATION)
     return tuple(_softmax(logits).tolist())
 
@@ -520,12 +543,13 @@ class Predictor:
 
     It runs the forward on the weights as given, float32 for a loaded model,
     with no copy, and truncates at the model's own ``max_sequence_length``.
-    Texts are tokenized and sorted by length. The recurrence steps over
-    groups of up to 8 x TOKEN_BUDGET padded tokens, at least two rows each,
-    and keeps no gate or cell history; the attention and head run over
-    chunks of at most TOKEN_BUDGET. Outputs are returned in input order, and
-    their bits depend on the chunks (see the module docstring). ``load_model``
-    checks the shapes, the CLI the vocabulary size, ``logits`` the outputs.
+    Texts are tokenized and sorted by length. The recurrence keeps no gate
+    or cell history, only one state value per padded token and hidden unit,
+    so it steps over groups of up to 48 x TOKEN_BUDGET padded tokens, at
+    least two rows each; the attention and head run over chunks of at most
+    TOKEN_BUDGET. Outputs are returned in input order, and their bits depend
+    on the chunks (see the module docstring). ``load_model`` checks the
+    shapes, the CLI the vocabulary size, ``logits`` the outputs.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):
@@ -535,15 +559,8 @@ class Predictor:
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), head_dim) head outputs before the sigmoid or softmax, in
-        the dtype of the weights. Finite weights can still overflow: a text whose
-        outputs are not all finite is a CorruptModelError."""
-        seqs = _encode_texts(texts, self.vocab, self.config.max_sequence_length)
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = _batch_forward(self.params, seqs)[0]
-        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
-        if bad.size:
-            raise CorruptModelError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
-        return logits
+        the dtype of the weights; non-finite ones are a CorruptModelError."""
+        return _checked_logits(self.params, self.vocab, texts, self.config.max_sequence_length)
 
     def scores(self, texts: Sequence[str]) -> list[float]:
         """Regression-head scores in (0, 1), from the logits widened to float64."""
