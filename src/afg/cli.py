@@ -231,17 +231,6 @@ def _emit(args, payload: dict, human: str) -> None:
 # Model specs: trained files or fixed oracles (testing seam)
 # ---------------------------------------------------------------------------
 
-def _load_model_with_vocab(spec: dict, what: str, head: str):
-    params, config = nn.load_model_file(spec["path"])
-    if config.head != head:
-        raise ConfigError(f"{what} model does not have a {head} head")
-    vocab = Vocabulary.load(spec["vocab"])
-    if len(vocab) != config.vocab_size:
-        raise ConfigError(f"{what}: vocabulary has {len(vocab)} tokens, "
-                          f"model expects {config.vocab_size}")
-    return params, config, vocab
-
-
 def _model_from_spec(spec: dict, what: str) -> Callable[[list[str]], list]:
     """A ``scorer`` or ``classifier`` spec as a function: a list of texts in, outputs out."""
     if spec["type"] == "fixed_score":
@@ -252,13 +241,9 @@ def _model_from_spec(spec: dict, what: str) -> Callable[[list[str]], list]:
             read_json(spec["path"], "fixed-labels file", ConfigError)
         )
         return lambda texts: list(map(classify, texts))
-    head = nn.REGRESSION if what == "scorer" else nn.CLASSIFICATION
-    params, config, vocab = _load_model_with_vocab(spec, what, head)
-    if head == nn.CLASSIFICATION and config.n_classes != len(structure.Label3):
-        raise ConfigError(f"classifier model has {config.n_classes} classes, "
-                          f"grading needs {len(structure.Label3)}")
-    predictor = nn.Predictor(params, config, vocab)
-    return predictor.scores if what == "scorer" else predictor.probabilities
+    if what == "scorer":
+        return nn.Predictor.from_file(spec["path"], spec["vocab"], 1).scores
+    return nn.Predictor.from_file(spec["path"], spec["vocab"], len(structure.Label3)).probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +251,9 @@ def _model_from_spec(spec: dict, what: str) -> Callable[[list[str]], list]:
 # ---------------------------------------------------------------------------
 
 def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Sequence,
-                     held_out: Sequence, *, n_classes: int = 0, base=None,
+                     held_out: Sequence, *, n_classes: int = 0, base: nn.Predictor | None = None,
                      vocab_file: str | None = None, evaluate: Callable | None = None) -> int:
-    """Train ``base`` (params, config, vocabulary) or a new model, evaluate, write.
+    """Train the model of ``base`` or a new one, evaluate, write.
 
     A new model gets a vocabulary of the training texts, saved as
     ``vocab_file``, and a regression head if ``n_classes`` is 0.
@@ -284,23 +269,22 @@ def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Se
             vocab_size=len(vocab), head=nn.CLASSIFICATION if n_classes else nn.REGRESSION,
             n_classes=n_classes, seed=cfg.seed, **cfg.sections["model"],
         ))
-        base = nn.init_params(config), config, vocab
-    params, config, vocab = base
+        base = nn.Predictor(nn.init_params(config), config, vocab)
     train_config = _config_value("training settings", lambda: nn.TrainConfig(
         seed=cfg.seed, **{key: section[key] for key in _TRAIN if key in section},
         schedule=objectives.LossSchedule(**section["schedule"]) if "schedule" in section else None,
     ))
-    params, train_log = nn.train(list(train), train_config, params, vocab,
-                                 max_sequence_length=config.max_sequence_length)
-    evaluation, headline = (evaluate(nn.Predictor(params, config, vocab), held_out)
+    params, train_log = nn.train(list(train), train_config, base.params, base.vocab,
+                                 max_sequence_length=base.config.max_sequence_length)
+    evaluation, headline = (evaluate(nn.Predictor(params, base.config, base.vocab), held_out)
                             if evaluate else (None, {}))
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    nn.save_model_file(out / model_file, params, config)
+    nn.save_model_file(out / model_file, params, base.config)
     summary = {"model": str(out / model_file), "seed": cfg.seed, "steps": train_log.steps_total}
     if vocab_file is not None:
-        vocab.save(out / vocab_file)
+        base.vocab.save(out / vocab_file)
         summary["vocab"] = str(out / vocab_file)
     _write_json(out / f"{name}_log.json", {"created_at": datetime.now(timezone.utc).isoformat(),
                                            "seed": cfg.seed, **train_log.to_json_dict()})
@@ -336,7 +320,7 @@ def _evaluate_scores(scores: Sequence[float], targets: Sequence[float]):
 
 def cmd_finetune(cfg: RunConfig, args) -> int:
     section = cfg.sections["finetune"]
-    base = _load_model_with_vocab(section["base_model"], "base", nn.REGRESSION)
+    base = nn.Predictor.from_file(section["base_model"]["path"], section["base_model"]["vocab"], 1)
     data = [
         (s.abstract, s.human_marks.abstract_mark / 6.0)
         for s in ingest.load_submissions(section["submissions"])

@@ -66,8 +66,8 @@ class CorruptModelError(ModelFormatError):
 
 
 class TrainingDivergedError(AfgError):
-    """Loss became non-finite during training."""
+    """The loss, or the weights as float32, became non-finite during training."""
 
-    def __init__(self, step: int):
-        super().__init__(f"training diverged at step {step} (non-finite loss)")
+    def __init__(self, step: int, what: str):
+        super().__init__(f"training diverged at step {step} (non-finite {what})")
         self.step = step

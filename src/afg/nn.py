@@ -3,13 +3,14 @@
 One encoder architecture serves both tasks, behind either a sigmoid
 regression head (abstract scoring) or a softmax classification head
 (sentence roles). Weights are stored as 32-bit floats, and the forward
-keeps the dtype of the weights it is given. Inference (``Predictor``,
-``predict_score``, ``classify_sentence``, ``encode``) runs it on the weights
-as loaded, at 32-bit, and applies the sigmoid or softmax to the logits
-widened to 64-bit, with the sigmoid's logit clamped at -700 so that its
-``exp`` stays finite. Training and the loss run at 64-bit and the
-gradient probes at extended precision, which keeps the finite-difference
-gradient check meaningful.
+keeps the dtype of the weights it is given. ``Predictor.from_file`` loads a
+model file with its vocabulary. Inference (``Predictor``, ``predict_score``,
+``classify_sentence``, ``encode``) runs on the weights as loaded, at 32-bit;
+one function, ``_outputs``, checks the head against the weights' width and
+applies the sigmoid or softmax to the logits widened to 64-bit, the sigmoid's
+logit clamped at -700 so that its ``exp`` stays finite. Training and the loss
+run at 64-bit and the gradient probes at extended precision, which keeps the
+finite-difference gradient check meaningful.
 
 One batched forward, ``_batch_forward``, serves inference, training and the
 gradient check; a single text runs as a batch of one. Sequences are sorted
@@ -88,6 +89,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    ConfigError,
     CorruptModelError,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -514,28 +516,29 @@ def _checked_logits(params: ModelParams, vocab: Vocabulary, texts: Sequence[str]
     return logits
 
 
-def _one_text_logits(text: str, params: ModelParams, vocab: Vocabulary, head: str):
-    """One text's logits, run at the dtype of ``params`` and widened to float64.
-
-    ``params`` must have a ``head`` head.
-    """
-    if (params.head_dim == 1) != (head == REGRESSION):
-        raise ValueError(f"a {head} head is needed, the model has {params.head_dim} outputs")
-    logits = _checked_logits(params, vocab, [text], DEFAULT_MAX_SEQUENCE_LENGTH)
-    return logits[0].astype(np.float64)
+def _outputs(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
+             max_sequence_length: int, regression: bool) -> np.ndarray:
+    """Scores (``regression``) or (len(texts), C) class probabilities of ``texts``:
+    the sigmoid or softmax of the logits widened to float64. The weights must
+    have the head: a regression head is 1 wide, a classification head wider."""
+    if (params.head_dim == 1) != regression:
+        raise ValueError(f"a {REGRESSION if regression else CLASSIFICATION} head is needed, "
+                         f"the model has {params.head_dim} outputs")
+    logits = _checked_logits(params, vocab, texts, max_sequence_length).astype(np.float64)
+    return _sigmoid(logits[:, 0]) if regression else _softmax(logits)
 
 
 def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
     """Score free text in (0, 1) with the regression head; a non-finite logit
     is a CorruptModelError."""
-    return float(_sigmoid(_one_text_logits(text, params, vocab, REGRESSION)[0]))
+    return float(_outputs(params, vocab, [text], DEFAULT_MAX_SEQUENCE_LENGTH, True)[0])
 
 
 def classify_sentence(sentence: str, params: ModelParams, vocab: Vocabulary) -> tuple[float, ...]:
     """Class probabilities for one sentence from the classification head; a
     non-finite logit is a CorruptModelError."""
-    logits = _one_text_logits(sentence, params, vocab, CLASSIFICATION)
-    return tuple(_softmax(logits).tolist())
+    return tuple(_outputs(params, vocab, [sentence], DEFAULT_MAX_SEQUENCE_LENGTH, False)[0]
+                 .tolist())
 
 
 class Predictor:
@@ -548,14 +551,28 @@ class Predictor:
     so it steps over groups of up to 48 x TOKEN_BUDGET padded tokens, at
     least two rows each; the attention and head run over chunks of at most
     TOKEN_BUDGET. Outputs are returned in input order, and their bits depend
-    on the chunks (see the module docstring). ``load_model`` checks the
-    shapes, the CLI the vocabulary size, ``logits`` the outputs.
+    on the chunks (see the module docstring). ``from_file`` checks the head
+    width and vocabulary size, ``load_model`` the shapes, ``logits`` the outputs.
     """
 
     def __init__(self, params: ModelParams, config: EncoderConfig, vocab: Vocabulary):
         self.config = config
         self.vocab = vocab
         self.params = params
+
+    @classmethod
+    def from_file(cls, path, vocab_path, head_dim: int) -> "Predictor":
+        """The model file at ``path`` with its vocabulary. A head not ``head_dim``
+        wide (1 for a scorer, the class count for a classifier) or a vocabulary of
+        another size than the model's is a ConfigError."""
+        params, config = load_model_file(path)
+        if config.head_dim != head_dim:
+            raise ConfigError(f"model {path} has a {config.head_dim}-wide head, {head_dim} needed")
+        vocab = Vocabulary.load(vocab_path)
+        if len(vocab) != config.vocab_size:
+            raise ConfigError(f"vocabulary {vocab_path} has {len(vocab)} tokens, "
+                              f"model {path} expects {config.vocab_size}")
+        return cls(params, config, vocab)
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), head_dim) head outputs before the sigmoid or softmax, in
@@ -564,15 +581,13 @@ class Predictor:
 
     def scores(self, texts: Sequence[str]) -> list[float]:
         """Regression-head scores in (0, 1), from the logits widened to float64."""
-        if self.config.head != REGRESSION:
-            raise ValueError("scores need a regression head")
-        return _sigmoid(self.logits(texts)[:, 0].astype(np.float64)).tolist()
+        return _outputs(self.params, self.vocab, texts, self.config.max_sequence_length,
+                        True).tolist()
 
     def probabilities(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
         """Classification-head class probabilities, from the logits widened to float64."""
-        if self.config.head != CLASSIFICATION:
-            raise ValueError("probabilities need a classification head")
-        return list(map(tuple, _softmax(self.logits(texts).astype(np.float64)).tolist()))
+        return list(map(tuple, _outputs(self.params, self.vocab, texts,
+                                        self.config.max_sequence_length, False).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +744,7 @@ def train(
                 p64, [seqs[i] for i in batch], targets[batch], task, p_weight
             )
             if not math.isfinite(loss):
-                raise TrainingDivergedError(step)
+                raise TrainingDivergedError(step, "loss")
             b1c = 1.0 - _ADAM_BETA1**step
             b2c = 1.0 - _ADAM_BETA2**step
             for name, arr in p64.arrays().items():
@@ -746,7 +761,7 @@ def train(
 
     out = p64.astype(np.float32)
     if not out.all_finite():
-        raise TrainingDivergedError(step)
+        raise TrainingDivergedError(step, "float32 weights")
     return out, log
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI runs on tiny synthetic data and the marking example."""
 
+import hashlib
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,14 @@ from afg.cli import main
 from afg.feedback import build_report, default_rules, rules_to_json
 from afg.ingest import load_answer_keys, load_submissions
 from afg.ingest import serialize_rct
-from afg.nn import CLASSIFICATION, EncoderConfig, classify_sentence, init_params, save_model_file
+from afg.nn import (
+    CLASSIFICATION,
+    EncoderConfig,
+    classify_sentence,
+    init_params,
+    save_model,
+    save_model_file,
+)
 from afg.structure import Label3
 from afg.objectives import weight_p, LossSchedule
 from afg.scoring import mark_submission
@@ -363,6 +372,17 @@ class TestTrainClassifier:
         assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "out").exists()
 
+    def test_weights_past_float32_exit_4_without_a_model(self, tmp_path, capsys):
+        # One step over the whole train split: its loss is finite, but a learning
+        # rate of 1e40 moves the weights past the float32 range.
+        out = tmp_path / "out"
+        body = command_config(tmp_path, "train-classifier", out)
+        body["classifier"].update(epochs=1, batch_size=10_000, learning_rate=1e40)
+        assert main(["--config", str(write_config(tmp_path, body)), "train-classifier"]) == 4
+        assert capsys.readouterr().err == (
+            "training error: training diverged at step 1 (non-finite float32 weights)\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, keys, value", [
     ("pretrain", ("pretrain", "epochs"), 0),
@@ -634,9 +654,9 @@ class TestGrade:
         ]
 
     @pytest.mark.parametrize("problem,message", [
-        ("five_classes", "classifier model has 5 classes, grading needs 3"),
-        ("regression_head", "classifier model does not have a classification head"),
-        ("short_vocabulary", "classifier: vocabulary has"),
+        ("five_classes", "clf.afgm has a 5-wide head, 3 needed"),
+        ("regression_head", "clf.afgm has a 1-wide head, 3 needed"),
+        ("short_vocabulary", "clf_vocab.txt has"),
     ])
     def test_mismatched_classifier_model_exits_2_before_writing(self, tmp_path, capsys,
                                                                 problem, message):
@@ -661,6 +681,39 @@ class TestGrade:
         assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "reports").exists()
+
+    @pytest.mark.parametrize("problem,message", [
+        ("repeated_token", "duplicate tokens in vocabulary file"),
+        ("head_code_7", "unknown head code 7"),
+        ("vocab_size_0", "vocab_size must be positive"),
+    ])
+    def test_unreadable_classifier_files_exit_3_before_writing(self, tmp_path, capsys,
+                                                               problem, message):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        vocab = build_vocab([s["abstract"] for s in subs], max_size=200, min_frequency=1)
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                               attention_dim=6, head=CLASSIFICATION, n_classes=3, seed=1)
+        blob = bytearray(save_model(init_params(config), config))
+        # The config block follows the 5-byte header, eight int64 fields in
+        # EncoderConfig order: vocab_size is field 0 and the head code field 4.
+        field, value = {"head_code_7": (4, 7), "vocab_size_0": (0, 0)}.get(problem, (None, 0))
+        if field is not None:
+            blob[5 + 8 * field : 13 + 8 * field] = struct.pack("<q", value)
+            blob[-8:] = hashlib.blake2b(bytes(blob[5:-8]), digest_size=8).digest()
+        (tmp_path / "clf.afgm").write_bytes(blob)
+        vocab.save(tmp_path / "clf_vocab.txt")
+        if problem == "repeated_token":
+            with open(tmp_path / "clf_vocab.txt", "a", encoding="utf-8") as f:
+                f.write(vocab.id_to_token[-1] + "\n")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["classifier_model"] = {
+            "type": "file", "path": str(tmp_path / "clf.afgm"),
+            "vocab": str(tmp_path / "clf_vocab.txt"),
+        }
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unlabelled_sentence_in_a_later_submission_writes_nothing(self, tmp_path, capsys):
         subs = json.loads((DATA / "example_submissions.json").read_text())
@@ -955,6 +1008,7 @@ def command_config(tmp_path: Path, command: str, out: Path) -> dict:
     ("pretrain", ("pretrain", "epochs"), "3", "invalid pretrain.epochs"),
     ("pretrain", ("pretrain", "epochs"), 2.5, "invalid pretrain.epochs"),
     ("train-classifier", ("classifier", "five_class"), "no", "invalid classifier.five_class"),
+    ("pretrain", ("pretrain", "corpora"), {}, "invalid pretrain.corpora: {} is not a JSON array"),
 ])
 def test_config_checked_against_schema_before_writing(tmp_path, capsys, command, keys, value,
                                                       message):
@@ -997,6 +1051,8 @@ BLANK_ABSTRACTS = json.dumps([dict(sub, abstract="   ") for sub in json.loads(
      {"type": "file", "path": "scorer.afgm", "vocab": "no_unk.txt"},
      3, "missing reserved token [UNK]"),
     ("grade", ("grade", "submissions"), ("input.json", BLANK_ABSTRACTS), 3, "empty abstract"),
+    ("grade", ("grade", "submissions"), ("input.json", '{"submission_id": "ex1"}'),
+     3, "submission file must be a JSON array"),
 ])
 def test_unusable_input_exits_with_its_code_before_writing(tmp_path, capsys, command, keys,
                                                            value, code, message):

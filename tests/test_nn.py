@@ -16,6 +16,7 @@ from afg import nn
 from afg.errors import (
     AfgError,
     BadMagicError,
+    ConfigError,
     CorruptModelError,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -43,9 +44,11 @@ from afg.nn import (
     grad_check,
     init_params,
     load_model,
+    load_model_file,
     max_grad_error,
     predict_score,
     save_model,
+    save_model_file,
     train,
 )
 from afg.objectives import LossSchedule
@@ -56,7 +59,7 @@ from afg.synthdata import (
     generate_regression_samples,
     mapped_sentences,
 )
-from afg.textproc import build_vocab, tokenize
+from afg.textproc import Vocabulary, build_vocab, tokenize
 
 
 def _lstm_forward_padded(x: np.ndarray, wx, wh, b):
@@ -540,6 +543,46 @@ class TestPredictor:
         config, params, vocab = reg_setup
         with pytest.raises(ValueError):
             Predictor(params, config, vocab).probabilities(["the cat"])
+
+    def test_one_text_helpers_equal_a_one_text_call_bit_for_bit(self, reg_setup, cls_setup):
+        for text in self.TEXTS:
+            config, params, vocab = reg_setup
+            (score,) = Predictor(params, config, vocab).scores([text])
+            assert predict_score(text, params, vocab) == score
+            config, params, vocab = cls_setup
+            (probs,) = Predictor(params, config, vocab).probabilities([text])
+            assert classify_sentence(text, params, vocab) == probs
+
+    @pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+    def test_from_file_equals_the_model_and_vocabulary_loaded_by_hand(
+            self, tmp_path, monkeypatch, reg_setup, cls_setup, head):
+        config, params, vocab = reg_setup if head == REGRESSION else cls_setup
+        model, vocab_file = tmp_path / "model.afgm", tmp_path / "vocab.txt"
+        save_model_file(model, params, config)
+        vocab.save(vocab_file)
+        loads = []
+        monkeypatch.setattr(nn, "load_model_file",
+                            lambda path: loads.append(path) or load_model_file(path))
+        predictor = Predictor.from_file(model, vocab_file, config.head_dim)
+        assert loads == [model]
+        by_hand = Predictor(*load_model_file(model), Vocabulary.load(vocab_file))
+        assert predictor.config == by_hand.config == config
+        assert np.array_equal(predictor.logits(self.TEXTS), by_hand.logits(self.TEXTS))
+
+    def test_from_file_rejects_a_wrong_width_or_a_short_vocabulary(self, tmp_path, cls_setup):
+        config, params, vocab = cls_setup
+        model, vocab_file = tmp_path / "model.afgm", tmp_path / "vocab.txt"
+        save_model_file(model, params, config)
+        vocab.save(vocab_file)
+        for width in (1, 2, 4):
+            with pytest.raises(ConfigError, match=f"model.afgm has a 3-wide head, {width} needed"):
+                Predictor.from_file(model, vocab_file, width)
+        short = tmp_path / "short.txt"
+        short.write_text("".join(f"{token}\n" for token in vocab.id_to_token[:-1]),
+                         encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"short.txt has {len(vocab) - 1} tokens, "
+                                              f"model .*model.afgm expects {len(vocab)}"):
+            Predictor.from_file(model, short, 3)
 
 
 def _softmax_ref(ids, params) -> np.ndarray:
