@@ -4,8 +4,8 @@ Subcommands: pretrain, finetune, train-classifier, grade, eval. One JSON
 config file drives a run (``--config`` or the AFG_CONFIG environment
 variable); ``--seed`` and ``--out`` flags override the config. All
 randomness flows from the single run seed, which is recorded in the JSON
-artifacts, so reruns with the same config are byte-identical apart from
-the timestamp in training-log headers.
+artifacts, so reruns with the same config and BLAS thread count are
+byte-identical apart from the timestamp in training-log headers.
 
 ``_SCHEMA`` is the config reference: each section's keys, their JSON types,
 defaults and ranges. ``RunConfig.load`` checks the whole file against it

@@ -8,9 +8,10 @@ model file with its vocabulary. Inference (``Predictor``, ``predict_score``,
 ``classify_sentence``, ``encode``) runs on the weights as loaded, at 32-bit;
 one function, ``_outputs``, checks the head against the weights' width and
 applies the sigmoid or softmax to the logits widened to 64-bit, the sigmoid's
-logit clamped at -700 so that its ``exp`` stays finite. Training and the loss
-run at 64-bit and the gradient probes at extended precision, which keeps the
-finite-difference gradient check meaningful.
+logit clamped at -700 so that its ``exp`` stays finite. Training is mixed
+precision (arXiv:1710.03740): a step's forward and backward run at 32-bit on a
+copy of 64-bit master weights, which ``_adam_step`` updates with its moments at
+64-bit. The gradient check runs at 64-bit and its probes at extended precision.
 
 One batched forward, ``_batch_forward``, serves inference, training and the
 gradient check; a single text runs as a batch of one. Sequences are sorted
@@ -63,7 +64,8 @@ direction's step order, each weight gradient one matmul over the chunk's
 T x B steps. It needs no mask: padded positions get exactly zero gradient
 from the attention and their gate slots hold zeros, so the dh and dc they
 pass on are exact zeros. Gradients are summed chunk by chunk in ``_chunks``
-order, a fixed order, so the same inputs give byte-identical results run to run.
+order, a fixed order, so the same inputs and BLAS thread count give the same bytes;
+OpenBLAS splits ``x.T @ dz`` by thread once its T x B passes a few hundred rows.
 One loss function serves training and the gradient probes.
 
 Layout conventions (the ModelParams field order, also the serialization order):
@@ -607,8 +609,8 @@ def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, task: str, p_weig
     if task == REGRESSION:
         preds = _sigmoid(logits[:, 0])
         y = np.asarray(targets, dtype=logits.dtype)
-        dpred = blended_loss_grad(preds, y, p_weight)
-        return blend_terms(preds, y, p_weight), (dpred * preds * (1.0 - preds))[:, None]
+        dlogits = blended_loss_grad(preds, y, p_weight) * preds * (1.0 - preds)
+        return blend_terms(preds, y, p_weight), dlogits.astype(logits.dtype)[:, None]
     n = len(logits)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -625,12 +627,12 @@ def batch_loss_and_grads(
     task: str,
     p_weight: float = 0.0,
 ):
-    """Loss plus parameter gradients for one mini-batch (64-bit params).
+    """Loss plus gradients for one mini-batch, in the dtype of ``p`` (float32 to train).
 
     The forward runs over length-sorted padded chunks and each chunk is
     backpropagated as a whole from its cache. Gradients are summed in a
     fixed order, chunk by chunk in ``_chunks`` order and then inside each
-    chunk's matmuls, which keeps runs with the same inputs byte-identical.
+    chunk's matmuls: same inputs and BLAS thread count, same bytes.
     """
     logits, caches = _batch_forward(p, seqs, keep_cache=True)
     loss, dlogits = _loss_and_dlogits(logits, targets, task, p_weight)
@@ -655,6 +657,23 @@ def batch_loss(p: ModelParams, seqs, targets, task: str, p_weight: float = 0.0):
 
 # Adam's moment decay rates and denominator epsilon.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_step(params: ModelParams, grads, m, v, step: int, learning_rate: float) -> float:
+    """Adam on float64 master weights and moments, in place, with each gradient widened
+    to float64; returns their global L2 norm, summed array by array in field order."""
+    b1c = 1.0 - _ADAM_BETA1**step
+    b2c = 1.0 - _ADAM_BETA2**step
+    sq = 0.0
+    for name, arr in params.arrays().items():
+        g, mn, vn = grads[name].astype(np.float64), m[name], v[name]
+        sq += float(np.sum(g * g))
+        mn *= _ADAM_BETA1
+        mn += (1.0 - _ADAM_BETA1) * g
+        vn *= _ADAM_BETA2
+        vn += (1.0 - _ADAM_BETA2) * g * g
+        arr -= learning_rate * (mn / b1c) / (np.sqrt(vn / b2c) + _ADAM_EPS)
+    return math.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -705,12 +724,13 @@ def train(
     vocab: Vocabulary,
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> tuple[ModelParams, TrainLog]:
-    """Mini-batch Adam training; returns updated params and a step log.
+    """Mini-batch Adam training; returns updated float32 params and a step log.
 
     The task follows the head shape: 1 output unit trains as regression
     with the scheduled STDE/MSE blend, anything wider as cross-entropy
     classification. The schedule horizon is fixed to the actual number of
-    update steps before training starts.
+    update steps before training starts. A step runs ``batch_loss_and_grads``
+    on a float32 copy of the float64 master weights, then ``_adam_step``.
     """
     if not data:
         raise ValueError("training data must be non-empty")
@@ -741,20 +761,12 @@ def train(
             batch = order[lo : lo + config.batch_size]
             p_weight = weight_p(step, schedule) if schedule is not None else 0.0
             loss, grads = batch_loss_and_grads(
-                p64, [seqs[i] for i in batch], targets[batch], task, p_weight
+                p64.astype(np.float32), [seqs[i] for i in batch], targets[batch], task, p_weight
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step, "loss")
-            b1c = 1.0 - _ADAM_BETA1**step
-            b2c = 1.0 - _ADAM_BETA2**step
-            for name, arr in p64.arrays().items():
-                g, mn, vn = grads[name], m[name], v[name]
-                mn *= _ADAM_BETA1
-                mn += (1.0 - _ADAM_BETA1) * g
-                vn *= _ADAM_BETA2
-                vn += (1.0 - _ADAM_BETA2) * g * g
-                arr -= config.learning_rate * (mn / b1c) / (np.sqrt(vn / b2c) + _ADAM_EPS)
-            entry = {"step": step, "epoch": epoch, "loss": loss}
+            grad_norm = _adam_step(p64, grads, m, v, step, config.learning_rate)
+            entry = {"step": step, "epoch": epoch, "loss": loss, "grad_norm": grad_norm}
             if schedule is not None:
                 entry["p"] = p_weight
             log.entries.append(entry)

@@ -594,8 +594,9 @@ def _softmax_ref(ids, params) -> np.ndarray:
 
 
 class TestInferencePrecision:
-    """Inference runs the forward at the weights' dtype and the heads at float64;
-    training and the gradient check run at float64."""
+    """Inference runs the forward at the weights' dtype and the heads at float64.
+    Training steps run the forward and backward at float32 and update float64
+    master weights; the gradient check runs at float64."""
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -621,21 +622,48 @@ class TestInferencePrecision:
         wide = Predictor(params.astype(np.float64), config, vocab).logits(texts)
         assert wide.dtype == np.float64
 
-    def test_training_and_gradient_check_run_at_float64(self, reg_setup, monkeypatch):
+    def test_training_steps_run_at_float32_and_the_gradient_check_at_float64(
+            self, reg_setup, monkeypatch):
         _, params, vocab = reg_setup
         seen = []
 
         def recording(p, *args):
             loss, grads = batch_loss_and_grads(p, *args)
-            seen.append((p.embed.dtype.name, {g.dtype.name for g in grads.values()}, type(loss)))
+            dtypes = {a.dtype.name for a in p.arrays().values()}
+            seen.append((dtypes, {g.dtype.name for g in grads.values()}, type(loss)))
             return loss, grads
 
         monkeypatch.setattr(nn, "batch_loss_and_grads", recording)
         samples = TestGradCheck.SAMPLES
-        train(samples, TrainConfig(epochs=1, batch_size=2), params, vocab)
+        trained, _ = train(samples, TrainConfig(epochs=1, batch_size=2), params, vocab)
+        assert seen == [({"float32"}, {"float32"}, float)] * 2
+        assert {a.dtype.name for a in trained.arrays().values()} == {"float32"}
+        seen.clear()
         grad_check(params, samples, vocab, n_weights=4)
-        assert len(seen) == 3
-        assert all(record == ("float64", {"float64"}, float) for record in seen)
+        assert seen == [({"float64"}, {"float64"}, float)]
+
+    @pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+    def test_float32_gradients_track_float64_ones(self, head):
+        # One 64-sample batch at the bench's encoder size; the combined loss's
+        # standard-deviation term is on at p_weight 0.5.
+        if head == CLASSIFICATION:
+            data = [(text, int(label)) for text, label in
+                    mapped_sentences(generate_rct_corpus(12, seed=5))][:64]
+        else:
+            data = generate_regression_samples(64, seed=6)
+        assert len(data) == 64
+        vocab = build_vocab([text for text, _ in data], max_size=400, min_frequency=1)
+        config = EncoderConfig(vocab_size=len(vocab), embed_dim=32, hidden_dim=32,
+                               attention_dim=16, head=head,
+                               n_classes=3 if head == CLASSIFICATION else 0, seed=4)
+        params = init_params(config)
+        seqs = [np.asarray(tokenize(text, vocab).token_ids) for text, _ in data]
+        targets = np.array([y for _, y in data])
+        _, g32 = batch_loss_and_grads(params, seqs, targets, head, 0.5)
+        _, g64 = batch_loss_and_grads(params.astype(np.float64), seqs, targets, head, 0.5)
+        err = sum(float(np.sum((g32[k] - g64[k]) ** 2)) for k in g64)
+        norm = sum(float(np.sum(g ** 2)) for g in g64.values())
+        assert math.sqrt(err / norm) < 1e-5
 
     def test_float32_and_float64_inference_agree(self, trained):
         config, params, vocab, texts = trained[CLASSIFICATION]
@@ -808,6 +836,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig(epochs=1, batch_size=1), params, vocab)
 
+    def test_grad_norm_is_the_widened_gradients_norm(self, reg_setup):
+        _, params, vocab = reg_setup
+        data = TestGradCheck.SAMPLES * 3
+        tc = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2, seed=7)
+        _, log = train(data, tc, params, vocab)
+        assert [list(e) for e in log.entries] == [["step", "epoch", "loss", "grad_norm"]] * 6
+        assert all(math.isfinite(e["grad_norm"]) and e["grad_norm"] > 0 for e in log.entries)
+        # Step 1's batch: the first batch_size indices of the seed's first permutation.
+        batch = np.random.default_rng(tc.seed).permutation(len(data))[: tc.batch_size]
+        seqs = [np.asarray(tokenize(data[i][0], vocab).token_ids) for i in batch]
+        targets = np.array([data[i][1] for i in batch])
+        _, grads = batch_loss_and_grads(params, seqs, targets, REGRESSION, 0.0)
+        widened = [g.astype(np.float64) for g in grads.values()]
+        assert log.entries[0]["grad_norm"] == math.sqrt(sum(float(np.sum(g * g)) for g in widened))
+
 
 class TestLoss:
     @settings(max_examples=40, deadline=None)
@@ -838,6 +881,15 @@ class TestLoss:
         loss, dlogits = _loss_and_dlogits(logits, targets, task, 0.5)
         assert loss.dtype == np.longdouble
         assert dlogits.shape == (4, n_out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+    def test_logit_gradient_keeps_the_logits_dtype(self, task, dtype):
+        n_out = 3 if task == CLASSIFICATION else 1
+        logits = np.linspace(-1.0, 1.0, 4 * n_out, dtype=dtype).reshape(4, n_out)
+        targets = np.array([0, 2, 1, 2]) if task == CLASSIFICATION else np.full(4, 0.5)
+        _, dlogits = _loss_and_dlogits(logits, targets, task, 0.5)
+        assert dlogits.dtype == dtype
 
 
 class TestGradCheck:
