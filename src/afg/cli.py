@@ -12,9 +12,11 @@ defaults and ranges. ``RunConfig.load`` checks the whole file against it
 before any command runs; a wrong type, a value out of range and an unknown
 key (named with the closest known key) are configuration errors. Keys that
 go straight into ``nn.EncoderConfig``, ``nn.TrainConfig``,
-``objectives.LossSchedule`` or ``build_vocab`` get their defaults and range
-checks there. The report formats, and the file extension of each, are
-``feedback.REPORT_FORMATS``. The three training commands share one skeleton.
+``objectives.LossSchedule`` or ``build_vocab`` get their range checks and
+defaults there, but for the defaults of ``epochs`` (5), ``batch_size`` (64)
+and ``vocab.max_size`` (512), which ``_SCHEMA`` sets. The report formats, and
+the file extension of each, are ``feedback.REPORT_FORMATS``. The three
+training commands share one skeleton.
 
 ``grade`` works over the whole cohort in stages, in submission-id order:
 mark every submission, segment each abstract once, run one classifier

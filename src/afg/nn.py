@@ -66,7 +66,10 @@ from the attention and their gate slots hold zeros, so the dh and dc they
 pass on are exact zeros. Gradients are summed chunk by chunk in ``_chunks``
 order, a fixed order, so the same inputs and BLAS thread count give the same bytes;
 OpenBLAS splits ``x.T @ dz`` by thread once its T x B passes a few hundred rows.
-One loss function serves training and the gradient probes.
+One loss function serves training and the gradient probes, and the head's
+width picks it: a 1-wide head trains on the STDE/MSE blend of its sigmoid
+outputs against scores in [0, 1], a C-wide one on cross-entropy against
+classes in [0, C).
 
 Layout conventions (the ModelParams field order, also the serialization order):
   embed [V, E]            token embeddings
@@ -493,16 +496,21 @@ def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_sequence_length: 
     return seqs
 
 
-def _encode_samples(samples, vocab: Vocabulary, task: str, n_classes: int,
-                    max_sequence_length: int):
-    """Token id arrays and a target vector for (text, target) samples."""
+def _encode_samples(samples, vocab: Vocabulary, head_dim: int, max_sequence_length: int):
+    """Token id arrays and a target vector for a non-empty list of (text, target)
+    samples: float scores in [0, 1] for a 1-wide head, int classes in [0, head_dim)
+    for a wider one. Any other target is a ValueError."""
+    if not samples:
+        raise ValueError("training data must be non-empty")
     seqs = _encode_texts([text for text, _ in samples], vocab, max_sequence_length)
-    if task == REGRESSION:
-        return seqs, np.array([float(y) for _, y in samples])
-    targets = np.array([int(y) for _, y in samples], dtype=np.int64)
-    if targets.min() < 0 or targets.max() >= n_classes:
-        raise ValueError("class label outside [0, n_classes)")
-    return seqs, targets
+    targets = np.array([y for _, y in samples], dtype=np.float64)
+    if head_dim == 1:
+        if not np.all((targets >= 0.0) & (targets <= 1.0)):  # NaN fails both
+            raise ValueError("a 1-wide head trains on finite scores in [0, 1]")
+        return seqs, targets
+    if not np.all((targets == np.round(targets)) & (targets >= 0) & (targets < head_dim)):
+        raise ValueError(f"a {head_dim}-wide head trains on integer classes in [0, {head_dim})")
+    return seqs, targets.astype(np.int64)
 
 
 def _checked_logits(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
@@ -600,13 +608,14 @@ def _zero_grads(p: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in p.arrays().items()}
 
 
-def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, task: str, p_weight: float):
+def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, p_weight: float):
     """Mean batch loss, in the dtype of ``logits``, and its gradient wrt the logits.
 
-    Regression blends STDE and MSE on sigmoid outputs at weight ``p_weight``;
-    classification is mean cross-entropy over the rows.
+    The logits' width picks the loss: one column blends STDE and MSE on the
+    sigmoid outputs at weight ``p_weight``; C columns are mean cross-entropy
+    over the rows, and ``p_weight`` is unused.
     """
-    if task == REGRESSION:
+    if logits.shape[1] == 1:
         preds = _sigmoid(logits[:, 0])
         y = np.asarray(targets, dtype=logits.dtype)
         dlogits = blended_loss_grad(preds, y, p_weight) * preds * (1.0 - preds)
@@ -624,31 +633,31 @@ def batch_loss_and_grads(
     p: ModelParams,
     seqs: Sequence[np.ndarray],
     targets: np.ndarray,
-    task: str,
     p_weight: float = 0.0,
 ):
     """Loss plus gradients for one mini-batch, in the dtype of ``p`` (float32 to train).
 
-    The forward runs over length-sorted padded chunks and each chunk is
-    backpropagated as a whole from its cache. Gradients are summed in a
-    fixed order, chunk by chunk in ``_chunks`` order and then inside each
-    chunk's matmuls: same inputs and BLAS thread count, same bytes.
+    The head's width picks the loss (see ``_loss_and_dlogits``). The forward
+    runs over length-sorted padded chunks and each chunk is backpropagated
+    as a whole from its cache. Gradients are summed in a fixed order, chunk
+    by chunk in ``_chunks`` order and then inside each chunk's matmuls: same
+    inputs and BLAS thread count, same bytes.
     """
     logits, caches = _batch_forward(p, seqs, keep_cache=True)
-    loss, dlogits = _loss_and_dlogits(logits, targets, task, p_weight)
+    loss, dlogits = _loss_and_dlogits(logits, targets, p_weight)
     grads = _zero_grads(p)
     for idx, cache in caches:
         _backward(cache, dlogits[idx], p, grads)
     return float(loss), grads
 
 
-def batch_loss(p: ModelParams, seqs, targets, task: str, p_weight: float = 0.0):
-    """Batch loss as a scalar in the parameter dtype.
+def batch_loss(p: ModelParams, seqs, targets, p_weight: float = 0.0):
+    """Batch loss as a scalar in the parameter dtype, picked by the head's width.
 
     Gradient probes evaluate this at extended precision and subtract two
     nearly equal values, so no stage may round back to float64.
     """
-    return _loss_and_dlogits(_batch_forward(p, seqs)[0], targets, task, p_weight)[0]
+    return _loss_and_dlogits(_batch_forward(p, seqs)[0], targets, p_weight)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +737,14 @@ def train(
 
     The task follows the head shape: 1 output unit trains as regression
     with the scheduled STDE/MSE blend, anything wider as cross-entropy
-    classification. The schedule horizon is fixed to the actual number of
-    update steps before training starts. A step runs ``batch_loss_and_grads``
-    on a float32 copy of the float64 master weights, then ``_adam_step``.
+    classification; targets that do not fit the head are a ValueError (see
+    ``_encode_samples``). The schedule horizon is fixed to the actual number
+    of update steps before training starts. A step runs
+    ``batch_loss_and_grads`` on a float32 copy of the float64 master weights,
+    then ``_adam_step``.
     """
-    if not data:
-        raise ValueError("training data must be non-empty")
+    seqs, targets = _encode_samples(data, vocab, params.head_dim, max_sequence_length)
     task = REGRESSION if params.head_dim == 1 else CLASSIFICATION
-    seqs, targets = _encode_samples(data, vocab, task, params.head_dim, max_sequence_length)
 
     n = len(data)
     steps_per_epoch = math.ceil(n / config.batch_size)
@@ -761,7 +770,7 @@ def train(
             batch = order[lo : lo + config.batch_size]
             p_weight = weight_p(step, schedule) if schedule is not None else 0.0
             loss, grads = batch_loss_and_grads(
-                p64.astype(np.float32), [seqs[i] for i in batch], targets[batch], task, p_weight
+                p64.astype(np.float32), [seqs[i] for i in batch], targets[batch], p_weight
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step, "loss")
@@ -781,27 +790,19 @@ def train(
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def _resolve_loss_spec(loss) -> tuple[str, float]:
-    if loss == "mse":
-        return REGRESSION, 0.0
-    if loss == "stde":
-        return REGRESSION, 1.0
-    if loss == "cross_entropy":
-        return CLASSIFICATION, 0.0
-    if isinstance(loss, tuple) and len(loss) == 2 and loss[0] == "combined":
-        return REGRESSION, float(loss[1])
-    raise ValueError(f"unknown loss spec {loss!r}")
+# Central-difference step of the gradient probes.
+_GRAD_CHECK_EPSILON = 1e-4
 
 
 def max_grad_error(
     p64: ModelParams,
     grads: dict[str, np.ndarray],
     loss_fn,
-    epsilon: float,
     n_weights: int,
     seed: int,
 ) -> float:
-    """Compare analytic grads to central differences on sampled weights.
+    """Compare analytic grads to central differences, step ``_GRAD_CHECK_EPSILON``,
+    on ``n_weights`` weights drawn with ``seed``.
 
     Probe losses run at the platform's widest float (80-bit on x86), which
     suppresses the rounding component of (L(w+e) - L(w-e)) / 2e and leaves
@@ -816,7 +817,7 @@ def max_grad_error(
     picks = rng.choice(total, size=min(n_weights, total), replace=False)
     offsets = np.cumsum([0] + sizes)
     worst = 0.0
-    eps = np.longdouble(epsilon)
+    eps = np.longdouble(_GRAD_CHECK_EPSILON)
     for flat in sorted(int(i) for i in picks):
         k = int(np.searchsorted(offsets, flat, side="right") - 1)
         arr = getattr(probe, names[k])
@@ -838,32 +839,24 @@ def grad_check(
     params: ModelParams,
     samples,
     vocab: Vocabulary,
-    loss="mse",
-    epsilon: float = 1e-4,
+    p_weight: float = 0.0,
     n_weights: int = 200,
     seed: int = 0,
 ) -> float:
-    """Max relative error between analytic and numeric gradients.
+    """Max relative error between analytic and numeric gradients of the loss
+    that ``train`` would use for the head of ``params``, at 64-bit.
 
-    ``samples`` is one (text, target) pair or a list of them; the loss is
-    computed over the whole batch, so the standard-deviation term of the
-    combined loss is exercised when two or more samples are given.
+    ``samples`` is a list of (text, target) pairs whose targets fit the head
+    (see ``_encode_samples``). A 1-wide head blends STDE and MSE at weight
+    ``p_weight``; the loss runs over the whole batch, so the blend's
+    standard-deviation term is exercised when two or more samples are given.
     """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError("epsilon must be in [1e-6, 1e-3]")
-    if isinstance(samples, tuple) and len(samples) == 2 and isinstance(samples[0], str):
-        samples = [samples]
-    task, p_weight = _resolve_loss_spec(loss)
-    seqs, targets = _encode_samples(samples, vocab, task, params.head_dim,
+    seqs, targets = _encode_samples(samples, vocab, params.head_dim,
                                     DEFAULT_MAX_SEQUENCE_LENGTH)
-
     p64 = params.astype(np.float64)
-    _, grads = batch_loss_and_grads(p64, seqs, targets, task, p_weight)
-    return max_grad_error(
-        p64, grads,
-        lambda p: batch_loss(p, seqs, targets, task, p_weight),
-        epsilon, n_weights, seed,
-    )
+    _, grads = batch_loss_and_grads(p64, seqs, targets, p_weight)
+    return max_grad_error(p64, grads, lambda p: batch_loss(p, seqs, targets, p_weight),
+                          n_weights, seed)
 
 
 # ---------------------------------------------------------------------------

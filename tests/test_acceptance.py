@@ -154,18 +154,17 @@ def test_criterion_2_gradient_checks(tiny_vocab):
             attention_dim=6, head=nn.REGRESSION, seed=seed,
         )
         reg_params = nn.init_params(reg_cfg)
-        for loss in ("mse", ("combined", 0.0), ("combined", 0.5), ("combined", 1.0)):
-            err = nn.grad_check(reg_params, reg_samples, tiny_vocab, loss=loss,
-                                epsilon=1e-4, n_weights=200, seed=seed)
-            assert err < 1e-4, f"seed {seed} loss {loss}: {err:.2e}"
+        for p_weight in (0.0, 0.5, 1.0):
+            err = nn.grad_check(reg_params, reg_samples, tiny_vocab, p_weight,
+                                n_weights=200, seed=seed)
+            assert err < 1e-4, f"seed {seed} p_weight {p_weight}: {err:.2e}"
             worst = max(worst, err)
         cls_cfg = nn.EncoderConfig(
             vocab_size=len(tiny_vocab), embed_dim=8, hidden_dim=hidden,
             attention_dim=6, head=nn.CLASSIFICATION, n_classes=3, seed=seed,
         )
         cls_params = nn.init_params(cls_cfg)
-        err = nn.grad_check(cls_params, cls_samples, tiny_vocab, loss="cross_entropy",
-                            epsilon=1e-4, n_weights=200, seed=seed)
+        err = nn.grad_check(cls_params, cls_samples, tiny_vocab, n_weights=200, seed=seed)
         assert err < 1e-4, f"seed {seed} cross_entropy: {err:.2e}"
         worst = max(worst, err)
     elapsed = time.time() - start

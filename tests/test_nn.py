@@ -135,7 +135,7 @@ def _forward(ids: np.ndarray, lengths: np.ndarray, p):
     }
 
 
-def _reference_loss_and_grads(p, seqs, targets, task, p_weight):
+def _reference_loss_and_grads(p, seqs, targets, p_weight):
     """Logits, loss and gradients with every ``_chunks`` chunk run by the reference forward."""
     logits = np.empty((len(seqs), p.head_dim))
     caches = []
@@ -146,7 +146,7 @@ def _reference_loss_and_grads(p, seqs, targets, task, p_weight):
             ids[row, : lengths[row]] = seqs[i]
         caches.append((idx, _forward(ids, lengths, p)))
         logits[idx] = caches[-1][1]["logits"]
-    loss, dlogits = _loss_and_dlogits(logits, targets, task, p_weight)
+    loss, dlogits = _loss_and_dlogits(logits, targets, p_weight)
     grads = _zero_grads(p)
     for idx, cache in caches:
         _backward(cache, dlogits[idx], p, grads)
@@ -328,11 +328,11 @@ class TestBatchedBackward:
         else:
             targets = rng.uniform(0.0, 1.0, len(seqs))
         assert len(list(_chunks(lengths))) > 1
-        loss, grads = batch_loss_and_grads(p64, seqs, targets, task, 0.5)
+        loss, grads = batch_loss_and_grads(p64, seqs, targets, 0.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "TOKEN_BUDGET", 1)
             assert len(list(_chunks(lengths))) == len(lengths)
-            ref_loss, ref_grads = batch_loss_and_grads(p64, seqs, targets, task, 0.5)
+            ref_loss, ref_grads = batch_loss_and_grads(p64, seqs, targets, 0.5)
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-12)
         assert grads.keys() == ref_grads.keys()
         for name, ref in ref_grads.items():
@@ -401,10 +401,9 @@ class TestGroupedRecurrence:
             targets = rng.uniform(0.0, 1.0, len(seqs))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "TOKEN_BUDGET", budget)
-            ref_logits, ref_loss, ref_grads = _reference_loss_and_grads(
-                p64, seqs, targets, task, 0.5)
+            ref_logits, ref_loss, ref_grads = _reference_loss_and_grads(p64, seqs, targets, 0.5)
             logits, _ = _batch_forward(p64, seqs)
-            loss, grads = batch_loss_and_grads(p64, seqs, targets, task, 0.5)
+            loss, grads = batch_loss_and_grads(p64, seqs, targets, 0.5)
         assert np.array_equal(logits, ref_logits)
         assert loss == ref_loss
         for name, ref in ref_grads.items():
@@ -659,8 +658,8 @@ class TestInferencePrecision:
         params = init_params(config)
         seqs = [np.asarray(tokenize(text, vocab).token_ids) for text, _ in data]
         targets = np.array([y for _, y in data])
-        _, g32 = batch_loss_and_grads(params, seqs, targets, head, 0.5)
-        _, g64 = batch_loss_and_grads(params.astype(np.float64), seqs, targets, head, 0.5)
+        _, g32 = batch_loss_and_grads(params, seqs, targets, 0.5)
+        _, g64 = batch_loss_and_grads(params.astype(np.float64), seqs, targets, 0.5)
         err = sum(float(np.sum((g32[k] - g64[k]) ** 2)) for k in g64)
         norm = sum(float(np.sum(g ** 2)) for g in g64.values())
         assert math.sqrt(err / norm) < 1e-5
@@ -836,6 +835,27 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig(epochs=1, batch_size=1), params, vocab)
 
+    @pytest.mark.parametrize("head, targets, message", [
+        pytest.param(CLASSIFICATION, [0.2, 0.7, 1.9, 0.4], "3-wide head trains on integer classes",
+                     id="scores-on-a-classifier"),
+        pytest.param(REGRESSION, [0, 1, 2, 1], "1-wide head trains on finite scores",
+                     id="class-ids-on-a-scorer"),
+        pytest.param(REGRESSION, [0.3, float("nan"), 0.5], "1-wide head trains on finite scores",
+                     id="nan-score"),
+        pytest.param(CLASSIFICATION, [0, 3, 1], r"integer classes in \[0, 3\)",
+                     id="class-c-on-a-c-wide-head"),
+        pytest.param(CLASSIFICATION, [], "training data must be non-empty", id="no-samples"),
+    ])
+    def test_targets_must_fit_the_head(self, reg_setup, cls_setup, head, targets, message):
+        # The head's width picks the loss, so targets made for the other head
+        # would train it on the wrong problem without an error.
+        _, params, vocab = cls_setup if head == CLASSIFICATION else reg_setup
+        samples = list(zip(TestGradCheck.MIXED_TEXTS, targets))
+        with pytest.raises(ValueError, match=message):
+            train(samples, TrainConfig(epochs=1, batch_size=2), params, vocab)
+        with pytest.raises(ValueError, match=message):
+            grad_check(params, samples, vocab, n_weights=4)
+
     def test_grad_norm_is_the_widened_gradients_norm(self, reg_setup):
         _, params, vocab = reg_setup
         data = TestGradCheck.SAMPLES * 3
@@ -847,7 +867,7 @@ class TestTrain:
         batch = np.random.default_rng(tc.seed).permutation(len(data))[: tc.batch_size]
         seqs = [np.asarray(tokenize(data[i][0], vocab).token_ids) for i in batch]
         targets = np.array([data[i][1] for i in batch])
-        _, grads = batch_loss_and_grads(params, seqs, targets, REGRESSION, 0.0)
+        _, grads = batch_loss_and_grads(params, seqs, targets)
         widened = [g.astype(np.float64) for g in grads.values()]
         assert log.entries[0]["grad_norm"] == math.sqrt(sum(float(np.sum(g * g)) for g in widened))
 
@@ -859,7 +879,7 @@ class TestLoss:
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=5.0, size=(n, c))
         targets = rng.integers(0, c, n)
-        loss, dlogits = _loss_and_dlogits(logits, targets, CLASSIFICATION, 0.0)
+        loss, dlogits = _loss_and_dlogits(logits, targets, 0.0)
         # Reference: one row at a time; the vectorised log and mean may round
         # differently, so equality holds to a few float64 ulps.
         tol = 64 * np.finfo(np.float64).eps
@@ -873,22 +893,26 @@ class TestLoss:
             np.testing.assert_allclose(dlogits[j], grad / n, rtol=tol, atol=tol / n)
         assert loss == pytest.approx(ref_loss / n, rel=tol, abs=tol)
 
-    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
-    def test_loss_keeps_the_logits_dtype(self, task):
-        n_out = 3 if task == CLASSIFICATION else 1
-        logits = np.linspace(-1.0, 1.0, 4 * n_out, dtype=np.longdouble).reshape(4, n_out)
-        targets = np.array([0, 2, 1, 2]) if task == CLASSIFICATION else np.full(4, 0.5)
-        loss, dlogits = _loss_and_dlogits(logits, targets, task, 0.5)
+    # Head width 1 takes the regression loss, any wider width cross-entropy.
+    HEAD_DIMS = [pytest.param(1, id=REGRESSION), pytest.param(3, id=CLASSIFICATION)]
+
+    @staticmethod
+    def _logits_and_targets(head_dim, dtype):
+        logits = np.linspace(-1.0, 1.0, 4 * head_dim, dtype=dtype).reshape(4, head_dim)
+        return logits, np.full(4, 0.5) if head_dim == 1 else np.array([0, 2, 1, 2])
+
+    @pytest.mark.parametrize("head_dim", HEAD_DIMS)
+    def test_loss_keeps_the_logits_dtype(self, head_dim):
+        logits, targets = self._logits_and_targets(head_dim, np.longdouble)
+        loss, dlogits = _loss_and_dlogits(logits, targets, 0.5)
         assert loss.dtype == np.longdouble
-        assert dlogits.shape == (4, n_out)
+        assert dlogits.shape == (4, head_dim)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
-    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
-    def test_logit_gradient_keeps_the_logits_dtype(self, task, dtype):
-        n_out = 3 if task == CLASSIFICATION else 1
-        logits = np.linspace(-1.0, 1.0, 4 * n_out, dtype=dtype).reshape(4, n_out)
-        targets = np.array([0, 2, 1, 2]) if task == CLASSIFICATION else np.full(4, 0.5)
-        _, dlogits = _loss_and_dlogits(logits, targets, task, 0.5)
+    @pytest.mark.parametrize("head_dim", HEAD_DIMS)
+    def test_logit_gradient_keeps_the_logits_dtype(self, head_dim, dtype):
+        logits, targets = self._logits_and_targets(head_dim, dtype)
+        _, dlogits = _loss_and_dlogits(logits, targets, 0.5)
         assert dlogits.dtype == dtype
 
 
@@ -901,16 +925,14 @@ class TestGradCheck:
 
     def test_regression_all_regimes(self, reg_setup):
         _, params, vocab = reg_setup
-        for loss in ("mse", ("combined", 0.0), ("combined", 0.5), ("combined", 1.0)):
-            err = grad_check(params, self.SAMPLES, vocab, loss=loss, epsilon=1e-4,
-                             n_weights=200, seed=0)
-            assert err < 1e-4, f"loss {loss}: {err}"
+        for p_weight in (0.0, 0.5, 1.0):
+            err = grad_check(params, self.SAMPLES, vocab, p_weight, n_weights=200, seed=0)
+            assert err < 1e-4, f"p_weight {p_weight}: {err}"
 
     def test_classification(self, cls_setup):
         _, params, vocab = cls_setup
         samples = [("the cat sat", 0), ("dog ran in park", 1), ("results show gains", 2)]
-        err = grad_check(params, samples, vocab, loss="cross_entropy", epsilon=1e-4,
-                         n_weights=200, seed=0)
+        err = grad_check(params, samples, vocab, n_weights=200, seed=0)
         assert err < 1e-4
 
     # Token lengths 2, 3, 6, 7 and 8; a 16-token budget cuts them into the
@@ -918,23 +940,23 @@ class TestGradCheck:
     MIXED_TEXTS = ["the cat", "a dog", "dog ran in", "results show clear gains",
                      "the cat sat on mat"]
 
-    @pytest.mark.parametrize("loss, targets", [
-        ("cross_entropy", [0, 1, 2, 0, 1]),
-        (("combined", 0.5), [0.3, 0.8, 0.55, 0.1, 0.65]),
+    @pytest.mark.parametrize("head_dim, targets", [
+        pytest.param(3, [0, 1, 2, 0, 1], id=CLASSIFICATION),
+        pytest.param(1, [0.3, 0.8, 0.55, 0.1, 0.65], id=REGRESSION),
     ])
-    def test_padded_chunks(self, reg_setup, cls_setup, monkeypatch, loss, targets):
-        _, params, vocab = cls_setup if loss == "cross_entropy" else reg_setup
+    def test_padded_chunks(self, reg_setup, cls_setup, monkeypatch, head_dim, targets):
+        _, params, vocab = reg_setup if head_dim == 1 else cls_setup
         monkeypatch.setattr(nn, "TOKEN_BUDGET", 16)
         lengths = [len(tokenize(t, vocab).token_ids) for t in self.MIXED_TEXTS]
         padded = [c for c in _chunks(lengths) if len({lengths[i] for i in c}) > 1]
         assert len(padded) >= 2
-        err = grad_check(params, list(zip(self.MIXED_TEXTS, targets)), vocab, loss=loss,
-                         epsilon=1e-4, n_weights=200, seed=0)
-        assert err < 1e-4, f"loss {loss}: {err}"
+        err = grad_check(params, list(zip(self.MIXED_TEXTS, targets)), vocab, p_weight=0.5,
+                         n_weights=200, seed=0)
+        assert err < 1e-4, f"head width {head_dim}: {err}"
 
     def test_single_sample_accepted(self, reg_setup):
         _, params, vocab = reg_setup
-        err = grad_check(params, ("the cat sat", 0.4), vocab, loss="mse")
+        err = grad_check(params, [("the cat sat", 0.4)], vocab)
         assert err < 1e-4
 
     def test_corrupted_gradient_detected(self, reg_setup):
@@ -942,13 +964,10 @@ class TestGradCheck:
         p64 = params.astype(np.float64)
         seqs = [np.asarray(tokenize(t, vocab).token_ids) for t, _ in self.SAMPLES]
         targets = np.array([y for _, y in self.SAMPLES])
-        _, grads = batch_loss_and_grads(p64, seqs, targets, REGRESSION, 0.0)
+        _, grads = batch_loss_and_grads(p64, seqs, targets)
         grads["att_w"] = -grads["att_w"]  # sign flip on one matrix
-        err = max_grad_error(
-            p64, grads,
-            lambda p: batch_loss(p, seqs, targets, REGRESSION, 0.0),
-            epsilon=1e-4, n_weights=400, seed=0,
-        )
+        err = max_grad_error(p64, grads, lambda p: batch_loss(p, seqs, targets),
+                             n_weights=400, seed=0)
         assert err > 1e-1
 
     def test_zero_loss_sample_has_zero_head_gradient(self, reg_setup):
@@ -957,14 +976,9 @@ class TestGradCheck:
         p64 = params.astype(np.float64)
         seqs = [np.asarray(tokenize(text, vocab).token_ids)]
         target = _sigmoid(_batch_forward(p64, seqs)[0][:, 0])[0]  # exact stationary point
-        _, grads = batch_loss_and_grads(p64, seqs, np.array([target]), REGRESSION, 0.0)
+        _, grads = batch_loss_and_grads(p64, seqs, np.array([target]))
         assert np.abs(grads["head_w"]).max() < 1e-12
         assert np.abs(grads["head_b"]).max() < 1e-12
-
-    def test_epsilon_bounds(self, reg_setup):
-        _, params, vocab = reg_setup
-        with pytest.raises(ValueError):
-            grad_check(params, self.SAMPLES, vocab, epsilon=1e-2)
 
 
 class TestSerialization:
