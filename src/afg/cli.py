@@ -428,7 +428,7 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     probabilities = dict(zip(batch, classify(batch)))
     reports = [
         fb.build_report(sub.submission_id, sheet, structure.classify_abstract(
-            sub.abstract, probabilities.__getitem__, sentences=sentences[sub.abstract]), rules)
+            sentences[sub.abstract], probabilities.__getitem__), rules)
         for sub, sheet in zip(cohort, sheets)
     ]
     rendered = [fb.render_report(report, fmt, color=not args.no_color) for report in reports]

@@ -84,8 +84,6 @@ def fixed_comment(question: Question, mark: Mark) -> str:
 # Rule engine
 # ---------------------------------------------------------------------------
 
-_CANONICAL_ORDER = (Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION)
-
 # Each rule class that compares a number, and that number from the shares.
 _STATISTICS = {
     **{label.name.lower(): operator.itemgetter(label) for label in Label3},
@@ -122,8 +120,8 @@ class FeedbackRule:
     A rule file is a JSON array of objects keyed by these fields, ``class`` for
     ``cls``. ``id`` (string) is unique. ``class`` (string) picks the statistic: a
     class name compares that class's share, "spread" compares max share minus min
-    share, "order" checks that the run-length-compressed label sequence is a
-    subsequence of background -> technique -> observation, and "fallback" fires
+    share, "order" checks that the labels never step back along background ->
+    technique -> observation, and "fallback" fires
     only when nothing else did. ``comparator`` (string or null) is lt, le, ge, gt
     or within; only order and fallback rules may leave it and ``threshold`` null.
     ``threshold`` is a finite number, a [lo, hi] array of them with lo < hi for
@@ -210,15 +208,7 @@ def _guard_ok(guard, shares: tuple[float, float, float]) -> bool:
 
 
 def _is_logical_order(labels: Sequence[Label3]) -> bool:
-    compressed = [x for i, x in enumerate(labels) if i == 0 or labels[i - 1] != x]
-    pos = 0
-    for x in compressed:
-        while pos < len(_CANONICAL_ORDER) and _CANONICAL_ORDER[pos] != x:
-            pos += 1
-        if pos == len(_CANONICAL_ORDER):
-            return False
-        pos += 1
-    return True
+    return all(a <= b for a, b in zip(labels, labels[1:]))
 
 
 _FALLBACK_COMMENT = "The structure of the abstract covers the main aspects of the paper."
@@ -480,7 +470,7 @@ def render_report(report: FeedbackReport, format: str = "terminal", color: bool 
         if isinstance(body, LabeledAbstract):
             lines += draw.labelled(
                 [draw.highlight(s.text, s.label, color) for s in body.sentences],
-                [draw.highlight(label.name, label, color) for label in _CANONICAL_ORDER])
+                [draw.highlight(label.name, label, color) for label in Label3])
         else:
             lines += draw.items(body)
     return "\n".join([*lines, *draw.end]) + "\n"

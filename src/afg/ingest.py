@@ -179,7 +179,7 @@ def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
         if not lo <= score <= hi:
             raise RowError(f"score {score} outside declared range [{lo}, {hi}]", lineno)
         text = cells[col_index[schema.text_col]]
-        if not text:
+        if not text.strip():
             raise RowError("empty text", lineno)
         samples.append(
             RawSample(
@@ -297,22 +297,18 @@ def shuffled_indices(n: int, seed: int) -> list[int]:
     return idx
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
 def split(samples: Sequence, fraction: float, seed: int) -> DatasetSplit:
     """Deterministic shuffle-then-partition split.
 
-    ``round(fraction * N)`` samples go to train (half rounds away from
-    zero), clamped so that both sides stay non-empty.
+    ``round(fraction * N)`` samples go to train (half rounds up), clamped
+    so that both sides stay non-empty.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     n = len(samples)
     if n < 2:
         raise DataError(f"need at least 2 samples to split, got {n}")
-    n_train = min(max(_round_half_away(fraction * n), 1), n - 1)
+    n_train = min(max(math.floor(fraction * n + 0.5), 1), n - 1)
     order = shuffled_indices(n, seed)
     train = tuple(samples[i] for i in order[:n_train])
     evals = tuple(samples[i] for i in order[n_train:])
@@ -442,6 +438,9 @@ def load_answer_keys(source) -> dict[str, AnswerKey]:
             key = AnswerKey(_string(entry, "paper_id"), *_answers(entry))
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise DataError(f"answer key #{i}: {exc}") from exc
+        if key.times_cited == 0:
+            raise DataError(f"answer key #{i}: paper {key.paper_id!r} has 0 citations, "
+                            "which no percentage band can mark against")
         if key.paper_id in keys:
             raise DataError(f"duplicate answer key for paper {key.paper_id!r}")
         keys[key.paper_id] = key

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 from .errors import ConfigError, DataError
 from .ingest import Label5
-from .textproc import segment_sentences
 
 
 class Label3(IntEnum):
@@ -72,20 +71,17 @@ class LabeledAbstract:
 SentenceClassifier = Callable[[str], tuple[float, float, float]]
 
 
-def make_fixed_classifier(labels_by_text: dict[str, Label3 | str]) -> SentenceClassifier:
+def make_fixed_classifier(labels_by_text: dict[str, str]) -> SentenceClassifier:
     """Classifier stub returning probability 1 for a known sentence's label.
 
-    The table comes from a config's fixed-labels file, so a table that is
-    not a dict, or a label that is neither a Label3 nor a Label3 name, is a
-    ConfigError.
+    The table comes from a config's fixed-labels file, which maps each
+    sentence to a Label3 name. A table that is not a dict, or a label that is
+    not a Label3 name, is a ConfigError.
     """
     if not isinstance(labels_by_text, dict):
         raise ConfigError("fixed-labels table is not a JSON object")
     try:
-        table = {
-            text: label if type(label) is Label3 else Label3[label]
-            for text, label in labels_by_text.items()
-        }
+        table = {text: Label3[label] for text, label in labels_by_text.items()}
     except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
         raise ConfigError(f"unknown fixed label: {exc}") from None
 
@@ -101,19 +97,12 @@ def make_fixed_classifier(labels_by_text: dict[str, Label3 | str]) -> SentenceCl
     return classify
 
 
-def classify_abstract(
-    text: str,
-    classifier: SentenceClassifier,
-    *,
-    sentences: Sequence[str] | None = None,
-) -> LabeledAbstract:
-    """Segment an abstract (default abbreviations) and label each sentence with ``classifier``.
+def classify_abstract(sentences: Sequence[str], classifier: SentenceClassifier) -> LabeledAbstract:
+    """Label each of an abstract's already segmented ``sentences`` with ``classifier``.
 
-    ``sentences``, when given, is ``text`` already segmented, and is
-    labelled as it is.
+    The caller segments, so one abstract gets the same sentences wherever it
+    is labelled. No sentences is a ValueError (see LabeledAbstract).
     """
-    if sentences is None:
-        sentences = segment_sentences(text)
     labeled = []
     for sentence in sentences:
         probs = classifier(sentence)
@@ -135,12 +124,9 @@ class ClassDistribution:
         return sum(self.counts)
 
 
-def distribution(labeled: LabeledAbstract | Sequence[Label3]) -> ClassDistribution:
-    # A raw sequence's labels are checked: counts[-1] would take a bad int.
-    labels = (labeled.labels() if isinstance(labeled, LabeledAbstract)
-              else [Label3(label) for label in labeled])
-    if not labels:
-        raise ValueError("need at least one label")
+def distribution(labeled: LabeledAbstract) -> ClassDistribution:
+    """Per-class sentence counts and shares of one labelled abstract."""
+    labels = labeled.labels()
     counts = [0, 0, 0]
     for label in labels:
         counts[label] += 1

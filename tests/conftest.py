@@ -1,9 +1,15 @@
 """Shared fixtures: worked-example texts, oracle classifiers, tiny models."""
 
 import pytest
+from hypothesis import settings
 
-from afg.structure import Label3
+from afg.structure import Label3, LabeledAbstract, LabeledSentence
 from afg.textproc import build_vocab
+
+# A failing property test prints the @reproduce_failure line that replays it,
+# since the example database is git-ignored and draws vary between runs.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 # Six-sentence abstract used for the structure-feedback worked example:
 # heavy on background, one technique sentence, one observation sentence.
@@ -104,6 +110,13 @@ EXAMPLE2_KEY = {
 
 def oracle_table(abstract_sentences, labels):
     return {text: label.name for text, label in zip(abstract_sentences, labels)}
+
+
+def labeled_abstract(labels) -> LabeledAbstract:
+    """An abstract of placeholder sentences carrying ``labels``."""
+    return LabeledAbstract(
+        tuple(LabeledSentence(f"s{i}.", lbl, 1.0) for i, lbl in enumerate(labels))
+    )
 
 
 @pytest.fixture(scope="session")

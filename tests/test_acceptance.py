@@ -45,6 +45,7 @@ from conftest import (
     EXAMPLE2_KEY,
     EXAMPLE2_LABELS,
     EXAMPLE2_SUBMISSION,
+    labeled_abstract,
     oracle_table,
 )
 
@@ -230,7 +231,7 @@ def test_criterion_5_worked_examples_golden():
     sents1 = segment_sentences(EXAMPLE1_ABSTRACT)
     assert len(sents1) == 6
     oracle1 = make_fixed_classifier(oracle_table(sents1, EXAMPLE1_LABELS))
-    labeled1 = classify_abstract(EXAMPLE1_ABSTRACT, oracle1)
+    labeled1 = classify_abstract(sents1, oracle1)
     dist1 = distribution(labeled1)
     assert dist1.shares == pytest.approx((4 / 6, 1 / 6, 1 / 6))
     comments1 = abstract_feedback(dist1, labeled1.labels())
@@ -239,7 +240,7 @@ def test_criterion_5_worked_examples_golden():
     sents2 = segment_sentences(EXAMPLE2_ABSTRACT)
     assert len(sents2) == 7
     oracle2 = make_fixed_classifier(oracle_table(sents2, EXAMPLE2_LABELS))
-    labeled2 = classify_abstract(EXAMPLE2_ABSTRACT, oracle2)
+    labeled2 = classify_abstract(sents2, oracle2)
     dist2 = distribution(labeled2)
     assert dist2.shares == pytest.approx((2 / 7, 1 / 7, 4 / 7))
     comments2 = abstract_feedback(dist2, labeled2.labels())
@@ -421,7 +422,7 @@ def test_criterion_8_property_suites(tiny_vocab):
     for _ in range(1000):  # distribution shares sum to one
         n = int(rng.integers(1, 30))
         labels = [Label3(int(k)) for k in rng.integers(0, 3, n)]
-        dist = distribution(labels)
+        dist = distribution(labeled_abstract(labels))
         assert sum(dist.shares) == pytest.approx(1.0, abs=1e-9)
         assert sum(dist.counts) == n
 

@@ -559,7 +559,8 @@ class TestGrade:
         for sub in sorted(load_submissions(DATA / "example_submissions.json"),
                           key=lambda s: s.submission_id):
             sheet = mark_submission(sub, keys[sub.paper_id], lambda text: 0.5)
-            labeled = structure.classify_abstract(sub.abstract, classify)
+            sentences = textproc.segment_sentences(sub.abstract)
+            labeled = structure.classify_abstract(sentences, classify)
             marks.append({"submission_id": sub.submission_id, **sheet.to_json_dict()})
             reports.append(build_report(sub.submission_id, sheet, labeled).to_json_dict())
         feedback = {"seed": 7, "reports": reports}
@@ -645,7 +646,6 @@ class TestGrade:
             return textproc.segment_sentences(text, abbreviations)
 
         monkeypatch.setattr(cli, "segment_sentences", counting)
-        monkeypatch.setattr(structure, "segment_sentences", counting)
         assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 0
         assert sorted(segmented) == sorted(s["abstract"] for s in subs)
         labeled = json.loads((out / "feedback.json").read_text())["reports"][1]
@@ -1027,6 +1027,8 @@ TSV_HEADER = "id\tset\tessay\tscore\n"
 UNMARKED = str(DATA / "example_submissions.json")
 BLANK_ABSTRACTS = json.dumps([dict(sub, abstract="   ") for sub in json.loads(
     (DATA / "example_submissions.json").read_text(encoding="utf-8"))])
+UNCITED_KEYS = json.dumps([dict(key, times_cited=0) for key in json.loads(
+    (DATA / "example_keys.json").read_text(encoding="utf-8"))])
 
 
 # A (name, text) value is a file of that text in the config's directory; None drops the
@@ -1053,6 +1055,11 @@ BLANK_ABSTRACTS = json.dumps([dict(sub, abstract="   ") for sub in json.loads(
     ("grade", ("grade", "submissions"), ("input.json", BLANK_ABSTRACTS), 3, "empty abstract"),
     ("grade", ("grade", "submissions"), ("input.json", '{"submission_id": "ex1"}'),
      3, "submission file must be a JSON array"),
+    ("pretrain", ("pretrain", "corpora", 0, "path"),
+     ("input.tsv", TSV_HEADER + "1\t1\tA short essay.\t4\n2\t1\t   \t3\n"),
+     3, "line 3: empty text"),
+    ("grade", ("grade", "keys"), ("input.json", UNCITED_KEYS),
+     3, "answer key #0: paper 'ol-2018-amines' has 0 citations"),
 ])
 def test_unusable_input_exits_with_its_code_before_writing(tmp_path, capsys, command, keys,
                                                            value, code, message):

@@ -1,5 +1,6 @@
 """Comment tables, the structure rule engine and report rendering."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from conftest import (
     EXAMPLE2_KEY,
     EXAMPLE2_LABELS,
     EXAMPLE2_SUBMISSION,
+    labeled_abstract,
     oracle_table,
 )
 
@@ -72,7 +74,7 @@ class TestFixedComments:
 
 
 def dist_for(labels):
-    return distribution(labels)
+    return distribution(labeled_abstract(labels))
 
 
 class TestAbstractFeedback:
@@ -278,7 +280,7 @@ def example2_report():
     sheet = mark_submission(sub, key, lambda text: 0.5)
     sentences = segment_sentences(EXAMPLE2_ABSTRACT)
     oracle = make_fixed_classifier(oracle_table(sentences, EXAMPLE2_LABELS))
-    labeled = classify_abstract(EXAMPLE2_ABSTRACT, oracle)
+    labeled = classify_abstract(sentences, oracle)
     return build_report(sub.submission_id, sheet, labeled)
 
 
@@ -286,7 +288,7 @@ class TestRenderReport:
     def test_html_span_counts_for_worked_example(self):
         sentences = segment_sentences(EXAMPLE1_ABSTRACT)
         oracle = make_fixed_classifier(oracle_table(sentences, EXAMPLE1_LABELS))
-        labeled = classify_abstract(EXAMPLE1_ABSTRACT, oracle)
+        labeled = classify_abstract(sentences, oracle)
         sub = Submission(**EXAMPLE2_SUBMISSION)
         key = AnswerKey(**EXAMPLE2_KEY)
         report = build_report("w1", mark_submission(sub, key, lambda t: 0.5), labeled)
@@ -383,6 +385,26 @@ class TestRenderReport:
 # The rule tables against the if-chain evaluation they replaced
 # ---------------------------------------------------------------------------
 
+def _reference_is_logical_order(labels) -> bool:
+    """The order check as a walk: the label runs, compressed, are a subsequence of B, T, O."""
+    canonical = (Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION)
+    compressed = [x for i, x in enumerate(labels) if i == 0 or labels[i - 1] != x]
+    pos = 0
+    for x in compressed:
+        while pos < len(canonical) and canonical[pos] != x:
+            pos += 1
+        if pos == len(canonical):
+            return False
+        pos += 1
+    return True
+
+
+def test_logical_order_matches_the_reference_on_every_short_sequence():
+    for n in range(9):
+        for labels in itertools.product(Label3, repeat=n):
+            assert _is_logical_order(labels) == _reference_is_logical_order(labels), labels
+
+
 def _reference_fires(rule, dist, labels) -> bool:
     """FeedbackRule.fires as it was before the rule tables (the reference)."""
     if rule.cls == "fallback":
@@ -408,7 +430,7 @@ def _reference_fires(rule, dist, labels) -> bool:
         else:
             return False
     if rule.cls == "order":
-        return _is_logical_order(labels)
+        return _reference_is_logical_order(labels)
     if rule.cls == "spread":
         value = max(dist.shares) - min(dist.shares)
     else:
@@ -473,14 +495,14 @@ def rules(draw, rule_id="r"):
 @settings(max_examples=400, deadline=None)
 @given(rules(), label_lists)
 def test_fires_matches_the_reference(rule, labels):
-    dist = distribution(labels)
+    dist = dist_for(labels)
     assert rule.fires(dist, labels) == _reference_fires(rule, dist, labels)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 9).flatmap(lambda i: rules(f"r{i}")), max_size=6), label_lists)
 def test_abstract_feedback_matches_the_reference(rule_set, labels):
-    dist = distribution(labels)
+    dist = dist_for(labels)
     assert abstract_feedback(dist, labels) == (
         _reference_abstract_feedback(dist, labels, default_rules()))
     assert abstract_feedback(dist, labels, rule_set) == (

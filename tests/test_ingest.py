@@ -52,9 +52,10 @@ class TestParseScoredTsv:
         assert err.value.line == 2
 
     def test_empty_text_is_row_error(self):
-        with pytest.raises(RowError, match="empty text") as err:
-            parse_scored_tsv(tsv("id\tset\tessay\tscore", "1\t1\t\t4"), SCHEMA)
-        assert err.value.line == 2
+        for text in ("", "   "):
+            with pytest.raises(RowError, match="empty text") as err:
+                parse_scored_tsv(tsv("id\tset\tessay\tscore", f"1\t1\t{text}\t4"), SCHEMA)
+            assert err.value.line == 2
 
     def test_order_preserved(self):
         out = parse_scored_tsv(

@@ -5,8 +5,6 @@ import pytest
 from afg.ingest import Label5
 from afg.structure import (
     Label3,
-    LabeledAbstract,
-    LabeledSentence,
     PUBMED_RCT_LABEL_PERCENT,
     classify_abstract,
     corpus_stats,
@@ -20,6 +18,7 @@ from conftest import (
     EXAMPLE1_LABELS,
     EXAMPLE2_ABSTRACT,
     EXAMPLE2_LABELS,
+    labeled_abstract,
     oracle_table,
 )
 
@@ -40,81 +39,75 @@ class TestMapLabel:
         assert images.count(Label3.OBSERVATION) == 2
 
 
-def _labeled(labels) -> LabeledAbstract:
-    return LabeledAbstract(
-        tuple(LabeledSentence(f"s{i}.", lbl, 1.0) for i, lbl in enumerate(labels))
-    )
-
-
 class TestClassifyAbstract:
     def test_worked_example_labels(self):
         sentences = segment_sentences(EXAMPLE1_ABSTRACT)
         oracle = make_fixed_classifier(oracle_table(sentences, EXAMPLE1_LABELS))
-        labeled = classify_abstract(EXAMPLE1_ABSTRACT, oracle)
+        labeled = classify_abstract(sentences, oracle)
         assert labeled.labels() == EXAMPLE1_LABELS
         assert all(s.confidence == 1.0 for s in labeled.sentences)
 
     def test_single_sentence(self):
         oracle = lambda s: (0.2, 0.5, 0.3)
-        labeled = classify_abstract("Just one sentence here.", oracle)
+        labeled = classify_abstract(["Just one sentence here."], oracle)
         assert len(labeled.sentences) == 1
         assert labeled.sentences[0].label is Label3.TECHNIQUE
         assert labeled.sentences[0].confidence == pytest.approx(0.5)
 
     def test_deterministic(self):
         oracle = lambda s: (0.6, 0.3, 0.1)
-        a = classify_abstract(EXAMPLE2_ABSTRACT, oracle)
-        b = classify_abstract(EXAMPLE2_ABSTRACT, oracle)
+        a = classify_abstract(segment_sentences(EXAMPLE2_ABSTRACT), oracle)
+        b = classify_abstract(segment_sentences(EXAMPLE2_ABSTRACT), oracle)
         assert a == b
 
     def test_blank_text_rejected(self):
         with pytest.raises(ValueError):
-            classify_abstract("   ", lambda s: (1.0, 0.0, 0.0))
+            classify_abstract(segment_sentences("   "), lambda s: (1.0, 0.0, 0.0))
 
 
 class TestDistribution:
     def test_worked_example_shares(self):
-        dist = distribution(_labeled(EXAMPLE1_LABELS))
+        dist = distribution(labeled_abstract(EXAMPLE1_LABELS))
         assert dist.counts == (4, 1, 1)
         assert dist.shares == pytest.approx((4 / 6, 1 / 6, 1 / 6))
         assert dist.n_classes_present == 3
 
     def test_single_class(self):
-        dist = distribution(_labeled([Label3.BACKGROUND] * 4))
+        dist = distribution(labeled_abstract([Label3.BACKGROUND] * 4))
         assert dist.shares == (1.0, 0.0, 0.0)
         assert dist.n_classes_present == 1
 
     def test_uniform(self):
-        dist = distribution([Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION])
+        dist = distribution(labeled_abstract(list(Label3)))
         assert dist.shares == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_shares_sum_to_one(self):
-        dist = distribution(_labeled(EXAMPLE2_LABELS))
+        dist = distribution(labeled_abstract(EXAMPLE2_LABELS))
         assert sum(dist.shares) == pytest.approx(1.0, abs=1e-9)
 
     def test_duplication_leaves_shares_unchanged(self):
-        once = distribution(_labeled(EXAMPLE1_LABELS))
-        twice = distribution(_labeled(EXAMPLE1_LABELS * 2))
+        once = distribution(labeled_abstract(EXAMPLE1_LABELS))
+        twice = distribution(labeled_abstract(EXAMPLE1_LABELS * 2))
         assert twice.shares == pytest.approx(once.shares)
         assert twice.counts == tuple(2 * c for c in once.counts)
 
 
 class TestCorpusStats:
     def test_hand_counted_pool(self):
-        a = _labeled([Label3.BACKGROUND, Label3.BACKGROUND])
-        b = _labeled([Label3.TECHNIQUE, Label3.OBSERVATION])
+        a = labeled_abstract([Label3.BACKGROUND, Label3.BACKGROUND])
+        b = labeled_abstract([Label3.TECHNIQUE, Label3.OBSERVATION])
         stats = corpus_stats([a, b])
         assert stats.pooled_shares == pytest.approx((0.5, 0.25, 0.25))
         assert stats.two_or_fewer_classes_fraction == 1.0
 
     def test_full_coverage_abstract(self):
         stats = corpus_stats(
-            [_labeled([Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION])]
+            [labeled_abstract([Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION])]
         )
         assert stats.two_or_fewer_classes_fraction == 0.0
 
     def test_reference_row_constant(self):
-        stats = corpus_stats([_labeled(EXAMPLE1_LABELS)])
+        stats = corpus_stats([labeled_abstract(EXAMPLE1_LABELS)])
         assert stats.reference_percent["pubmed_rct"] == (19.8, 33.0, 47.3)
         assert PUBMED_RCT_LABEL_PERCENT == (19.8, 33.0, 47.3)
 
@@ -126,7 +119,7 @@ class TestCorpusStats:
         for _ in range(25):
             n = int(rng.integers(1, 12))
             labels = [Label3(int(k)) for k in rng.integers(0, 3, n)]
-            abstracts.append(_labeled(labels))
+            abstracts.append(labeled_abstract(labels))
         stats = corpus_stats(abstracts)
         weighted = np.zeros(3)
         total = 0
@@ -143,13 +136,13 @@ class TestCorpusStats:
 
 class TestSerialization:
     def test_labeled_abstract_json(self):
-        labeled = _labeled(EXAMPLE1_LABELS)
+        labeled = labeled_abstract(EXAMPLE1_LABELS)
         data = labeled.to_json_list()
         assert len(data) == 6
         assert data[0] == {"text": "s0.", "label": "BACKGROUND", "confidence": 1.0}
 
     def test_corpus_stats_json(self):
-        stats = corpus_stats([_labeled(EXAMPLE1_LABELS)])
+        stats = corpus_stats([labeled_abstract(EXAMPLE1_LABELS)])
         data = stats.to_json_dict()
         assert data["pooled_counts"] == [4, 1, 1]
         assert data["reference_percent"]["reported_student_data"] == [49.9, 11.5, 38.6]
