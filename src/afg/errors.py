@@ -1,7 +1,7 @@
-"""Exception taxonomy shared across the pipeline.
-
-The CLI maps these onto stable exit codes: ConfigError -> 2,
-DataError -> 3, TrainingDivergedError -> 4.
+"""Exception taxonomy shared across the pipeline: ``AfgError`` and one class per
+CLI exit code, ``ConfigError`` -> 2, ``DataError`` -> 3 and ``TrainingDivergedError``
+-> 4. ``RowError`` is the ``DataError`` of one bad line and carries ``.line``;
+``TrainingDivergedError`` carries ``.step``.
 """
 
 
@@ -17,52 +17,12 @@ class DataError(AfgError):
     """Malformed or unusable input data."""
 
 
-class EmptyInputError(DataError):
-    pass
-
-
 class RowError(DataError):
     """A single bad row or line in a corpus file; ``line`` is its line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class ParseError(RowError):
-    """A malformed line in a structured text corpus."""
-
-
-class NotFoundError(DataError):
-    pass
-
-
-class DegenerateKeyError(DataError):
-    """Answer-key value that cannot anchor a percentage difference (zero)."""
-
-
-class KeyMismatchError(DataError):
-    """Submission graded against the wrong paper's answer key."""
-
-
-class ModelFormatError(DataError):
-    """Base for model-file load failures."""
-
-
-class BadMagicError(ModelFormatError):
-    pass
-
-
-class VersionMismatchError(ModelFormatError):
-    pass
-
-
-class ShapeMismatchError(ModelFormatError):
-    pass
-
-
-class CorruptModelError(ModelFormatError):
-    """Truncated payload, checksum mismatch or a non-finite weight."""
 
 
 class TrainingDivergedError(AfgError):

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum, auto
 from typing import Optional, Sequence
 
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyInputError,
-    NotFoundError,
-    ParseError,
-    RowError,
-)
+from .errors import ConfigError, DataError, RowError
 from .scoring import MarkSheet, marksheet_from_json
 from .textproc import is_number, read_json_records, read_text
 
@@ -152,7 +145,7 @@ def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
     """
     lines = read_text(stream).splitlines()
     if not lines:
-        raise EmptyInputError("empty TSV corpus")
+        raise DataError("empty TSV corpus")
     header = lines[0].split("\t")
     col_index = {}
     for col in (schema.id_col, schema.prompt_col, schema.text_col, schema.score_col):
@@ -228,7 +221,7 @@ def parse_rct(stream) -> list[RctAbstract]:
         if current_id is None:
             return
         if not sentences:
-            raise ParseError(f"abstract {current_id!r} has no sentences", current_line)
+            raise RowError(f"abstract {current_id!r} has no sentences", current_line)
         abstracts.append(RctAbstract(current_id, tuple(sentences)))
         current_id = None
         sentences = []
@@ -243,16 +236,16 @@ def parse_rct(stream) -> list[RctAbstract]:
             current_line = lineno
             continue
         if current_id is None:
-            raise ParseError("sentence line before any ### header", lineno)
+            raise RowError("sentence line before any ### header", lineno)
         if "\t" not in line:
-            raise ParseError("expected <LABEL><TAB><sentence>", lineno)
+            raise RowError("expected <LABEL><TAB><sentence>", lineno)
         label_name, text = line.split("\t", 1)
         try:
             label = Label5[label_name]
         except KeyError:
-            raise ParseError(f"unknown label {label_name!r}", lineno) from None
+            raise RowError(f"unknown label {label_name!r}", lineno) from None
         if not text.strip():
-            raise ParseError("empty sentence", lineno)
+            raise RowError("empty sentence", lineno)
         sentences.append((label, text))
     close()
     return abstracts
@@ -346,7 +339,7 @@ def derive_answer_key(
     """
     subs = [s for s in submissions if s.paper_id == paper_id]
     if not subs:
-        raise NotFoundError(f"no submissions for paper {paper_id!r}")
+        raise DataError(f"no submissions for paper {paper_id!r}")
     warnings: list[str] = []
     impact = _modal([s.impact_factor for s in subs], warnings, f"{paper_id} impact_factor")
     cited = _modal([s.times_cited for s in subs], warnings, f"{paper_id} times_cited")

@@ -92,14 +92,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    ConfigError,
-    CorruptModelError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-    VersionMismatchError,
-)
+from .errors import ConfigError, DataError, TrainingDivergedError
 from .objectives import LossSchedule, blend_terms, blended_loss_grad, weight_p
 from .textproc import TokenSequence, Vocabulary, tokenize
 
@@ -192,7 +185,7 @@ def validate_shapes(params: ModelParams, config: EncoderConfig) -> None:
     expected = _shapes(config)
     for name, arr in params.arrays().items():
         if tuple(arr.shape) != expected[name]:
-            raise ShapeMismatchError(
+            raise DataError(
                 f"{name}: expected shape {expected[name]}, got {tuple(arr.shape)}"
             )
 
@@ -516,13 +509,13 @@ def _encode_samples(samples, vocab: Vocabulary, head_dim: int, max_sequence_leng
 def _checked_logits(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
                     max_sequence_length: int) -> np.ndarray:
     """Logits of ``texts`` in the dtype of ``params``. Finite weights can still
-    overflow: a text whose outputs are not all finite is a CorruptModelError."""
+    overflow: a text whose outputs are not all finite is a DataError."""
     seqs = _encode_texts(texts, vocab, max_sequence_length)
     with np.errstate(over="ignore", invalid="ignore"):
         logits = _batch_forward(params, seqs)[0]
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
-        raise CorruptModelError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
+        raise DataError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
     return logits
 
 
@@ -540,13 +533,13 @@ def _outputs(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
 
 def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
     """Score free text in (0, 1) with the regression head; a non-finite logit
-    is a CorruptModelError."""
+    is a DataError."""
     return float(_outputs(params, vocab, [text], DEFAULT_MAX_SEQUENCE_LENGTH, True)[0])
 
 
 def classify_sentence(sentence: str, params: ModelParams, vocab: Vocabulary) -> tuple[float, ...]:
     """Class probabilities for one sentence from the classification head; a
-    non-finite logit is a CorruptModelError."""
+    non-finite logit is a DataError."""
     return tuple(_outputs(params, vocab, [sentence], DEFAULT_MAX_SEQUENCE_LENGTH, False)[0]
                  .tolist())
 
@@ -586,7 +579,7 @@ class Predictor:
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), head_dim) head outputs before the sigmoid or softmax, in
-        the dtype of the weights; non-finite ones are a CorruptModelError."""
+        the dtype of the weights; non-finite ones are a DataError."""
         return _checked_logits(self.params, self.vocab, texts, self.config.max_sequence_length)
 
     def scores(self, texts: Sequence[str]) -> list[float]:
@@ -893,36 +886,36 @@ def load_model(data) -> tuple[ModelParams, EncoderConfig]:
     if hasattr(data, "read"):
         data = data.read()
     if len(data) < len(_MAGIC) + 1:
-        raise CorruptModelError("file shorter than header")
+        raise DataError("file shorter than header")
     if data[: len(_MAGIC)] != _MAGIC:
-        raise BadMagicError(f"bad magic bytes {data[:len(_MAGIC)]!r}")
+        raise DataError(f"bad magic bytes {data[:len(_MAGIC)]!r}")
     version = data[len(_MAGIC)]
     if version != _VERSION:
-        raise VersionMismatchError(f"unsupported model version {version}")
+        raise DataError(f"unsupported model version {version}")
     rest = data[len(_MAGIC) + 1 :]
     if len(rest) < _CONFIG_STRUCT.size + 8:
-        raise CorruptModelError("truncated model file")
+        raise DataError("truncated model file")
     payload, checksum = rest[:-8], rest[-8:]
     if _checksum(payload) != checksum:
-        raise CorruptModelError("checksum mismatch")
+        raise DataError("checksum mismatch")
     values = dict(zip((f.name for f in fields(EncoderConfig)),
                       _CONFIG_STRUCT.unpack(payload[: _CONFIG_STRUCT.size])))
     if values["head"] not in _HEAD_NAME:
-        raise ShapeMismatchError(f"unknown head code {values['head']}")
+        raise DataError(f"unknown head code {values['head']}")
     values["head"] = _HEAD_NAME[values["head"]]
     try:
         config = EncoderConfig(**values)
     except ValueError as exc:
-        raise ShapeMismatchError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
     shapes = _shapes(config)
     expected = sum(math.prod(s) for s in shapes.values()) * 4
     body = payload[_CONFIG_STRUCT.size :]
     if len(body) != expected:
-        raise ShapeMismatchError(
+        raise DataError(
             f"payload holds {len(body)} weight bytes, config implies {expected}"
         )
     if not np.isfinite(np.frombuffer(body, dtype="<f4")).all():
-        raise CorruptModelError("non-finite weight")
+        raise DataError("non-finite weight")
     arrays = {}
     offset = 0
     for name, shape in shapes.items():

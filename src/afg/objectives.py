@@ -45,16 +45,9 @@ def weight_p(t: int, s: LossSchedule) -> float:
     return min(s.a, s.a * math.exp(-s.c * (t / s.T - s.b)))
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return v
-
-
 def _pair(preds, targets, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    p = _as_vector(preds, "preds")
-    t = _as_vector(targets, "targets")
+    p = np.asarray(preds, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} predictions vs {t.shape[0]} targets")
     if p.shape[0] < min_len:
@@ -208,10 +201,6 @@ class ConfusionMatrix:
 def confusion(pred_labels, true_labels, n_classes: int) -> ConfusionMatrix:
     pred = np.asarray(pred_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise ValueError("label vectors must be one-dimensional and equal length")
-    if pred.shape[0] < 1:
-        raise ValueError("need at least one label")
     for name, v in (("pred", pred), ("true", true)):
         if v.min() < 0 or v.max() >= n_classes:
             raise ValueError(f"{name} label out of range [0, {n_classes})")
@@ -223,6 +212,4 @@ def confusion(pred_labels, true_labels, n_classes: int) -> ConfusionMatrix:
 def accuracy(pred_labels, true_labels) -> float:
     pred = np.asarray(pred_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
-    if pred.shape != true.shape or pred.ndim != 1 or pred.shape[0] < 1:
-        raise ValueError("label vectors must be one-dimensional, equal length, non-empty")
     return float(np.mean(pred == true))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import DataError, DegenerateKeyError, KeyMismatchError
+from .errors import DataError
 from .textproc import cosine_similarity, is_number, term_vector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,8 +63,6 @@ def fmt_number(x: float) -> str:
 
 def band_for_percent_diff(d: float) -> Verdict:
     """Band a percentage difference: <=10 full, <=25 partial, else wrong."""
-    if d < 0:
-        raise ValueError("percentage difference cannot be negative")
     if d <= 10.0:
         return Verdict.FULLY_CORRECT
     if d <= 25.0:
@@ -74,8 +72,6 @@ def band_for_percent_diff(d: float) -> Verdict:
 
 def band_for_similarity(s: float) -> Verdict:
     """Band a cosine similarity: >=0.9 full, >=0.65 partial, else wrong."""
-    if not 0.0 <= s <= 1.0 + 1e-12:
-        raise ValueError(f"similarity {s} outside [0, 1]")
     if s >= 0.9:
         return Verdict.FULLY_CORRECT
     if s >= 0.65:
@@ -86,7 +82,7 @@ def band_for_similarity(s: float) -> Verdict:
 def score_numeric(given: float, correct: float) -> Mark:
     """Mark a numeric answer by percentage difference from the key value."""
     if correct == 0:
-        raise DegenerateKeyError("correct value is zero; percentage difference undefined")
+        raise DataError("correct value is zero; percentage difference undefined")
     # As floats, a difference too large to hold is inf, which is INCORRECT.
     given, correct = float(given), float(correct)
     d = 100.0 * abs(given - correct) / abs(correct)
@@ -192,7 +188,7 @@ def mark_submission(sub: "Submission", key: "AnswerKey", score_fn: ScoreFn) -> M
     or a fixed stub.
     """
     if sub.paper_id != key.paper_id:
-        raise KeyMismatchError(
+        raise DataError(
             f"submission {sub.submission_id} is for paper {sub.paper_id!r}, "
             f"key is for {key.paper_id!r}"
         )

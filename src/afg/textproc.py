@@ -402,7 +402,7 @@ def term_vector(text: str) -> dict[str, int]:
 
 
 def cosine_similarity(a: dict[str, int], b: dict[str, int]) -> float:
-    """Cosine of two sparse count vectors; 0.0 when either is empty."""
+    """Cosine of two sparse vectors of positive counts; 0.0 when either is empty."""
     if not a or not b:
         return 0.0
     if len(b) < len(a):
@@ -410,6 +410,4 @@ def cosine_similarity(a: dict[str, int], b: dict[str, int]) -> float:
     dot = sum(count * b[term] for term, count in a.items() if term in b)
     norm_a = math.sqrt(sum(c * c for c in a.values()))
     norm_b = math.sqrt(sum(c * c for c in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
     return dot / (norm_a * norm_b)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from afg import cli, feedback, nn, structure, textproc
 from afg.cli import main
+from afg.errors import AfgError, ConfigError, DataError, RowError, TrainingDivergedError
 from afg.feedback import build_report, default_rules, rules_to_json
 from afg.ingest import load_answer_keys, load_submissions
 from afg.ingest import serialize_rct
@@ -1093,6 +1094,34 @@ def test_bad_seed_flag_exits_2_before_writing(tmp_path, capsys):
     assert main(["--config", str(cfg), "--seed", "-1", "grade"]) == 2
     assert "invalid seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _error_classes(cls=AfgError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+_EXIT_CODES = {ConfigError: 2, DataError: 3, RowError: 3, TrainingDivergedError: 4}
+_ERROR_ARGS = {RowError: ("bad row", 7), TrainingDivergedError: (5, "loss")}
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error):
+    # A class without an exit code in the table fails here.
+    assert set(_error_classes()) == set(_EXIT_CODES)
+    exc = error(*_ERROR_ARGS.get(error, ("boom",)))
+
+    def command(cfg, args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "grade", command)
+    cfg = write_config(tmp_path, grade_config(tmp_path, tmp_path / "out"))
+    assert main(["--config", str(cfg), "grade"]) == _EXIT_CODES[error]
+    err = capsys.readouterr().err
+    assert err.endswith(f": {exc}\n") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", ["{", '["BACKGROUND"]', '{"A sentence.": "NOPE"}'])

@@ -22,7 +22,7 @@ from afg.feedback import (
     rules_to_json,
 )
 from afg.ingest import AnswerKey, Submission
-from afg.scoring import Verdict, mark_submission, score_numeric, score_reference
+from afg.scoring import MarkSheet, Verdict, mark_submission, score_numeric, score_reference
 from afg.structure import (
     Label3,
     LabeledAbstract,
@@ -309,6 +309,24 @@ class TestRenderReport:
         )
         assert "Abstract: 3 marks" in text
         assert "Total: 6/10" in text
+
+    @pytest.mark.parametrize("fmt", ["terminal", "html", "markdown"])
+    def test_half_marks_and_non_integer_answers(self, fmt):
+        sub, key = Submission(**EXAMPLE2_SUBMISSION), AnswerKey(**EXAMPLE2_KEY)
+        sheet = MarkSheet(
+            q1_impact=score_numeric(4.1, 3.2),
+            q2_rsc=score_reference(sub.ref_rsc, key.ref_rsc),
+            q3_acs=score_reference(sub.ref_acs, key.ref_acs),
+            q4_cited=score_numeric(42, 50),
+            abstract_mark=3,
+        )
+        assert sheet.q1_impact.verdict is Verdict.INCORRECT
+        assert sheet.q4_cited.verdict is Verdict.PARTIALLY_CORRECT
+        report = build_report("half", sheet, example2_report().labeled_abstract)
+        text = render_report(report, fmt, color=False)
+        assert "Impact Factor: 0 marks, the correct answer is 3.2, you gave 4.1" in text
+        assert "Number of times Cited: 0.5 marks" in text
+        assert "Total: 5.5/10" in text
 
     def test_terminal_matches_golden(self):
         golden = Path(__file__).parent / "golden" / "example2_report.txt"

@@ -6,15 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from afg.errors import (
-    AfgError,
-    ConfigError,
-    DataError,
-    EmptyInputError,
-    NotFoundError,
-    ParseError,
-    RowError,
-)
+from afg.errors import AfgError, ConfigError, DataError, RowError
 from afg.ingest import (
     Label5,
     RawSample,
@@ -58,25 +50,30 @@ class TestParseScoredTsv:
             assert err.value.line == 2
 
     def test_order_preserved(self):
-        out = parse_scored_tsv(
-            tsv("id\tset\tessay\tscore", "a\t1\tx\t1", "b\t1\ty\t2", "c\t1\tz\t3"),
-            SCHEMA,
-        )
-        assert [s.sample_id for s in out] == ["a", "b", "c"]
+        # A whitespace-only line between rows is skipped.
+        for blank in ((), (" \t ",)):
+            out = parse_scored_tsv(
+                tsv("id\tset\tessay\tscore", "a\t1\tx\t1", *blank, "b\t1\ty\t2", "c\t1\tz\t3"),
+                SCHEMA,
+            )
+            assert [s.sample_id for s in out] == ["a", "b", "c"]
 
     def test_missing_column_names_it(self):
         with pytest.raises(ConfigError, match="essay"):
             parse_scored_tsv(tsv("id\tset\tscore", "1\t1\t4"), SCHEMA)
 
     def test_unparseable_score_has_line_number(self):
-        with pytest.raises(RowError) as err:
-            parse_scored_tsv(
-                tsv("id\tset\tessay\tscore", "1\t1\tok\t3", "2\t1\tbad\txyz"), SCHEMA
-            )
-        assert err.value.line == 3
+        # A skipped blank line still counts: the number is the bad row's line in the file.
+        for blank, line in (((), 3), ((" \t ",), 4)):
+            with pytest.raises(RowError) as err:
+                parse_scored_tsv(
+                    tsv("id\tset\tessay\tscore", "1\t1\tok\t3", *blank, "2\t1\tbad\txyz"),
+                    SCHEMA,
+                )
+            assert err.value.line == line
 
     def test_empty_file(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="empty TSV corpus"):
             parse_scored_tsv(tsv(), SCHEMA)
 
     def test_unknown_prompt_is_config_error(self):
@@ -118,7 +115,7 @@ class TestParseRct:
         assert [lbl for lbl, _ in out[0].sentences] == [Label5.BACKGROUND, Label5.RESULT]
 
     def test_unknown_label_named(self):
-        with pytest.raises(ParseError, match="FOO"):
+        with pytest.raises(RowError, match="FOO"):
             parse_rct(io.BytesIO(b"###1\nFOO\tX.\n"))
 
     def test_two_abstracts(self):
@@ -127,11 +124,11 @@ class TestParseRct:
         assert [a.abstract_id for a in out] == ["1", "2"]
 
     def test_sentence_before_header(self):
-        with pytest.raises(ParseError, match="before"):
+        with pytest.raises(RowError, match="before"):
             parse_rct(io.BytesIO(b"METHOD\tM.\n"))
 
     def test_abstract_without_sentences(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(RowError, match="has no sentences"):
             parse_rct(io.BytesIO(b"###1\n\n###2\nRESULT\tR.\n"))
 
     def test_roundtrip_identity(self):
@@ -221,7 +218,7 @@ class TestDeriveAnswerKey:
         assert key.times_cited in {s.times_cited for s in subs}
 
     def test_unknown_paper(self):
-        with pytest.raises(NotFoundError):
+        with pytest.raises(DataError, match="no submissions for paper"):
             derive_answer_key([_sub(0)], "nope")
 
 

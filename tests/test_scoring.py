@@ -2,7 +2,7 @@
 
 import pytest
 
-from afg.errors import DegenerateKeyError, KeyMismatchError
+from afg.errors import DataError
 from afg.ingest import AnswerKey, Submission
 from afg.scoring import (
     Verdict,
@@ -55,7 +55,7 @@ class TestNumericBands:
         assert up.value == down.value == 0.5
 
     def test_zero_key_rejected(self):
-        with pytest.raises(DegenerateKeyError):
+        with pytest.raises(DataError, match="correct value is zero"):
             score_numeric(1, 0)
 
 
@@ -153,7 +153,7 @@ class TestMarkSubmission:
     def test_paper_id_mismatch(self):
         sub, key = _example2()
         wrong = AnswerKey(**{**EXAMPLE2_KEY, "paper_id": "other"})
-        with pytest.raises(KeyMismatchError):
+        with pytest.raises(DataError, match="key is for"):
             mark_submission(sub, wrong, lambda text: 0.5)
 
 
