@@ -20,11 +20,13 @@ training commands share one skeleton.
 
 ``grade`` works over the whole cohort in stages, in submission-id order:
 mark every submission, segment each abstract once, run one classifier
-pass, build and render every report, and only then write the reports and
-the JSON files, so a failure before the writes leaves no output. Each
-model runs once, on its texts in input order, each text once. The scorer's
-pass runs inside the first ``scoring.mark_submission`` call, because the
-benchmark's set-up time ends there; run earlier, it would count as set-up.
+pass, label and count every sentence at once (``structure.label_cohort``),
+evaluate each rule once over the cohort to build every report, render them,
+and only then write the reports and the JSON files, so a failure before the
+writes leaves no output. Each model runs once, on its texts in input order,
+each text once. The scorer's pass runs inside the first
+``scoring.mark_submission`` call, because the benchmark's set-up time ends
+there; run earlier, it would count as set-up.
 
 Every JSON output file comes from the C encoder with its default
 separators and ASCII escaping, not indented. Each item of a top-level
@@ -374,7 +376,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
             "accuracy": acc,
             "majority_baseline": baseline,
             "n_eval": len(true),
-            "confusion": cm.to_json_dict([l.name for l in structure.Label3]),
+            "confusion": cm.to_json_dict(list(structure.LABEL_NAMES)),
         }, {"accuracy": acc, "baseline": baseline}
 
     return _train_and_write(cfg, args, "classifier", "classifier.afgm", ds.train, ds.eval,
@@ -425,12 +427,9 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     sheets = [scoring.mark_submission(sub, keys[sub.paper_id], score_of) for sub in cohort]
     sentences = {text: segment_sentences(text, abbreviations) for text in scores}
     batch = list(dict.fromkeys(t for group in sentences.values() for t in group))
-    probabilities = dict(zip(batch, classify(batch)))
-    reports = [
-        fb.build_report(sub.submission_id, sheet, structure.classify_abstract(
-            sentences[sub.abstract], probabilities.__getitem__), rules)
-        for sub, sheet in zip(cohort, sheets)
-    ]
+    labeled = structure.label_cohort([sentences[sub.abstract] for sub in cohort],
+                                     dict(zip(batch, classify(batch))))
+    reports = fb.build_reports([sub.submission_id for sub in cohort], sheets, labeled, rules)
     rendered = [fb.render_report(report, fmt, color=not args.no_color) for report in reports]
 
     reports_dir = cfg.out_dir / "reports"

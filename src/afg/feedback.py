@@ -5,6 +5,8 @@ Question feedback comes from a pre-prepared comment table keyed by
 rule set over the sentence-label distribution and order; the defaults are
 calibrated so that a strongly background-heavy abstract draws per-class
 suggestions while an observation-dominated one draws the balance nudge.
+Each rule is evaluated once over a cohort, as one boolean column over its
+(N, 3) share matrix; each distinct row of fired rules becomes comments once.
 Reports render to terminal, HTML, or markdown with one highlight per
 sentence (yellow background, green technique, pink observation).
 """
@@ -12,16 +14,18 @@ sentence (yellow background, green technique, pink observation).
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from html import escape
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 from .scoring import Mark, MarkSheet, Verdict, fmt_number
-from .structure import ClassDistribution, Label3, LabeledAbstract, distribution
+from .structure import (LABEL_NAMES, LABELS, ClassDistribution, Label3, LabeledAbstract,
+                        LabeledCohort, label_counts)
 from .textproc import is_number, read_json_records
 
 
@@ -33,6 +37,8 @@ class Question(str, Enum):
     ACS = "Reference in ACS format"
     CITED = "Number of times Cited"
 
+
+_QUESTIONS = tuple(Question)  # bound once: iterating an Enum is slow
 
 COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
     (Question.IMPACT, Verdict.FULLY_CORRECT):
@@ -84,15 +90,15 @@ def fixed_comment(question: Question, mark: Mark) -> str:
 # Rule engine
 # ---------------------------------------------------------------------------
 
-# Each rule class that compares a number, and that number from the shares.
+# Each rule class that compares a number, and that number from an (N, 3) share matrix.
 _STATISTICS = {
-    **{label.name.lower(): operator.itemgetter(label) for label in Label3},
-    "spread": lambda shares: max(shares) - min(shares),
+    **{label.name.lower(): lambda shares, k=label: shares[:, k] for label in Label3},
+    "spread": lambda shares: shares.max(axis=1) - shares.min(axis=1),
 }
 _RULE_CLASSES = (*_STATISTICS, "order", "fallback")
 _COMPARATORS = {
-    "lt": operator.lt, "le": operator.le, "ge": operator.ge, "gt": operator.gt,
-    "within": lambda value, bounds: bounds[0] < value <= bounds[1],
+    "lt": np.less, "le": np.less_equal, "ge": np.greater_equal, "gt": np.greater,
+    "within": lambda value, bounds: (bounds[0] < value) & (value <= bounds[1]),
 }
 
 
@@ -101,15 +107,15 @@ def _is_class_name(value) -> bool:
 
 
 # Each guard condition key, what its value must be, the test of the value,
-# and whether the condition holds for the shares. The dominant class is the
-# first of the largest shares.
+# and whether the condition holds for each row of the shares. The dominant
+# class is the first of the largest shares.
 _GUARD_CONDITIONS = {
     "dominant": ("a class name", _is_class_name,
-                 lambda shares, v: shares.index(max(shares)) == Label3[v.upper()]),
+                 lambda shares, v: shares.argmax(axis=1) == Label3[v.upper()]),
     "share_lt": ("a [class name, number] pair", lambda v: type(v) in (list, tuple)
                  and len(v) == 2 and _is_class_name(v[0]) and is_number(v[1]),
-                 lambda shares, v: shares[Label3[v[0].upper()]] < v[1]),
-    "min_share_ge": ("a finite number", is_number, lambda shares, v: min(shares) >= v),
+                 lambda shares, v: shares[:, Label3[v[0].upper()]] < v[1]),
+    "min_share_ge": ("a finite number", is_number, lambda shares, v: shares.min(axis=1) >= v),
 }
 
 
@@ -147,14 +153,14 @@ class FeedbackRule:
         if problem:
             raise ConfigError(f"rule {self.id!r:.40}: {problem}")
 
-    def fires(self, dist: ClassDistribution, labels: Sequence[Label3]) -> bool:
+    def fires(self, shares: np.ndarray, in_order: np.ndarray) -> np.ndarray:
+        """Per row of an (N, 3) share matrix and its (N,) order flags, whether the rule
+        fires. A fallback rule never does: the engine applies it."""
         if self.cls == "fallback":
-            return False  # engine-level
-        if not _guard_ok(self.guard, dist.shares):
-            return False
-        if self.cls == "order":
-            return _is_logical_order(labels)
-        return _COMPARATORS[self.comparator](_STATISTICS[self.cls](dist.shares), self.threshold)
+            return np.zeros(len(shares), dtype=bool)
+        holds = in_order if self.cls == "order" else _COMPARATORS[self.comparator](
+            _STATISTICS[self.cls](shares), self.threshold)
+        return holds & _guard_ok(self.guard, shares)
 
 
 def _rule_problem(rule: FeedbackRule) -> str | None:
@@ -195,20 +201,15 @@ def _rule_problem(rule: FeedbackRule) -> str | None:
     return None
 
 
-def _guard_ok(guard, shares: tuple[float, float, float]) -> bool:
-    if not guard:
-        return True
-    for alternative in guard:
+def _guard_ok(guard, shares: np.ndarray):
+    """Per row of ``shares``, whether all conditions of some alternative hold; no guard: True."""
+    ok = not guard
+    for alternative in guard or ():
+        holds = True
         for key, value in alternative.items():
-            if not _GUARD_CONDITIONS[key][2](shares, value):
-                break
-        else:
-            return True
-    return False
-
-
-def _is_logical_order(labels: Sequence[Label3]) -> bool:
-    return all(a <= b for a, b in zip(labels, labels[1:]))
+            holds = holds & _GUARD_CONDITIONS[key][2](shares, value)
+        ok = ok | holds
+    return ok
 
 
 _FALLBACK_COMMENT = "The structure of the abstract covers the main aspects of the paper."
@@ -320,25 +321,26 @@ def rules_to_json(rules: Sequence[FeedbackRule]) -> str:
                       indent=2)
 
 
-def abstract_feedback(
-    dist: ClassDistribution,
-    labels: Sequence[Label3],
-    rules: Sequence[FeedbackRule] | None = None,
-) -> list[str]:
-    """Evaluate the rule set; always returns at least one comment."""
+def cohort_feedback(shares: np.ndarray, in_order: np.ndarray,
+                    rules: Sequence[FeedbackRule] | None = None) -> list[tuple[str, ...]]:
+    """Each row's comments: the templates of the rules that fire on it, by priority then
+    id; if none does, of its fallback rules, or the built-in fallback comment."""
+    rules = sorted(_DEFAULT_RULES if rules is None else rules, key=lambda r: (r.priority, r.id))
+    fired = np.array([r.fires(shares, in_order) for r in rules], bool).reshape(-1, len(shares))
+    fallback = tuple(r.template for r in rules if r.cls == "fallback") or (_FALLBACK_COMMENT,)
+    patterns, rows = np.unique(fired.T, axis=0, return_inverse=True)
+    comments = [tuple(r.template for r, f in zip(rules, pattern) if f) or fallback
+                for pattern in patterns.tolist()]
+    return [comments[row] for row in rows.tolist()]
+
+
+def abstract_feedback(dist: ClassDistribution, labels: Sequence[Label3],
+                      rules: Sequence[FeedbackRule] | None = None) -> list[str]:
+    """The comments of one abstract (see cohort_feedback); always at least one."""
     if not labels:
         raise ValueError("need at least one labeled sentence")
-    rules = _DEFAULT_RULES if rules is None else rules
-    fired = sorted(
-        (r for r in rules if r.fires(dist, labels)),
-        key=lambda r: (r.priority, r.id),
-    )
-    if fired:
-        return [r.template for r in fired]
-    fallbacks = sorted(
-        (r for r in rules if r.cls == "fallback"), key=lambda r: (r.priority, r.id)
-    )
-    return [r.template for r in fallbacks] or [_FALLBACK_COMMENT]
+    in_order = label_counts(labels, [len(labels)])[1]
+    return list(cohort_feedback(np.array([dist.shares]), in_order, rules)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +365,20 @@ class FeedbackReport:
         }
 
 
-def build_report(
-    submission_id: str,
-    marks: MarkSheet,
-    labeled: LabeledAbstract,
-    rules: Sequence[FeedbackRule] | None = None,
-) -> FeedbackReport:
-    comments = tuple(fixed_comment(q, m) for q, m in zip(Question, marks.question_marks()))
-    return FeedbackReport(
-        submission_id=submission_id,
-        question_comments=comments,
-        abstract_comments=tuple(abstract_feedback(distribution(labeled), labeled.labels(), rules)),
-        labeled_abstract=labeled,
-        marks=marks,
-    )
+def build_reports(submission_ids: Sequence[str], sheets: Sequence[MarkSheet],
+                  labeled: LabeledCohort,
+                  rules: Sequence[FeedbackRule] | None = None) -> list[FeedbackReport]:
+    """Each submission's FeedbackReport, from its id, its mark sheet and its row of ``labeled``."""
+    comments = cohort_feedback(labeled.shares(), labeled.in_order, rules)
+    return [FeedbackReport(sid, tuple(map(fixed_comment, _QUESTIONS, marks.question_marks())),
+                           abstract_comments, abstract, marks)
+            for sid, marks, abstract_comments, abstract
+            in zip(submission_ids, sheets, comments, labeled.abstracts)]
+
+
+def build_report(submission_id: str, marks: MarkSheet, labeled: LabeledAbstract,
+                 rules: Sequence[FeedbackRule] | None = None) -> FeedbackReport:
+    return build_reports([submission_id], [marks], LabeledCohort.of([labeled]), rules)[0]
 
 
 # Each label's highlight: its tag in plain text and markdown, its HTML and terminal colours.
@@ -386,7 +388,7 @@ LABEL_STYLES = {
     Label3.OBSERVATION: {"tag": "[O]", "html": "#FFC0CB", "ansi": "\x1b[45;30m"},
 }
 # The Question values, read once per process: an Enum's iteration and .value are slow.
-_MARK_LINE_LABELS = tuple(question.value for question in Question)
+_MARK_LINE_LABELS = tuple(question.value for question in _QUESTIONS)
 
 
 def _marks_value(value: float) -> str:
@@ -470,7 +472,7 @@ def render_report(report: FeedbackReport, format: str = "terminal", color: bool 
         if isinstance(body, LabeledAbstract):
             lines += draw.labelled(
                 [draw.highlight(s.text, s.label, color) for s in body.sentences],
-                [draw.highlight(label.name, label, color) for label in Label3])
+                [draw.highlight(LABEL_NAMES[label], label, color) for label in LABELS])
         else:
             lines += draw.items(body)
     return "\n".join([*lines, *draw.end]) + "\n"

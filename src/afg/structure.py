@@ -4,14 +4,18 @@ The three-class scheme (background / technique / observation) is a
 coarsening of the five corpus labels; the classifier itself is any
 callable mapping a sentence to a probability triple, so a trained model,
 a stub fixed to known labels, or a future drop-in backend all plug in the
-same way.
+same way. A cohort is labelled in one pass (``label_cohort``), and every
+statistic reads one count of the labels (``label_counts``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import Label5
@@ -23,7 +27,10 @@ class Label3(IntEnum):
     OBSERVATION = 2
 
 
-_LABEL3 = tuple(Label3)  # by class index
+# By class index, bound once: iterating an Enum, and its members' .name, are slow.
+LABELS = tuple(Label3)
+LABEL_NAMES = tuple(label.name for label in LABELS)
+_ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # certain of one class
 
 LABEL5_TO_LABEL3 = {
     Label5.BACKGROUND: Label3.BACKGROUND,
@@ -63,7 +70,7 @@ class LabeledAbstract:
 
     def to_json_list(self) -> list[dict]:
         return [
-            {"text": s.text, "label": s.label.name, "confidence": s.confidence}
+            {"text": s.text, "label": LABEL_NAMES[s.label], "confidence": s.confidence}
             for s in self.sentences
         ]
 
@@ -87,30 +94,61 @@ def make_fixed_classifier(labels_by_text: dict[str, str]) -> SentenceClassifier:
 
     def classify(sentence: str) -> tuple[float, float, float]:
         try:
-            label = table[sentence]
+            return _ONE_HOT[table[sentence]]
         except KeyError:
             raise DataError(f"no fixed label for sentence {sentence!r}") from None
-        probs = [0.0, 0.0, 0.0]
-        probs[label] = 1.0
-        return tuple(probs)
 
     return classify
 
 
-def classify_abstract(sentences: Sequence[str], classifier: SentenceClassifier) -> LabeledAbstract:
-    """Label each of an abstract's already segmented ``sentences`` with ``classifier``.
+def label_counts(labels: Sequence[int], lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3) class counts of the N runs laid end to end in ``labels``, run i ``lengths[i]``
+    long, and (N,) whether each never steps back along background -> technique -> observation."""
+    labels = np.asarray(labels, dtype=np.intp)
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.bincount(row * 3 + labels, minlength=3 * len(lengths)).reshape(-1, 3)
+    back = row[1:][(labels[1:] < labels[:-1]) & (row[1:] == row[:-1])]
+    return counts, np.bincount(back, minlength=len(lengths)) == 0
 
-    The caller segments, so one abstract gets the same sentences wherever it
-    is labelled. No sentences is a ValueError (see LabeledAbstract).
-    """
-    labeled = []
-    for sentence in sentences:
-        probs = classifier(sentence)
-        best = max(range(len(probs)), key=probs.__getitem__)
-        labeled.append(
-            LabeledSentence(text=sentence, label=_LABEL3[best], confidence=float(probs[best]))
-        )
-    return LabeledAbstract(tuple(labeled))
+
+class LabeledCohort(NamedTuple):
+    """Labelled abstracts, with their label counts and order flags (see label_counts)."""
+
+    abstracts: list[LabeledAbstract]
+    counts: np.ndarray
+    in_order: np.ndarray
+
+    @classmethod
+    def of(cls, abstracts: Sequence[LabeledAbstract]) -> LabeledCohort:
+        labels = [s.label for abstract in abstracts for s in abstract.sentences]
+        return cls(list(abstracts), *label_counts(labels, [len(a.sentences) for a in abstracts]))
+
+    def shares(self) -> np.ndarray:
+        """Each abstract's (N, 3) class shares, each count over its abstract's total."""
+        return self.counts / self.counts.sum(axis=1, keepdims=True)
+
+
+def label_cohort(abstracts: Sequence[Sequence[str]],
+                 probabilities: Mapping[str, Sequence[float]]) -> LabeledCohort:
+    """Label each sentence of the already segmented ``abstracts`` with the first most
+    probable class of its triple in ``probabilities``, and count the labels. The caller
+    segments, so one abstract gets the same sentences wherever it is labelled. An
+    abstract of no sentences is a ValueError (see LabeledAbstract)."""
+    texts = [text for sentences in abstracts for text in sentences]
+    probs = np.array([probabilities[text] for text in texts], np.float64).reshape(len(texts), 3)
+    labels = probs.argmax(axis=1)
+    labeled = list(map(LabeledSentence, texts, map(LABELS.__getitem__, labels.tolist()),
+                       probs[np.arange(len(texts)), labels].tolist()))
+    lengths = [len(sentences) for sentences in abstracts]
+    return LabeledCohort(
+        [LabeledAbstract(tuple(labeled[end - n:end]))
+         for n, end in zip(lengths, itertools.accumulate(lengths))],
+        *label_counts(labels, lengths))
+
+
+def classify_abstract(sentences: Sequence[str], classifier: SentenceClassifier) -> LabeledAbstract:
+    """Label each of an abstract's already segmented ``sentences`` with ``classifier``."""
+    return label_cohort([sentences], {text: classifier(text) for text in sentences}).abstracts[0]
 
 
 @dataclass(frozen=True)
@@ -126,16 +164,9 @@ class ClassDistribution:
 
 def distribution(labeled: LabeledAbstract) -> ClassDistribution:
     """Per-class sentence counts and shares of one labelled abstract."""
-    labels = labeled.labels()
-    counts = [0, 0, 0]
-    for label in labels:
-        counts[label] += 1
-    total = len(labels)
-    return ClassDistribution(
-        counts=tuple(counts),
-        shares=tuple(c / total for c in counts),
-        n_classes_present=sum(1 for c in counts if c > 0),
-    )
+    cohort = LabeledCohort.of([labeled])
+    counts = tuple(cohort.counts[0].tolist())
+    return ClassDistribution(counts, tuple(cohort.shares()[0].tolist()), 3 - counts.count(0))
 
 
 @dataclass(frozen=True)
@@ -163,22 +194,15 @@ def corpus_stats(abstracts: Sequence[LabeledAbstract]) -> CorpusStats:
     """Pooled sentence-level shares and class-coverage stats over a corpus."""
     if not abstracts:
         raise ValueError("need at least one abstract")
-    counts = [0, 0, 0]
-    low_coverage = 0
-    n_sentences = 0
-    for abstract in abstracts:
-        dist = distribution(abstract)
-        for k in range(3):
-            counts[k] += dist.counts[k]
-        n_sentences += dist.n_sentences
-        if dist.n_classes_present <= 2:
-            low_coverage += 1
+    counts = LabeledCohort.of(abstracts).counts
+    pooled = counts.sum(axis=0)
+    n_sentences = int(pooled.sum())
     return CorpusStats(
         n_abstracts=len(abstracts),
         n_sentences=n_sentences,
-        pooled_counts=tuple(counts),
-        pooled_shares=tuple(c / n_sentences for c in counts),
-        two_or_fewer_classes_fraction=low_coverage / len(abstracts),
+        pooled_counts=tuple(pooled.tolist()),
+        pooled_shares=tuple((pooled / n_sentences).tolist()),
+        two_or_fewer_classes_fraction=float(np.mean(np.count_nonzero(counts, axis=1) <= 2)),
         reference_percent={
             "pubmed_rct": PUBMED_RCT_LABEL_PERCENT,
             "reported_student_data": STUDENT_DATA_LABEL_PERCENT,

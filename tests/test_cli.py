@@ -487,6 +487,41 @@ class TestGrade:
         ]
         assert (out / "reports" / "ex2.md").exists()
 
+    def test_a_submission_graded_alone_gets_what_it_gets_in_the_cohort(self, tmp_path):
+        # Abstracts of varied label mixes, some shuffled out of order and one used
+        # twice, so the cohort's rows fire different rule sets.
+        rng = np.random.default_rng(4)
+        example = json.loads((DATA / "example_submissions.json").read_text())[0]
+        subs, table = [], {}
+        for i, abstract in enumerate(generate_rct_corpus(24, seed=4)):
+            n = len(abstract.sentences)
+            kept = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            picked = [abstract.sentences[k] for k in (rng.permutation(kept) if i % 3 else kept)]
+            table.update((text, structure.map_label(label).name) for label, text in picked)
+            subs.append(dict(example, submission_id=f"c{i:02d}", times_cited=10 + i,
+                             abstract=" ".join(text for _, text in picked)))
+        subs.append(dict(subs[5], submission_id="c99"))
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(table), encoding="utf-8")
+
+        def grade(name: str, cohort: list) -> tuple[Path, list[str], list[str]]:
+            out = tmp_path / name
+            body = grade_config(tmp_path, out)
+            body["grade"]["submissions"] = str(self._grade_subs(tmp_path, cohort))
+            body["grade"]["classifier_model"]["path"] = str(labels)
+            assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 0
+            records = [[line.rstrip(",") for line in (out / file).read_text().splitlines()[1:-1]]
+                       for file in ("marks.json", "feedback.json")]
+            return out, *records
+
+        out, marks, reports = grade("cohort", subs)
+        assert len({tuple(json.loads(r)["abstract_comments"]) for r in reports}) > 3
+        for i, sub in enumerate(sorted(subs, key=lambda s: s["submission_id"])):
+            alone, alone_marks, alone_reports = grade(sub["submission_id"], [sub])
+            assert (alone_marks, alone_reports) == ([marks[i]], [reports[i]])
+            report = f"reports/{sub['submission_id']}.md"
+            assert (alone / report).read_bytes() == (out / report).read_bytes()
+
     def test_empty_submission_file_exits_3(self, tmp_path):
         out = tmp_path / "out"
         empty = tmp_path / "empty.json"

@@ -4,6 +4,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +13,9 @@ from afg.feedback import (
     COMMENT_TABLE,
     FeedbackRule,
     Question,
-    _is_logical_order,
     abstract_feedback,
     build_report,
+    cohort_feedback,
     default_rules,
     fixed_comment,
     load_rules,
@@ -26,9 +27,11 @@ from afg.scoring import MarkSheet, Verdict, mark_submission, score_numeric, scor
 from afg.structure import (
     Label3,
     LabeledAbstract,
+    LabeledCohort,
     LabeledSentence,
     classify_abstract,
     distribution,
+    label_counts,
     make_fixed_classifier,
 )
 from afg.textproc import segment_sentences
@@ -418,9 +421,11 @@ def _reference_is_logical_order(labels) -> bool:
 
 
 def test_logical_order_matches_the_reference_on_every_short_sequence():
-    for n in range(9):
-        for labels in itertools.product(Label3, repeat=n):
-            assert _is_logical_order(labels) == _reference_is_logical_order(labels), labels
+    # One count over every sequence at once, so a step back across two rows must not count.
+    sequences = [labels for n in range(9) for labels in itertools.product(Label3, repeat=n)]
+    _, in_order = label_counts([label for labels in sequences for label in labels],
+                               list(map(len, sequences)))
+    assert in_order.tolist() == [_reference_is_logical_order(labels) for labels in sequences]
 
 
 def _reference_fires(rule, dist, labels) -> bool:
@@ -480,7 +485,10 @@ def _reference_abstract_feedback(dist, labels, rules) -> list[str]:
 CLASS_NAMES = ("background", "technique", "observation")
 # Every share an abstract of 1 to 12 sentences can have, and a few beyond.
 SHARES = sorted({k / n for n in range(1, 13) for k in range(n + 1)} | {-0.5, 1.5})
-thresholds = st.one_of(st.sampled_from(SHARES), st.floats(-0.1, 1.1))
+# Integers a float holds only rounded, and the largest floats: numpy compares a
+# share with the number converted to float64, Python with the exact number.
+HUGE = (10**300, -10**300, 1.7e308, -1.7e308)
+thresholds = st.one_of(st.sampled_from(SHARES), st.floats(-0.1, 1.1), st.sampled_from(HUGE))
 mixed_case_class = st.sampled_from(CLASS_NAMES).flatmap(
     lambda name: st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
         lambda upper: "".join(c.upper() if u else c for c, u in zip(name, upper))))
@@ -514,7 +522,9 @@ def rules(draw, rule_id="r"):
 @given(rules(), label_lists)
 def test_fires_matches_the_reference(rule, labels):
     dist = dist_for(labels)
-    assert rule.fires(dist, labels) == _reference_fires(rule, dist, labels)
+    in_order = label_counts(labels, [len(labels)])[1]
+    assert rule.fires(np.array([dist.shares]), in_order).tolist() == [
+        _reference_fires(rule, dist, labels)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -525,3 +535,16 @@ def test_abstract_feedback_matches_the_reference(rule_set, labels):
         _reference_abstract_feedback(dist, labels, default_rules()))
     assert abstract_feedback(dist, labels, rule_set) == (
         _reference_abstract_feedback(dist, labels, rule_set))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9).flatmap(lambda i: rules(f"r{i}")), max_size=6),
+       st.lists(label_lists, min_size=1, max_size=30))
+def test_cohort_feedback_matches_the_reference_row_by_row(rule_set, cohort):
+    labeled = LabeledCohort.of([labeled_abstract(labels) for labels in cohort])
+    for given_rules in (None, rule_set):
+        comments = cohort_feedback(labeled.shares(), labeled.in_order, given_rules)
+        assert [list(row) for row in comments] == [
+            _reference_abstract_feedback(dist_for(labels), labels,
+                                         default_rules() if given_rules is None else given_rules)
+            for labels in cohort]

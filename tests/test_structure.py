@@ -1,6 +1,7 @@
 """Label mapping, abstract classification and distribution statistics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afg.ingest import Label5
 from afg.structure import (
@@ -9,6 +10,7 @@ from afg.structure import (
     classify_abstract,
     corpus_stats,
     distribution,
+    label_cohort,
     make_fixed_classifier,
     map_label,
 )
@@ -63,6 +65,39 @@ class TestClassifyAbstract:
     def test_blank_text_rejected(self):
         with pytest.raises(ValueError):
             classify_abstract(segment_sentences("   "), lambda s: (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("probs, first", [
+        ((0.5, 0.5, 0.0), Label3.BACKGROUND),
+        ((0.0, 0.5, 0.5), Label3.TECHNIQUE),
+        ((0.5, 0.0, 0.5), Label3.BACKGROUND),
+        ((1 / 3, 1 / 3, 1 / 3), Label3.BACKGROUND),
+        ((0.0, -0.0, 0.0), Label3.BACKGROUND),
+    ])
+    def test_a_tie_goes_to_the_first_most_probable_class(self, probs, first):
+        labeled = classify_abstract(["A tie.", "No tie."],
+                                    {"A tie.": probs, "No tie.": (0.1, 0.2, 0.7)}.__getitem__)
+        assert [s.label for s in labeled.sentences] == [first, Label3.OBSERVATION]
+        assert labeled.sentences[0].confidence.hex() == float(probs[first]).hex()
+
+
+PROBABILITIES = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1 / 3, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(PROBABILITIES, PROBABILITIES, PROBABILITIES),
+                         min_size=1, max_size=8), min_size=1, max_size=10))
+def test_label_cohort_matches_a_sentence_by_sentence_reference(cohort):
+    texts = [[f"a{i} s{j}." for j in range(len(rows))] for i, rows in enumerate(cohort)]
+    labeled = label_cohort(texts, {text: probs for sentences, rows in zip(texts, cohort)
+                                   for text, probs in zip(sentences, rows)})
+    for abstract, rows, counts, in_order in zip(labeled.abstracts, cohort, labeled.counts,
+                                                labeled.in_order):
+        best = [max(range(3), key=probs.__getitem__) for probs in rows]
+        assert [s.label for s in abstract.sentences] == [Label3(k) for k in best]
+        assert [s.confidence.hex() for s in abstract.sentences] == [
+            float(probs[k]).hex() for probs, k in zip(rows, best)]
+        assert counts.tolist() == [best.count(k) for k in range(3)]
+        assert in_order == all(a <= b for a, b in zip(best, best[1:]))
 
 
 class TestDistribution:
