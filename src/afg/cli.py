@@ -26,7 +26,9 @@ and only then write the reports and the JSON files, so a failure before the
 writes leaves no output. Each model runs once, on its texts in input order,
 each text once. The scorer's pass runs inside the first
 ``scoring.mark_submission`` call, because the benchmark's set-up time ends
-there; run earlier, it would count as set-up.
+there; run earlier, it would count as set-up. ``_write`` encodes each
+output's text before it opens the file, so a failed encode truncates
+nothing, and calls ``os.write`` until all is written; an OSError names it.
 
 Every JSON output file comes from the C encoder with its default
 separators and ASCII escaping, not indented. Each item of a top-level
@@ -197,6 +199,8 @@ class RunConfig:
         raw = read_json(path, f"config {path}", ConfigError)
         checked = _check(raw, _SCHEMA, "", Path(path).parent)
         overrides = {key: v for key, v in (("seed", seed), ("out_dir", out)) if v is not None}
+        # JSON can spell a lone surrogate; argv, decoded from bytes, always encodes back.
+        _config_value("out_dir", lambda: os.fsencode(checked["out_dir"]))
         checked.update(_check(overrides, {key: _SCHEMA[key] for key in overrides}, "", Path()))
         return cls(seed=checked["seed"], out_dir=Path(checked["out_dir"]), sections=checked)
 
@@ -207,6 +211,20 @@ def _config_value(what: str, build: Callable):
         return build()
     except ValueError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from None
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 (see the module docstring)."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -224,7 +242,7 @@ def _write_json(path: Path, obj) -> None:
     else:
         text = records(obj)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    _write(path, text + "\n")
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -432,18 +450,16 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     reports = fb.build_reports([sub.submission_id for sub in cohort], sheets, labeled, rules)
     rendered = [fb.render_report(report, fmt, color=not args.no_color) for report in reports]
 
-    reports_dir = cfg.out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
+    reports_dir = f"{cfg.out_dir}/reports"
+    os.makedirs(reports_dir, exist_ok=True)
     for sub, text in zip(cohort, rendered):
-        (reports_dir / f"{sub.submission_id}.{ext}").write_text(text, encoding="utf-8")
+        _write(f"{reports_dir}/{sub.submission_id}.{ext}", text)
     # marks.json is a bare array ordered by submission id (the documented
     # interchange shape); the run seed lives in the manifest and feedback.
+    feedback = [report.to_json_dict() for report in reports]
     _write_json(cfg.out_dir / "marks.json", [
-        {"submission_id": sub.submission_id, **sheet.to_json_dict()}
-        for sub, sheet in zip(cohort, sheets)
-    ])
-    _write_json(cfg.out_dir / "feedback.json",
-                {"seed": cfg.seed, "reports": [report.to_json_dict() for report in reports]})
+        {"submission_id": d["submission_id"], **d["marks"]} for d in feedback])
+    _write_json(cfg.out_dir / "feedback.json", {"seed": cfg.seed, "reports": feedback})
     _write_json(cfg.out_dir / "run.json",
                 {"command": "grade", "seed": cfg.seed, "format": fmt, "graded": len(subs)})
     _emit(args, {"graded": len(subs), "out": str(cfg.out_dir), "seed": cfg.seed},

@@ -13,6 +13,7 @@ sentence (yellow background, green technique, pink observation).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
@@ -26,7 +27,7 @@ from .errors import ConfigError
 from .scoring import Mark, MarkSheet, Verdict, fmt_number
 from .structure import (LABEL_NAMES, LABELS, ClassDistribution, Label3, LabeledAbstract,
                         LabeledCohort, label_counts)
-from .textproc import is_number, read_json_records
+from .textproc import is_number, is_text, read_json_records
 
 
 class Question(str, Enum):
@@ -169,6 +170,8 @@ def _rule_problem(rule: FeedbackRule) -> str | None:
                              ("priority", int, "an integer")):
         if type(getattr(rule, name)) is not kind:
             return f"{name} {getattr(rule, name)!r:.40} is not {what}"
+    if not is_text(rule.template):
+        return f"template {rule.template!r:.40} holds a lone surrogate, which UTF-8 cannot encode"
     if rule.cls not in _RULE_CLASSES:
         return f"unknown class {rule.cls!r:.40} (known: {', '.join(_RULE_CLASSES)})"
     if rule.comparator is None:
@@ -395,20 +398,6 @@ def _marks_value(value: float) -> str:
     return "1 mark" if value == 1 else f"{fmt_number(value)} marks"
 
 
-def _sections(report: FeedbackReport) -> tuple:
-    """A report's sections in order: each heading, and its texts or its labelled abstract."""
-    marks = report.marks
-    mark_lines = [f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}"
-                  for label, mark in zip(_MARK_LINE_LABELS, marks.question_marks())]
-    return (
-        ("Marks", [*mark_lines, f"Abstract: {_marks_value(marks.abstract_mark)}",
-                   f"Total: {fmt_number(marks.total)}/10"]),
-        ("Question feedback", report.question_comments),
-        ("Abstract structure", report.labeled_abstract),
-        ("Abstract feedback", report.abstract_comments),
-    )
-
-
 class ReportFormat(NamedTuple):
     """A report format: its file extension, and how it draws each part of a report.
 
@@ -461,18 +450,31 @@ REPORT_FORMATS = {
 }
 
 
+@functools.cache
+def _skeleton(format: str, color: bool) -> tuple:
+    """What every report in ``format`` shares, built once per process: the text of each
+    section's heading, in order, and the legend's marked label names."""
+    draw = REPORT_FORMATS[format]
+    return (*("\n".join(draw.heading(heading)) for heading in
+              ("Marks", "Question feedback", "Abstract structure", "Abstract feedback")),
+            tuple(draw.highlight(LABEL_NAMES[label], label, color) for label in LABELS))
+
+
 def render_report(report: FeedbackReport, format: str = "terminal", color: bool = True) -> str:
-    """Render one report; every sentence gets exactly one highlight span."""
+    """Render one report's four sections in order; every sentence gets exactly one highlight."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
-    draw = REPORT_FORMATS[format]
-    lines = draw.title(f"Feedback for submission {report.submission_id}")
-    for heading, body in _sections(report):
-        lines += draw.heading(heading)
-        if isinstance(body, LabeledAbstract):
-            lines += draw.labelled(
-                [draw.highlight(s.text, s.label, color) for s in body.sentences],
-                [draw.highlight(LABEL_NAMES[label], label, color) for label in LABELS])
-        else:
-            lines += draw.items(body)
-    return "\n".join([*lines, *draw.end]) + "\n"
+    draw, marks = REPORT_FORMATS[format], report.marks
+    marks_head, questions_head, structure_head, feedback_head, legend = _skeleton(format, color)
+    mark_lines = [f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}"
+                  for label, mark in zip(_MARK_LINE_LABELS, marks.question_marks())]
+    marked = [draw.highlight(text, label, color)
+              for text, label, _ in report.labeled_abstract.sentences]
+    return "\n".join([
+        *draw.title(f"Feedback for submission {report.submission_id}"),
+        marks_head, *draw.items([*mark_lines, f"Abstract: {_marks_value(marks.abstract_mark)}",
+                                 f"Total: {fmt_number(marks.total)}/10"]),
+        questions_head, *draw.items(report.question_comments),
+        structure_head, *draw.labelled(marked, legend),
+        feedback_head, *draw.items(report.abstract_comments), *draw.end,
+    ]) + "\n"

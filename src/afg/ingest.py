@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, DataError, RowError
 from .scoring import MarkSheet, marksheet_from_json
-from .textproc import is_number, read_json_records, read_text
+from .textproc import is_number, is_text, read_json_records, read_text
 
 
 class Label5(Enum):
@@ -91,6 +91,10 @@ def _check_answers(record: Submission | AnswerKey, what: str) -> None:
         raise ValueError(f"{what}: negative citation count")
     if not record.ref_rsc.strip() or not record.ref_acs.strip():
         raise ValueError(f"{what}: blank reference")
+    # Not the submission id: grade checks it where it names a report file.
+    text = record.paper_id + record.ref_rsc + record.ref_acs + getattr(record, "abstract", "")
+    if not is_text(text):
+        raise ValueError(f"{what}: a text field holds a lone surrogate, which UTF-8 cannot encode")
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ def map_label(label5: Label5) -> Label3:
     return LABEL5_TO_LABEL3[label5]
 
 
-@dataclass(frozen=True)
-class LabeledSentence:
+class LabeledSentence(NamedTuple):
+    """A sentence, its label and the label's probability; cheaper to build than a dataclass."""
+
     text: str
     label: Label3
     confidence: float
@@ -69,10 +70,8 @@ class LabeledAbstract:
         return [s.label for s in self.sentences]
 
     def to_json_list(self) -> list[dict]:
-        return [
-            {"text": s.text, "label": LABEL_NAMES[s.label], "confidence": s.confidence}
-            for s in self.sentences
-        ]
+        return [{"text": text, "label": LABEL_NAMES[label], "confidence": confidence}
+                for text, label, confidence in self.sentences]
 
 
 SentenceClassifier = Callable[[str], tuple[float, float, float]]

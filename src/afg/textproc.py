@@ -120,6 +120,14 @@ def is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def is_text(value) -> bool:
+    """Whether a parsed JSON value is a string UTF-8 can encode: one with no lone surrogate."""
+    return type(value) is str and (value.isascii() or _SURROGATE.search(value) is None)
+
+
 def read_json_records(source, what: str, error: type[Exception] = DataError) -> list[dict]:
     """The JSON array of objects in a path or stream; any other JSON is ``error``."""
     records = read_json(source, what, error)

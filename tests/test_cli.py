@@ -1,7 +1,9 @@
 """End-to-end CLI runs on tiny synthetic data and the marking example."""
 
+import errno
 import hashlib
 import json
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -31,6 +33,7 @@ from afg.synthdata import generate_rct_corpus, generate_regression_samples
 from afg.textproc import build_vocab
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path: Path, body: dict) -> Path:
@@ -943,6 +946,65 @@ class TestGrade:
         assert "answer key #0: " in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, flags, golden", [
+        ("markdown", [], "example2_report.md"),
+        ("html", [], "example2_report.html"),
+        ("terminal", ["--no-color"], "example2_report.txt"),
+        ("terminal", [], "example2_report_color.txt"),
+    ])
+    def test_written_report_matches_the_golden(self, tmp_path, fmt, flags, golden):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, grade_config(tmp_path, out, fmt))
+        assert main(["--config", str(cfg), *flags, "grade"]) == 0
+        [report] = (out / "reports").iterdir()
+        assert report.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_short_writes_give_the_same_files(self, tmp_path, monkeypatch):
+        def grade(out: Path) -> dict:
+            cfg = write_config(tmp_path, grade_config(tmp_path, out))
+            assert main(["--config", str(cfg), "grade"]) == 0
+            return {path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*")) if path.is_file()}
+
+        whole = grade(tmp_path / "whole")
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        assert grade(tmp_path / "short") == whole
+        assert len(whole) == 4 and all(whole.values())
+
+    def test_failed_write_names_its_file(self, tmp_path, capsys, monkeypatch):
+        def full(fd, data):
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        monkeypatch.setattr(os, "write", full)
+        out = tmp_path / "out"
+        assert main(["--config", str(write_config(tmp_path, grade_config(tmp_path, out))),
+                     "grade"]) == 2
+        err = capsys.readouterr().err
+        assert os.strerror(errno.EFBIG) in err and str(out / "reports" / "ex2.md") in err
+
+    def test_out_dir_of_bytes_utf8_cannot_decode_is_written(self, tmp_path):
+        # Python hands the byte 0x80 of a path on as "\udc80", and os.fsencode
+        # turns it back; only a lone surrogate it cannot encode is refused.
+        out = f"{tmp_path}/o\udc80"
+        cfg = write_config(tmp_path, grade_config(tmp_path, tmp_path / "unused"))
+        assert main(["--config", str(cfg), "--out", out, "--json", "grade"]) == 0
+        assert os.listdir(os.fsencode(f"{out}/reports")) == [b"ex2.md"]
+
+    def test_lone_surrogate_in_an_abstract_exits_3_before_writing(self, tmp_path, capsys):
+        subs = json.loads((DATA / "example_submissions.json").read_text())
+        subs[0]["abstract"] = "We measure \ud800 things."
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({subs[0]["abstract"]: "TECHNIQUE"}), encoding="utf-8")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        body["grade"]["classifier_model"]["path"] = str(labels)
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 3
+        assert "submission #0: submission ex2: a text field holds a lone surrogate" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_reports_stable_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path, grade_config(tmp_path, out1))
@@ -1045,6 +1107,7 @@ def command_config(tmp_path: Path, command: str, out: Path) -> dict:
     ("pretrain", ("pretrain", "epochs"), 2.5, "invalid pretrain.epochs"),
     ("train-classifier", ("classifier", "five_class"), "no", "invalid classifier.five_class"),
     ("pretrain", ("pretrain", "corpora"), {}, "invalid pretrain.corpora: {} is not a JSON array"),
+    ("grade", ("out_dir",), "o\ud800", "invalid out_dir: 'utf-8' codec can't encode"),
 ])
 def test_config_checked_against_schema_before_writing(tmp_path, capsys, command, keys, value,
                                                       message):
@@ -1205,6 +1268,7 @@ GRADE_KEY_PATHS = list(_key_paths(grade_config(DATA, DATA / "out")))
        value=JSON_VALUES)
 @example(path=("grade", "submissions"), new_key=None, value="a\x00b")
 @example(path=("grade", "submissions"), new_key=None, value="a\ud800")
+@example(path=("out_dir",), new_key=None, value="o\ud800")
 @example(path=("grade", "keys"), new_key=None, value="..")
 @example(path=("grade", "scorer_model", "score"), new_key=None, value=float("nan"))
 @example(path=("seed",), new_key=None, value=10**400)
@@ -1240,11 +1304,13 @@ def _grade_with_rules(tmp: Path, entries: list) -> tuple[int, Path]:
 
 # Each exited 0: the null template printed the comment "None", the id 7 read
 # as "7", and the "guards" key was ignored, so balance_suggest lost its guard.
+# The lone surrogate, which UTF-8 cannot encode, crashed the report write.
 @pytest.mark.parametrize("entry", [
     {**RULE_FILE_ENTRIES[0], "template": None},
     {**RULE_FILE_ENTRIES[0], "id": 7},
     {"guards" if key == "guard" else key: value for key, value in RULE_FILE_ENTRIES[0].items()},
-], ids=["null template", "integer id", "guards key"])
+    {**RULE_FILE_ENTRIES[0], "template": "a\ud800"},
+], ids=["null template", "integer id", "guards key", "lone surrogate template"])
 def test_mistyped_or_unknown_rule_key_exits_2_before_writing(tmp_path, capsys, entry):
     code, out = _grade_with_rules(tmp_path, [entry, *RULE_FILE_ENTRIES[1:]])
     assert code == 2
@@ -1258,6 +1324,7 @@ def test_mistyped_or_unknown_rule_key_exits_2_before_writing(tmp_path, capsys, e
 @example(index=0, key="template", value=None)
 @example(index=0, key="id", value=7)
 @example(index=0, key="guards", value=RULE_FILE_ENTRIES[0]["guard"])
+@example(index=0, key="template", value="a\ud800")
 def test_any_json_value_in_any_rule_field_exits_cleanly(index, key, value):
     """Rule-file twin of the data fuzzing: ``value`` replaces one field of one
     default rule, or goes under a new key. A failed ``grade`` writes nothing;
@@ -1293,6 +1360,8 @@ def _reject_constant(name):
 @example(field=("submissions", "submission_id"), value="zz/sub")
 @example(field=("submissions", "submission_id"), value=10**299)
 @example(field=("submissions", "submission_id"), value="a\ud800")
+@example(field=("submissions", "abstract"), value="a\ud800")
+@example(field=("keys", "ref_acs"), value="a\ud800")
 @example(field=("submissions", "times_cited"), value=10**399)
 @example(field=("keys", "times_cited"), value=10**399)
 @example(field=("keys", "times_cited"), value=-(10**308))
