@@ -325,7 +325,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
         samples.extend(ingest.parse_scored_tsv(entry["path"], ingest.TsvSchema.from_dict(entry)))
     if not samples:
         raise DataError("no training samples in the configured corpora")
-    data = [(s.text, s.score01) for s in ingest.normalize_scores(samples)]
+    data = [(s.text, s.score01) for s in samples]
     log.info("pretraining on %d samples", len(data))
     return _train_and_write(cfg, args, "pretrain", "pretrained.afgm", data, [],
                             vocab_file="vocab.txt")

@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .scoring import Mark, MarkSheet, Verdict, fmt_number
-from .structure import (LABEL_NAMES, LABELS, ClassDistribution, Label3, LabeledAbstract,
-                        LabeledCohort, label_counts)
+from .structure import LABEL_NAMES, LABELS, Label3, LabeledAbstract, LabeledCohort
 from .textproc import is_number, is_text, read_json_records
 
 
@@ -40,6 +39,7 @@ class Question(str, Enum):
 
 
 _QUESTIONS = tuple(Question)  # bound once: iterating an Enum is slow
+_INCORRECT = Verdict.INCORRECT  # bound once: reading a member off its Enum class is slow
 
 COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
     (Question.IMPACT, Verdict.FULLY_CORRECT):
@@ -77,7 +77,7 @@ COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
 
 def _answer_clause(mark: Mark) -> str:
     """The key's value and the answer given, for a wrong numeric answer; else ""."""
-    if mark.verdict is not Verdict.INCORRECT or mark.given is None or mark.correct is None:
+    if mark.verdict is not _INCORRECT or mark.given is None or mark.correct is None:
         return ""
     return f", the correct answer is {fmt_number(mark.correct)}, you gave {fmt_number(mark.given)}"
 
@@ -335,15 +335,6 @@ def cohort_feedback(shares: np.ndarray, in_order: np.ndarray,
     comments = [tuple(r.template for r, f in zip(rules, pattern) if f) or fallback
                 for pattern in patterns.tolist()]
     return [comments[row] for row in rows.tolist()]
-
-
-def abstract_feedback(dist: ClassDistribution, labels: Sequence[Label3],
-                      rules: Sequence[FeedbackRule] | None = None) -> list[str]:
-    """The comments of one abstract (see cohort_feedback); always at least one."""
-    if not labels:
-        raise ValueError("need at least one labeled sentence")
-    in_order = label_counts(labels, [len(labels)])[1]
-    return list(cohort_feedback(np.array([dist.shares]), in_order, rules)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,10 @@ class RawSample:
     min_score: float
     max_score: float
 
-
-@dataclass(frozen=True)
-class NormalizedSample:
-    sample_id: str
-    prompt_id: str
-    text: str
-    score01: float
+    @property
+    def score01(self) -> float:
+        """The score min-max normalized to [0, 1] within its prompt's range."""
+        return (self.raw_score - self.min_score) / (self.max_score - self.min_score)
 
 
 @dataclass(frozen=True)
@@ -189,19 +186,6 @@ def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
             )
         )
     return samples
-
-
-def normalize_scores(samples: Sequence[RawSample]) -> list[NormalizedSample]:
-    """Min-max normalize each sample's score to [0, 1] within its prompt range."""
-    return [
-        NormalizedSample(
-            sample_id=s.sample_id,
-            prompt_id=s.prompt_id,
-            text=s.text,
-            score01=(s.raw_score - s.min_score) / (s.max_score - s.min_score),
-        )
-        for s in samples
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -705,12 +705,6 @@ class TrainLog:
     schedule: LossSchedule | None = None
     entries: list[dict] = field(default_factory=list)
 
-    def epoch_mean_losses(self) -> list[float]:
-        by_epoch: dict[int, list[float]] = {}
-        for e in self.entries:
-            by_epoch.setdefault(e["epoch"], []).append(e["loss"])
-        return [float(np.mean(by_epoch[k])) for k in sorted(by_epoch)]
-
     def to_json_dict(self) -> dict:
         """The log's fields in field order; an unset schedule is left out."""
         return {key: value for key, value in asdict(self).items() if value is not None}

@@ -11,9 +11,8 @@ Everything here is pure and computed in 64-bit floats.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,13 +151,6 @@ class EvalReport:
     max_error: float
     n: int
 
-    @property
-    def r2(self) -> float:
-        return self.r2_paper
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def evaluate_regression(preds, targets) -> EvalReport:
     p, t = _pair(preds, targets, min_len=2)
@@ -179,23 +171,12 @@ class ConfusionMatrix:
     n_classes: int
     counts: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def trace(self) -> int:
-        return int(np.trace(self.counts))
-
     def to_json_dict(self, labels: list | None = None) -> dict:
         return {
             "n_classes": self.n_classes,
             "labels": labels if labels is not None else list(range(self.n_classes)),
             "counts": self.counts.tolist(),
         }
-
-    def to_json(self, labels: list | None = None) -> str:
-        return json.dumps(self.to_json_dict(labels), indent=2)
 
 
 def confusion(pred_labels, true_labels, n_classes: int) -> ConfusionMatrix:

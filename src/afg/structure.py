@@ -66,9 +66,6 @@ class LabeledAbstract:
         if not self.sentences:
             raise ValueError("labeled abstract needs at least one sentence")
 
-    def labels(self) -> list[Label3]:
-        return [s.label for s in self.sentences]
-
     def to_json_list(self) -> list[dict]:
         return [{"text": text, "label": LABEL_NAMES[label], "confidence": confidence}
                 for text, label, confidence in self.sentences]
@@ -148,24 +145,6 @@ def label_cohort(abstracts: Sequence[Sequence[str]],
 def classify_abstract(sentences: Sequence[str], classifier: SentenceClassifier) -> LabeledAbstract:
     """Label each of an abstract's already segmented ``sentences`` with ``classifier``."""
     return label_cohort([sentences], {text: classifier(text) for text in sentences}).abstracts[0]
-
-
-@dataclass(frozen=True)
-class ClassDistribution:
-    counts: tuple[int, int, int]
-    shares: tuple[float, float, float]
-    n_classes_present: int
-
-    @property
-    def n_sentences(self) -> int:
-        return sum(self.counts)
-
-
-def distribution(labeled: LabeledAbstract) -> ClassDistribution:
-    """Per-class sentence counts and shares of one labelled abstract."""
-    cohort = LabeledCohort.of([labeled])
-    counts = tuple(cohort.counts[0].tolist())
-    return ClassDistribution(counts, tuple(cohort.shares()[0].tolist()), 3 - counts.count(0))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import settings
 
-from afg.structure import Label3, LabeledAbstract, LabeledSentence
+from afg.structure import Label3, LabeledAbstract, LabeledCohort, LabeledSentence
 from afg.textproc import build_vocab
 
 # A failing property test prints the @reproduce_failure line that replays it,
@@ -117,6 +117,12 @@ def labeled_abstract(labels) -> LabeledAbstract:
     return LabeledAbstract(
         tuple(LabeledSentence(f"s{i}.", lbl, 1.0) for i, lbl in enumerate(labels))
     )
+
+
+def one_row(labels) -> LabeledCohort:
+    """The cohort of one abstract carrying ``labels`` (see labeled_abstract): its row 0
+    holds the counts, shares and order flag that grade computes for that abstract."""
+    return LabeledCohort.of([labeled_abstract(labels)])
 
 
 @pytest.fixture(scope="session")

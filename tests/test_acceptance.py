@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from afg import nn, objectives
-from afg.feedback import abstract_feedback, build_report, render_report
+from afg.feedback import build_report, cohort_feedback, render_report
 from afg.ingest import AnswerKey, Submission, parse_rct, serialize_rct, split
 from afg.scoring import (
     Verdict,
@@ -25,8 +25,8 @@ from afg.scoring import (
 )
 from afg.structure import (
     Label3,
+    LabeledCohort,
     classify_abstract,
-    distribution,
     make_fixed_classifier,
     map_label,
 )
@@ -45,7 +45,7 @@ from conftest import (
     EXAMPLE2_KEY,
     EXAMPLE2_LABELS,
     EXAMPLE2_SUBMISSION,
-    labeled_abstract,
+    one_row,
     oracle_table,
 )
 
@@ -232,22 +232,22 @@ def test_criterion_5_worked_examples_golden():
     assert len(sents1) == 6
     oracle1 = make_fixed_classifier(oracle_table(sents1, EXAMPLE1_LABELS))
     labeled1 = classify_abstract(sents1, oracle1)
-    dist1 = distribution(labeled1)
-    assert dist1.shares == pytest.approx((4 / 6, 1 / 6, 1 / 6))
-    comments1 = abstract_feedback(dist1, labeled1.labels())
-    assert comments1 == EXAMPLE1_COMMENTS
 
     sents2 = segment_sentences(EXAMPLE2_ABSTRACT)
     assert len(sents2) == 7
     oracle2 = make_fixed_classifier(oracle_table(sents2, EXAMPLE2_LABELS))
     labeled2 = classify_abstract(sents2, oracle2)
-    dist2 = distribution(labeled2)
-    assert dist2.shares == pytest.approx((2 / 7, 1 / 7, 4 / 7))
-    comments2 = abstract_feedback(dist2, labeled2.labels())
+
+    cohort = LabeledCohort.of([labeled1, labeled2])
+    shares1, shares2 = cohort.shares().tolist()
+    assert shares1 == pytest.approx((4 / 6, 1 / 6, 1 / 6))
+    assert shares2 == pytest.approx((2 / 7, 1 / 7, 4 / 7))
+    comments1, comments2 = map(list, cohort_feedback(cohort.shares(), cohort.in_order))
+    assert comments1 == EXAMPLE1_COMMENTS
     assert comments2 == EXAMPLE2_COMMENTS
 
     golden_struct = json.loads((GOLDEN / "structure_example.json").read_text("utf-8"))
-    assert golden_struct["labels"] == [l.name for l in labeled1.labels()]
+    assert golden_struct["labels"] == [s.label.name for s in labeled1.sentences]
     assert golden_struct["comments"] == comments1
 
     sheet = mark_submission(
@@ -379,17 +379,14 @@ def test_criterion_8_property_suites(tiny_vocab):
         ds = split(items, fraction, int(rng.integers(0, 2**62)))
         assert sorted(ds.train + ds.eval) == sorted(items)
 
-    from afg.ingest import RawSample, normalize_scores
+    from afg.ingest import RawSample
 
     for _ in range(1000):  # normalization is affine and monotone
         lo = float(rng.uniform(-10, 10))
         hi = lo + float(rng.uniform(0.5, 20))
         raw_a, raw_b = sorted(rng.uniform(lo, hi, 2))
-        samples = [
-            RawSample("a", "p", "t", float(raw_a), lo, hi),
-            RawSample("b", "p", "t", float(raw_b), lo, hi),
-        ]
-        na, nb = normalize_scores(samples)
+        na = RawSample("a", "p", "t", float(raw_a), lo, hi)
+        nb = RawSample("b", "p", "t", float(raw_b), lo, hi)
         assert 0.0 <= na.score01 <= 1.0
         expected = (raw_a - lo) / (hi - lo)
         assert na.score01 == pytest.approx(expected, abs=1e-12)
@@ -422,9 +419,9 @@ def test_criterion_8_property_suites(tiny_vocab):
     for _ in range(1000):  # distribution shares sum to one
         n = int(rng.integers(1, 30))
         labels = [Label3(int(k)) for k in rng.integers(0, 3, n)]
-        dist = distribution(labeled_abstract(labels))
-        assert sum(dist.shares) == pytest.approx(1.0, abs=1e-9)
-        assert sum(dist.counts) == n
+        row = one_row(labels)
+        assert row.shares()[0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert row.counts[0].sum() == n
 
     elapsed = time.time() - start
     assert elapsed < 30.0

@@ -4,7 +4,6 @@ import itertools
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +12,6 @@ from afg.feedback import (
     COMMENT_TABLE,
     FeedbackRule,
     Question,
-    abstract_feedback,
     build_report,
     cohort_feedback,
     default_rules,
@@ -30,7 +28,6 @@ from afg.structure import (
     LabeledCohort,
     LabeledSentence,
     classify_abstract,
-    distribution,
     label_counts,
     make_fixed_classifier,
 )
@@ -45,6 +42,7 @@ from conftest import (
     EXAMPLE2_LABELS,
     EXAMPLE2_SUBMISSION,
     labeled_abstract,
+    one_row,
     oracle_table,
 )
 
@@ -76,24 +74,22 @@ class TestFixedComments:
                 assert COMMENT_TABLE[(q, v)].strip()
 
 
-def dist_for(labels):
-    return distribution(labeled_abstract(labels))
+def comments_for(labels, rules=None) -> list[str]:
+    """The structure comments of one abstract carrying ``labels``, as a one-row cohort."""
+    cohort = one_row(labels)
+    return list(cohort_feedback(cohort.shares(), cohort.in_order, rules)[0])
 
 
 class TestAbstractFeedback:
     def test_background_heavy_example(self):
-        assert abstract_feedback(dist_for(EXAMPLE1_LABELS), EXAMPLE1_LABELS) == (
-            EXAMPLE1_COMMENTS
-        )
+        assert comments_for(EXAMPLE1_LABELS) == EXAMPLE1_COMMENTS
 
     def test_observation_dominated_example(self):
-        assert abstract_feedback(dist_for(EXAMPLE2_LABELS), EXAMPLE2_LABELS) == (
-            EXAMPLE2_COMMENTS
-        )
+        assert comments_for(EXAMPLE2_LABELS) == EXAMPLE2_COMMENTS
 
     def test_uniform_ordered_gets_two_commendations(self):
         labels = [B, T, O]
-        comments = abstract_feedback(dist_for(labels), labels)
+        comments = comments_for(labels)
         assert len(comments) == 2
         assert "balances" in comments[0]
         assert comments[1] == EXAMPLE2_COMMENTS[2]
@@ -101,32 +97,28 @@ class TestAbstractFeedback:
     def test_always_at_least_one_comment(self):
         # middling shares that trip none of the default thresholds
         labels = [T, B, O, B, T, O, O, T, B, O]  # shares 0.3/0.3/0.4, not ordered
-        comments = abstract_feedback(dist_for(labels), labels)
+        comments = comments_for(labels)
         assert len(comments) >= 1
 
     def test_background_rules_mutually_exclusive(self):
         for labels in ([B] * 9 + [T], [T] * 9 + [B], [B, T, O], [O] * 5 + [B, T]):
-            comments = abstract_feedback(dist_for(labels), labels)
+            comments = comments_for(labels)
             praise = any("good amount of detail" in c for c in comments)
             expand = any("expanding the discussion of the background" in c for c in comments)
             assert not (praise and expand)
 
     def test_technique_variants_mutually_exclusive(self):
         for labels in ([B] * 5 + [T], [B] * 4 + [T], [B, B, B, T]):
-            comments = abstract_feedback(dist_for(labels), labels)
+            comments = comments_for(labels)
             severe = EXAMPLE2_COMMENTS[1] in comments
             mild = EXAMPLE1_COMMENTS[1] in comments
             assert not (severe and mild)
 
     def test_deterministic(self):
         labels = EXAMPLE2_LABELS
-        a = abstract_feedback(dist_for(labels), labels)
-        b = abstract_feedback(dist_for(labels), labels)
+        a = comments_for(labels)
+        b = comments_for(labels)
         assert a == b
-
-    def test_empty_labels_rejected(self):
-        with pytest.raises(ValueError):
-            abstract_feedback(dist_for([B]), [])
 
 
 class TestRuleConfig:
@@ -136,9 +128,7 @@ class TestRuleConfig:
         path.write_text(rules_to_json(rules), encoding="utf-8")
         loaded = load_rules(path)
         for labels in (EXAMPLE1_LABELS, EXAMPLE2_LABELS, [B, T, O]):
-            assert abstract_feedback(dist_for(labels), labels, loaded) == (
-                abstract_feedback(dist_for(labels), labels, rules)
-            )
+            assert comments_for(labels, loaded) == comments_for(labels, rules)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         from afg.errors import ConfigError
@@ -216,7 +206,7 @@ class TestRuleConfig:
         path.write_text(json.dumps([{**variant, "id": f"r{i}"}
                                     for i, variant in enumerate(variants)]), encoding="utf-8")
         labels = [B, T, O]
-        assert abstract_feedback(dist_for(labels), labels, load_rules(path))
+        assert comments_for(labels, load_rules(path))
 
     def test_rule_file_format_is_unchanged_and_reads_back_equal(self, tmp_path):
         golden = Path(__file__).parent / "golden" / "default_rules.json"
@@ -272,7 +262,7 @@ class TestRuleConfig:
             template="Strong results discussion.", priority=1,
         )
         labels = [O, O, O, B]
-        assert abstract_feedback(dist_for(labels), labels, [rule]) == [
+        assert comments_for(labels, [rule]) == [
             "Strong results discussion."
         ]
 
@@ -428,22 +418,23 @@ def test_logical_order_matches_the_reference_on_every_short_sequence():
     assert in_order.tolist() == [_reference_is_logical_order(labels) for labels in sequences]
 
 
-def _reference_fires(rule, dist, labels) -> bool:
+def _reference_fires(rule, labels) -> bool:
     """FeedbackRule.fires as it was before the rule tables (the reference)."""
     if rule.cls == "fallback":
         return False
+    shares = [labels.count(label) / len(labels) for label in Label3]
     if rule.guard:
         for alternative in rule.guard:
             ok = True
             for key, value in alternative.items():
                 if key == "dominant":
-                    dominant = max(range(3), key=lambda k: (dist.shares[k], -k))
+                    dominant = max(range(3), key=lambda k: (shares[k], -k))
                     ok = ok and dominant == Label3[value.upper()]
                 elif key == "share_lt":
                     cls, x = value
-                    ok = ok and dist.shares[Label3[cls.upper()]] < x
+                    ok = ok and shares[Label3[cls.upper()]] < x
                 elif key == "min_share_ge":
-                    ok = ok and min(dist.shares) >= value
+                    ok = ok and min(shares) >= value
                 else:
                     raise AssertionError(key)
                 if not ok:
@@ -455,9 +446,9 @@ def _reference_fires(rule, dist, labels) -> bool:
     if rule.cls == "order":
         return _reference_is_logical_order(labels)
     if rule.cls == "spread":
-        value = max(dist.shares) - min(dist.shares)
+        value = max(shares) - min(shares)
     else:
-        value = dist.shares[Label3[rule.cls.upper()]]
+        value = shares[Label3[rule.cls.upper()]]
     threshold = rule.threshold
     if rule.comparator == "lt":
         return value < threshold
@@ -471,8 +462,8 @@ def _reference_fires(rule, dist, labels) -> bool:
     return lo < value <= hi
 
 
-def _reference_abstract_feedback(dist, labels, rules) -> list[str]:
-    fired = sorted((r for r in rules if r.cls != "fallback" and _reference_fires(r, dist, labels)),
+def _reference_comments(labels, rules) -> list[str]:
+    fired = sorted((r for r in rules if r.cls != "fallback" and _reference_fires(r, labels)),
                    key=lambda r: (r.priority, r.id))
     if fired:
         return [r.template for r in fired]
@@ -521,20 +512,16 @@ def rules(draw, rule_id="r"):
 @settings(max_examples=400, deadline=None)
 @given(rules(), label_lists)
 def test_fires_matches_the_reference(rule, labels):
-    dist = dist_for(labels)
-    in_order = label_counts(labels, [len(labels)])[1]
-    assert rule.fires(np.array([dist.shares]), in_order).tolist() == [
-        _reference_fires(rule, dist, labels)]
+    cohort = one_row(labels)
+    assert rule.fires(cohort.shares(), cohort.in_order).tolist() == [_reference_fires(rule, labels)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 9).flatmap(lambda i: rules(f"r{i}")), max_size=6), label_lists)
 def test_abstract_feedback_matches_the_reference(rule_set, labels):
-    dist = dist_for(labels)
-    assert abstract_feedback(dist, labels) == (
-        _reference_abstract_feedback(dist, labels, default_rules()))
-    assert abstract_feedback(dist, labels, rule_set) == (
-        _reference_abstract_feedback(dist, labels, rule_set))
+    # One abstract alone, as a one-row cohort, under the default rules and a random rule set.
+    assert comments_for(labels) == _reference_comments(labels, default_rules())
+    assert comments_for(labels, rule_set) == _reference_comments(labels, rule_set)
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,6 +532,5 @@ def test_cohort_feedback_matches_the_reference_row_by_row(rule_set, cohort):
     for given_rules in (None, rule_set):
         comments = cohort_feedback(labeled.shares(), labeled.in_order, given_rules)
         assert [list(row) for row in comments] == [
-            _reference_abstract_feedback(dist_for(labels), labels,
-                                         default_rules() if given_rules is None else given_rules)
+            _reference_comments(labels, default_rules() if given_rules is None else given_rules)
             for labels in cohort]

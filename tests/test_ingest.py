@@ -16,7 +16,6 @@ from afg.ingest import (
     derive_answer_key,
     load_answer_keys,
     load_submissions,
-    normalize_scores,
     parse_rct,
     parse_scored_tsv,
     serialize_rct,
@@ -83,26 +82,22 @@ class TestParseScoredTsv:
 
 class TestNormalizeScores:
     def test_midpoint(self):
-        [n] = normalize_scores([RawSample("1", "1", "t", 3.0, 0.0, 6.0)])
-        assert n.score01 == pytest.approx(0.5)
+        assert RawSample("1", "1", "t", 3.0, 0.0, 6.0).score01 == pytest.approx(0.5)
 
     def test_full_marks_map_to_one(self):
-        [n] = normalize_scores([RawSample("1", "1", "t", 6.0, 0.0, 6.0)])
-        assert n.score01 == 1.0
+        assert RawSample("1", "1", "t", 6.0, 0.0, 6.0).score01 == 1.0
 
     def test_shifted_range(self):
-        [n] = normalize_scores([RawSample("1", "2", "t", 7.0, 2.0, 12.0)])
-        assert n.score01 == pytest.approx(0.5)
+        assert RawSample("1", "2", "t", 7.0, 2.0, 12.0).score01 == pytest.approx(0.5)
 
     def test_endpoints_exact(self):
-        lo, hi = normalize_scores(
-            [RawSample("a", "1", "t", 0.0, 0.0, 6.0), RawSample("b", "1", "t", 6.0, 0.0, 6.0)]
-        )
+        lo = RawSample("a", "1", "t", 0.0, 0.0, 6.0)
+        hi = RawSample("b", "1", "t", 6.0, 0.0, 6.0)
         assert lo.score01 == 0.0 and hi.score01 == 1.0
 
     def test_affine_order_preserving(self):
         samples = [RawSample(str(i), "1", "t", float(i), 0.0, 6.0) for i in range(7)]
-        scores = [n.score01 for n in normalize_scores(samples)]
+        scores = [s.score01 for s in samples]
         assert scores == sorted(scores)
         assert all(b > a for a, b in zip(scores, scores[1:]))
 

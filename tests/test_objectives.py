@@ -1,6 +1,8 @@
 """Losses and metrics against hand-computed and brute-force values."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -193,20 +195,17 @@ class TestEvalReport:
         rep = evaluate_regression(preds, targets)
         assert rep.mae <= rep.rmse <= rep.max_error
         assert rep.n == 40
-        assert rep.r2 == rep.r2_paper
 
     def test_json_keys(self):
-        import json
-
         rep = evaluate_regression([0.1, 0.9], [0.2, 0.8])
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(asdict(rep)))
         assert set(data) == {"r2_paper", "r2_standard", "mae", "rmse", "max_error", "n"}
 
 
 class TestConfusionAccuracy:
     def test_all_correct_is_diagonal(self):
         cm = confusion([0, 1, 2, 1], [0, 1, 2, 1], 3)
-        assert cm.trace == cm.total == 4
+        assert np.trace(cm.counts) == cm.counts.sum() == 4
         assert accuracy([0, 1, 2, 1], [0, 1, 2, 1]) == 1.0
 
     def test_hand_counts(self):
@@ -222,7 +221,7 @@ class TestConfusionAccuracy:
             pred = rng.integers(0, 4, n)
             true = rng.integers(0, 4, n)
             cm = confusion(pred, true, 4)
-            assert accuracy(pred, true) == pytest.approx(cm.trace / cm.total)
+            assert accuracy(pred, true) == pytest.approx(np.trace(cm.counts) / cm.counts.sum())
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
@@ -231,10 +230,8 @@ class TestConfusionAccuracy:
             confusion([0, -1], [0, 1], 3)
 
     def test_json_shape(self):
-        import json
-
         cm = confusion([0, 1], [1, 1], 2)
-        data = json.loads(cm.to_json(["x", "y"]))
+        data = json.loads(json.dumps(cm.to_json_dict(["x", "y"])))
         assert data["labels"] == ["x", "y"]
         assert data["counts"] == cm.counts.tolist()
 

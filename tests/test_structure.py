@@ -1,5 +1,6 @@
 """Label mapping, abstract classification and distribution statistics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +8,9 @@ from afg.ingest import Label5
 from afg.structure import (
     Label3,
     PUBMED_RCT_LABEL_PERCENT,
+    LabeledCohort,
     classify_abstract,
     corpus_stats,
-    distribution,
     label_cohort,
     make_fixed_classifier,
     map_label,
@@ -21,6 +22,7 @@ from conftest import (
     EXAMPLE2_ABSTRACT,
     EXAMPLE2_LABELS,
     labeled_abstract,
+    one_row,
     oracle_table,
 )
 
@@ -46,7 +48,7 @@ class TestClassifyAbstract:
         sentences = segment_sentences(EXAMPLE1_ABSTRACT)
         oracle = make_fixed_classifier(oracle_table(sentences, EXAMPLE1_LABELS))
         labeled = classify_abstract(sentences, oracle)
-        assert labeled.labels() == EXAMPLE1_LABELS
+        assert [s.label for s in labeled.sentences] == EXAMPLE1_LABELS
         assert all(s.confidence == 1.0 for s in labeled.sentences)
 
     def test_single_sentence(self):
@@ -102,29 +104,27 @@ def test_label_cohort_matches_a_sentence_by_sentence_reference(cohort):
 
 class TestDistribution:
     def test_worked_example_shares(self):
-        dist = distribution(labeled_abstract(EXAMPLE1_LABELS))
-        assert dist.counts == (4, 1, 1)
-        assert dist.shares == pytest.approx((4 / 6, 1 / 6, 1 / 6))
-        assert dist.n_classes_present == 3
+        cohort = one_row(EXAMPLE1_LABELS)
+        assert cohort.counts[0].tolist() == [4, 1, 1]
+        assert cohort.shares()[0].tolist() == pytest.approx((4 / 6, 1 / 6, 1 / 6))
+        assert np.count_nonzero(cohort.counts[0]) == 3
 
     def test_single_class(self):
-        dist = distribution(labeled_abstract([Label3.BACKGROUND] * 4))
-        assert dist.shares == (1.0, 0.0, 0.0)
-        assert dist.n_classes_present == 1
+        cohort = one_row([Label3.BACKGROUND] * 4)
+        assert cohort.shares()[0].tolist() == [1.0, 0.0, 0.0]
+        assert np.count_nonzero(cohort.counts[0]) == 1
 
     def test_uniform(self):
-        dist = distribution(labeled_abstract(list(Label3)))
-        assert dist.shares == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert one_row(list(Label3)).shares()[0].tolist() == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_shares_sum_to_one(self):
-        dist = distribution(labeled_abstract(EXAMPLE2_LABELS))
-        assert sum(dist.shares) == pytest.approx(1.0, abs=1e-9)
+        assert one_row(EXAMPLE2_LABELS).shares()[0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_duplication_leaves_shares_unchanged(self):
-        once = distribution(labeled_abstract(EXAMPLE1_LABELS))
-        twice = distribution(labeled_abstract(EXAMPLE1_LABELS * 2))
-        assert twice.shares == pytest.approx(once.shares)
-        assert twice.counts == tuple(2 * c for c in once.counts)
+        once = one_row(EXAMPLE1_LABELS)
+        twice = one_row(EXAMPLE1_LABELS * 2)
+        assert twice.shares()[0].tolist() == pytest.approx(once.shares()[0].tolist())
+        assert twice.counts[0].tolist() == [2 * c for c in once.counts[0].tolist()]
 
 
 class TestCorpusStats:
@@ -147,8 +147,6 @@ class TestCorpusStats:
         assert PUBMED_RCT_LABEL_PERCENT == (19.8, 33.0, 47.3)
 
     def test_pooled_equals_weighted_mean_of_shares(self):
-        import numpy as np
-
         rng = np.random.default_rng(2)
         abstracts = []
         for _ in range(25):
@@ -159,9 +157,9 @@ class TestCorpusStats:
         weighted = np.zeros(3)
         total = 0
         for a in abstracts:
-            d = distribution(a)
-            weighted += np.array(d.shares) * d.n_sentences
-            total += d.n_sentences
+            row = LabeledCohort.of([a])
+            weighted += row.shares()[0] * len(a.sentences)
+            total += len(a.sentences)
         assert stats.pooled_shares == pytest.approx(tuple(weighted / total))
 
     def test_empty_rejected(self):
