@@ -4,7 +4,8 @@ Parsers for the scored-essay TSV corpora, the labelled-abstract corpus,
 and the submission/answer-key JSON files, plus score normalization,
 reproducible train/eval splits and modal answer-key derivation.
 
-All functions are pure; parsed objects are plain frozen dataclasses.
+Each parser takes the path of its file. Apart from that read, all functions
+are pure; parsed objects are plain frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -137,14 +138,14 @@ class TsvSchema:
         return cls(**columns)
 
 
-def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
+def parse_scored_tsv(path, schema: TsvSchema) -> list[RawSample]:
     """Parse a tab-separated scored corpus into raw samples.
 
     The first line must be a header. Plain tab splitting is used on
     purpose: essay text may contain quote characters that csv-style
     quoting would mangle.
     """
-    lines = read_text(stream).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError("empty TSV corpus")
     header = lines[0].split("\t")
@@ -192,13 +193,13 @@ def parse_scored_tsv(stream, schema: TsvSchema) -> list[RawSample]:
 # Labelled abstract corpus
 # ---------------------------------------------------------------------------
 
-def parse_rct(stream) -> list[RctAbstract]:
+def parse_rct(path) -> list[RctAbstract]:
     """Parse the labelled-abstract corpus format.
 
     ``###<id>`` opens an abstract, ``<LABEL>\\t<sentence>`` lines follow,
     a blank line closes it.
     """
-    lines = read_text(stream).splitlines()
+    lines = read_text(path).splitlines()
     abstracts: list[RctAbstract] = []
     current_id: str | None = None
     current_line = 0
@@ -390,10 +391,10 @@ def _answers(entry: dict) -> tuple[float, str, str, int]:
     return float(impact), rsc, acs, cited
 
 
-def load_submissions(source) -> list[Submission]:
+def load_submissions(path) -> list[Submission]:
     """Load a JSON array of submissions; human marks are optional."""
     out = []
-    for i, entry in enumerate(read_json_records(source, "submission file")):
+    for i, entry in enumerate(read_json_records(path, "submission file")):
         _require_keys(entry, _SUBMISSION_KEYS, "submission", i)
         marks = entry.get("human_marks")
         try:
@@ -411,9 +412,9 @@ def load_submissions(source) -> list[Submission]:
     return out
 
 
-def load_answer_keys(source) -> dict[str, AnswerKey]:
+def load_answer_keys(path) -> dict[str, AnswerKey]:
     keys: dict[str, AnswerKey] = {}
-    for i, entry in enumerate(read_json_records(source, "answer-key file")):
+    for i, entry in enumerate(read_json_records(path, "answer-key file")):
         _require_keys(entry, _ANSWER_KEY_KEYS, "answer key", i)
         try:
             key = AnswerKey(_string(entry, "paper_id"), *_answers(entry))

@@ -5,7 +5,7 @@ regression head (abstract scoring) or a softmax classification head
 (sentence roles). Weights are stored as 32-bit floats, and the forward
 keeps the dtype of the weights it is given. ``Predictor.from_file`` loads a
 model file with its vocabulary. Inference (``Predictor``, ``predict_score``,
-``classify_sentence``, ``encode``) runs on the weights as loaded, at 32-bit;
+``classify_sentence``) runs on the weights as loaded, at 32-bit;
 one function, ``_outputs``, checks the head against the weights' width and
 applies the sigmoid or softmax to the logits widened to 64-bit, the sigmoid's
 logit clamped at -700 so that its ``exp`` stays finite. Training is mixed
@@ -94,7 +94,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .objectives import LossSchedule, blend_terms, blended_loss_grad, weight_p
-from .textproc import TokenSequence, Vocabulary, tokenize
+from .textproc import Vocabulary, tokenize
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 512
 
@@ -453,39 +453,19 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
     return logits, caches
 
 
-def _prepare_ids(tokens, max_sequence_length: int) -> np.ndarray:
-    if isinstance(tokens, TokenSequence):
-        ids = np.asarray(tokens.token_ids, dtype=np.int64)
-    else:
-        ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] == 0:
-        raise ValueError("token sequence must be non-empty and one-dimensional")
-    if ids.shape[0] > max_sequence_length:
-        warnings.warn(
-            f"sequence of {ids.shape[0]} tokens truncated to {max_sequence_length}",
-            stacklevel=2,
-        )
-        ids = ids[:max_sequence_length]
-    return ids
-
-
-def encode(tokens, params: ModelParams, return_weights: bool = False,
-           max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
-    """Encode a token sequence into one attention-pooled context vector."""
-    ids = _prepare_ids(tokens, max_sequence_length)
-    _, [(_, cache)] = _batch_forward(params, [ids], keep_cache=True)
-    if return_weights:
-        return cache["ctx"][0], cache["alpha"][0]
-    return cache["ctx"][0]
-
-
 def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_sequence_length: int):
-    """Token id arrays of non-empty ``texts``, truncated to ``max_sequence_length``."""
+    """Token id arrays of non-empty ``texts``, truncated to ``max_sequence_length``
+    with a warning."""
     seqs = []
     for text in texts:
         if not text or not text.strip():
             raise ValueError("text must be non-empty")
-        seqs.append(_prepare_ids(tokenize(text, vocab), max_sequence_length))
+        ids = tokenize(text, vocab).token_ids
+        if len(ids) > max_sequence_length:
+            warnings.warn(f"sequence of {len(ids)} tokens truncated to {max_sequence_length}",
+                          stacklevel=2)
+            ids = ids[:max_sequence_length]
+        seqs.append(np.array(ids, dtype=np.int64))
     return seqs
 
 
@@ -876,9 +856,8 @@ def save_model(params: ModelParams, config: EncoderConfig) -> bytes:
     return _MAGIC + bytes([_VERSION]) + payload + _checksum(payload)
 
 
-def load_model(data) -> tuple[ModelParams, EncoderConfig]:
-    if hasattr(data, "read"):
-        data = data.read()
+def load_model(data: bytes) -> tuple[ModelParams, EncoderConfig]:
+    """Params and config from the bytes ``save_model`` writes; any fault is a DataError."""
     if len(data) < len(_MAGIC) + 1:
         raise DataError("file shorter than header")
     if data[: len(_MAGIC)] != _MAGIC:

@@ -1,5 +1,5 @@
 """Text processing: sentence segmentation, subword tokenization, term vectors,
-and the one UTF-8 text and JSON reader the other modules use.
+and the one reader of UTF-8 text and JSON files that the other modules use.
 
 The tokenizer splits words into vocabulary pieces by greedy longest-prefix
 matching, with ``##`` marking word-internal continuation pieces, so
@@ -14,14 +14,12 @@ recounting every pair before every merge.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
@@ -95,20 +93,17 @@ def _ends_with_abbreviation(text: str, period_index: int, abbreviations) -> bool
     return False
 
 
-def read_text(source) -> str:
-    """The text of a path or stream; bytes that are not UTF-8 are a DataError."""
+def read_text(path: str | Path) -> str:
+    """The text of a file; bytes that are not UTF-8 are a DataError."""
     try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not UTF-8: {exc}") from None
 
 
-def read_json(source, what: str, error: type[Exception] = DataError):
-    """The parsed JSON of a path or stream; text that is not JSON is ``error``."""
-    text = read_text(source)
+def read_json(path: str | Path, what: str, error: type[Exception] = DataError):
+    """The parsed JSON of a file; text that is not JSON is ``error``."""
+    text = read_text(path)
     try:
         return json.loads(text)
     except (RecursionError, ValueError) as exc:  # ValueError: bad JSON, or a too-long integer
@@ -128,9 +123,10 @@ def is_text(value) -> bool:
     return type(value) is str and (value.isascii() or _SURROGATE.search(value) is None)
 
 
-def read_json_records(source, what: str, error: type[Exception] = DataError) -> list[dict]:
-    """The JSON array of objects in a path or stream; any other JSON is ``error``."""
-    records = read_json(source, what, error)
+def read_json_records(path: str | Path, what: str,
+                      error: type[Exception] = DataError) -> list[dict]:
+    """The JSON array of objects in a file; any other JSON is ``error``."""
+    records = read_json(path, what, error)
     if not isinstance(records, list):
         raise error(f"{what} must be a JSON array")
     for i, record in enumerate(records):
@@ -185,9 +181,11 @@ class Vocabulary:
 
 
 def _safe_lower(word: str) -> str:
-    # Per-character lowering keeps a 1:1 index alignment with the original
-    # word (str.lower can change length for a handful of codepoints, none
-    # of them ASCII).
+    # Per-character lowering leaves as it is each character whose lowercase
+    # is longer (a handful of codepoints, none of them ASCII, such as "İ",
+    # which str.lower turns into "i" and a combining dot). Vocabularies are
+    # built and texts tokenized under this rule, so it fixes the pieces, and
+    # the token ids, of words holding such a character.
     if word.isascii():
         return word.lower()
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in word)
@@ -312,42 +310,20 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Token ids of a text, and on request the byte span each token covers."""
+    """The token ids of a text."""
 
     token_ids: tuple[int, ...]
-    text: str = field(default="", repr=False, compare=False)
-    vocab: Vocabulary | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    @functools.cached_property
-    def spans(self) -> tuple[tuple[int, int], ...]:
-        """The UTF-8 byte span (start, end) of ``text`` under each token.
-
-        Worked out at first use from the same word split and piece matching
-        as the ids; an unknown token spans its whole word.
-        """
-        text = self.text
-        if text.isascii():
-            byte_offsets = range(len(text) + 1)
-        else:
-            byte_offsets = [0, *itertools.accumulate(len(ch.encode("utf-8")) for ch in text)]
-        spans = []
-        # re's \S+ runs are exactly str.split's words.
-        for match, word in zip(re.finditer(r"\S+", text), _lowered_words(text)):
-            at = match.start()
-            pieces = _match_word(word, self.vocab) or [(0, len(word), None)]
-            spans.extend((byte_offsets[at + a], byte_offsets[at + b]) for a, b, _ in pieces)
-        return tuple(spans)
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Greedy longest-prefix subword tokenization of whitespace words.
 
     Any word that cannot be fully covered by vocabulary pieces maps to the
-    single unknown token spanning the whole word. Each distinct word is
-    matched once per vocabulary, which keeps its ids.
+    single unknown token. Each distinct word is matched once per vocabulary,
+    which keeps its ids.
     """
     word_ids = vocab._word_ids
     ids: list[int] = []
@@ -356,12 +332,12 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
         if known is None:
             pieces = _match_word(word, vocab)
             known = word_ids[word] = ((vocab.unk_id,) if pieces is None else
-                                      tuple(vocab.token_to_id[token] for _, _, token in pieces))
+                                      tuple(vocab.token_to_id[piece] for piece in pieces))
         ids.extend(known)
-    return TokenSequence(tuple(ids), text, vocab)
+    return TokenSequence(tuple(ids))
 
 
-def _match_word(word: str, vocab: Vocabulary) -> list[tuple[int, int, str]] | None:
+def _match_word(word: str, vocab: Vocabulary) -> list[str] | None:
     if len(word) > MAX_WORD_CHARS:
         return None
     tokens = vocab.token_to_id
@@ -381,7 +357,7 @@ def _match_word(word: str, vocab: Vocabulary) -> list[tuple[int, int, str]] | No
             end -= 1
         if found is None:
             return None
-        pieces.append((start, end, found))
+        pieces.append(found)
         start = end
     return pieces
 

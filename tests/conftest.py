@@ -1,8 +1,12 @@
 """Shared fixtures: worked-example texts, oracle classifiers, tiny models."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from afg.nn import _batch_forward
 from afg.structure import Label3, LabeledAbstract, LabeledCohort, LabeledSentence
 from afg.textproc import build_vocab
 
@@ -106,6 +110,21 @@ EXAMPLE2_KEY = {
     "ref_acs": EXAMPLE2_ACS_REF,
     "times_cited": 42,
 }
+
+
+def write_file(directory, content):
+    """The path of a file in ``directory`` that now holds ``content``: bytes as given,
+    text as UTF-8. The parsers read files, as the commands give them."""
+    path = Path(directory) / "input"
+    path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    return path
+
+
+def context_and_attention(params, ids):
+    """The attention-pooled context vector and the attention weights of one token id
+    sequence, read from the cache of the forward that training runs."""
+    _, [(_, cache)] = _batch_forward(params, [np.asarray(ids, dtype=np.int64)], keep_cache=True)
+    return cache["ctx"][0], cache["alpha"][0]
 
 
 def oracle_table(abstract_sentences, labels):

@@ -1,6 +1,5 @@
 """Corpus parsing, normalization, splitting and answer-key derivation."""
 
-import io
 import json
 
 import pytest
@@ -21,63 +20,65 @@ from afg.ingest import (
     serialize_rct,
     split,
 )
+from conftest import write_file
 
 SCHEMA = TsvSchema(score_ranges={"1": (0.0, 6.0), "2": (2.0, 12.0)})
 
 
-def tsv(*rows: str) -> io.BytesIO:
-    return io.BytesIO("\n".join(rows).encode("utf-8"))
+def tsv(directory, *rows: str):
+    return write_file(directory, "\n".join(rows))
 
 
 class TestParseScoredTsv:
-    def test_basic_row(self):
-        out = parse_scored_tsv(tsv("id\tset\tessay\tscore", "1\t1\tSome text\t4"), SCHEMA)
+    def test_basic_row(self, tmp_path):
+        out = parse_scored_tsv(tsv(tmp_path, "id\tset\tessay\tscore", "1\t1\tSome text\t4"), SCHEMA)
         assert len(out) == 1
         s = out[0]
         assert (s.raw_score, s.min_score, s.max_score) == (4.0, 0.0, 6.0)
         assert s.text == "Some text"
 
-    def test_out_of_range_score_is_row_error(self):
+    def test_out_of_range_score_is_row_error(self, tmp_path):
         with pytest.raises(RowError) as err:
-            parse_scored_tsv(tsv("id\tset\tessay\tscore", "1\t1\tText\t7"), SCHEMA)
+            parse_scored_tsv(tsv(tmp_path, "id\tset\tessay\tscore", "1\t1\tText\t7"), SCHEMA)
         assert err.value.line == 2
 
-    def test_empty_text_is_row_error(self):
+    def test_empty_text_is_row_error(self, tmp_path):
         for text in ("", "   "):
             with pytest.raises(RowError, match="empty text") as err:
-                parse_scored_tsv(tsv("id\tset\tessay\tscore", f"1\t1\t{text}\t4"), SCHEMA)
+                parse_scored_tsv(tsv(tmp_path, "id\tset\tessay\tscore", f"1\t1\t{text}\t4"), SCHEMA)
             assert err.value.line == 2
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, tmp_path):
         # A whitespace-only line between rows is skipped.
         for blank in ((), (" \t ",)):
             out = parse_scored_tsv(
-                tsv("id\tset\tessay\tscore", "a\t1\tx\t1", *blank, "b\t1\ty\t2", "c\t1\tz\t3"),
+                tsv(tmp_path, "id\tset\tessay\tscore", "a\t1\tx\t1", *blank, "b\t1\ty\t2",
+                    "c\t1\tz\t3"),
                 SCHEMA,
             )
             assert [s.sample_id for s in out] == ["a", "b", "c"]
 
-    def test_missing_column_names_it(self):
+    def test_missing_column_names_it(self, tmp_path):
         with pytest.raises(ConfigError, match="essay"):
-            parse_scored_tsv(tsv("id\tset\tscore", "1\t1\t4"), SCHEMA)
+            parse_scored_tsv(tsv(tmp_path, "id\tset\tscore", "1\t1\t4"), SCHEMA)
 
-    def test_unparseable_score_has_line_number(self):
+    def test_unparseable_score_has_line_number(self, tmp_path):
         # A skipped blank line still counts: the number is the bad row's line in the file.
         for blank, line in (((), 3), ((" \t ",), 4)):
             with pytest.raises(RowError) as err:
                 parse_scored_tsv(
-                    tsv("id\tset\tessay\tscore", "1\t1\tok\t3", *blank, "2\t1\tbad\txyz"),
+                    tsv(tmp_path, "id\tset\tessay\tscore", "1\t1\tok\t3", *blank, "2\t1\tbad\txyz"),
                     SCHEMA,
                 )
             assert err.value.line == line
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty TSV corpus"):
-            parse_scored_tsv(tsv(), SCHEMA)
+            parse_scored_tsv(tsv(tmp_path), SCHEMA)
 
-    def test_unknown_prompt_is_config_error(self):
+    def test_unknown_prompt_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="9"):
-            parse_scored_tsv(tsv("id\tset\tessay\tscore", "1\t9\tx\t1"), SCHEMA)
+            parse_scored_tsv(tsv(tmp_path, "id\tset\tessay\tscore", "1\t9\tx\t1"), SCHEMA)
 
 
 class TestNormalizeScores:
@@ -103,33 +104,33 @@ class TestNormalizeScores:
 
 
 class TestParseRct:
-    def test_minimal_abstract(self):
-        out = parse_rct(io.BytesIO(b"###42\nBACKGROUND\tA.\nRESULT\tB.\n\n"))
+    def test_minimal_abstract(self, tmp_path):
+        out = parse_rct(write_file(tmp_path, b"###42\nBACKGROUND\tA.\nRESULT\tB.\n\n"))
         assert len(out) == 1
         assert out[0].abstract_id == "42"
         assert [lbl for lbl, _ in out[0].sentences] == [Label5.BACKGROUND, Label5.RESULT]
 
-    def test_unknown_label_named(self):
+    def test_unknown_label_named(self, tmp_path):
         with pytest.raises(RowError, match="FOO"):
-            parse_rct(io.BytesIO(b"###1\nFOO\tX.\n"))
+            parse_rct(write_file(tmp_path, b"###1\nFOO\tX.\n"))
 
-    def test_two_abstracts(self):
+    def test_two_abstracts(self, tmp_path):
         text = "###1\nMETHOD\tM.\n\n###2\nCONCLUSION\tC.\n"
-        out = parse_rct(io.BytesIO(text.encode()))
+        out = parse_rct(write_file(tmp_path, text))
         assert [a.abstract_id for a in out] == ["1", "2"]
 
-    def test_sentence_before_header(self):
+    def test_sentence_before_header(self, tmp_path):
         with pytest.raises(RowError, match="before"):
-            parse_rct(io.BytesIO(b"METHOD\tM.\n"))
+            parse_rct(write_file(tmp_path, b"METHOD\tM.\n"))
 
-    def test_abstract_without_sentences(self):
+    def test_abstract_without_sentences(self, tmp_path):
         with pytest.raises(RowError, match="has no sentences"):
-            parse_rct(io.BytesIO(b"###1\n\n###2\nRESULT\tR.\n"))
+            parse_rct(write_file(tmp_path, b"###1\n\n###2\nRESULT\tR.\n"))
 
-    def test_roundtrip_identity(self):
+    def test_roundtrip_identity(self, tmp_path):
         text = "###10\nBACKGROUND\tOne.\nOBJECTIVE\tTwo.\nMETHOD\tThree.\n\n###11\nRESULT\tFour.\n"
-        abstracts = parse_rct(io.BytesIO(text.encode()))
-        again = parse_rct(io.BytesIO(serialize_rct(abstracts).encode()))
+        abstracts = parse_rct(write_file(tmp_path, text))
+        again = parse_rct(write_file(tmp_path, serialize_rct(abstracts)))
         assert again == abstracts
 
 
@@ -249,21 +250,21 @@ class TestJsonIngest:
             load_answer_keys(path)
 
     @pytest.mark.parametrize("field", ["ref_rsc", "ref_acs"])
-    def test_blank_reference_rejected(self, field):
+    def test_blank_reference_rejected(self, field, tmp_path):
         sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
         key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                    "times_cited")}
         with pytest.raises(DataError, match="blank reference"):
-            load_submissions(io.StringIO(json.dumps([{**sub, field: "  "}])))
+            load_submissions(write_file(tmp_path, json.dumps([{**sub, field: "  "}])))
         with pytest.raises(DataError, match="blank reference"):
-            load_answer_keys(io.StringIO(json.dumps([{**key, field: ""}])))
+            load_answer_keys(write_file(tmp_path, json.dumps([{**key, field: ""}])))
 
-    def test_null_citation_count_is_data_error(self):
+    def test_null_citation_count_is_data_error(self, tmp_path):
         entry = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
                  "ref_rsc": "r", "ref_acs": "a", "times_cited": None, "abstract": "Text."}
         with pytest.raises(DataError, match="submission #0"):
-            load_submissions(io.StringIO(json.dumps([entry])))
+            load_submissions(write_file(tmp_path, json.dumps([entry])))
 
     @pytest.mark.parametrize("field,value", [
         ("times_cited", 3.9), ("times_cited", "3"), ("times_cited", True),
@@ -272,16 +273,16 @@ class TestJsonIngest:
         ("submission_id", None), ("submission_id", 7), ("submission_id", [1]),
         ("paper_id", True), ("paper_id", 7.0), ("paper_id", {"id": "p1"}),
     ])
-    def test_wrongly_typed_field_is_data_error(self, field, value):
+    def test_wrongly_typed_field_is_data_error(self, field, value, tmp_path):
         sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
         with pytest.raises(DataError, match=f"submission #0: .*{field}") as sub_error:
-            load_submissions(io.StringIO(json.dumps([{**sub, field: value}])))
+            load_submissions(write_file(tmp_path, json.dumps([{**sub, field: value}])))
         if field not in ("submission_id", "abstract"):
             key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                        "times_cited")}
             with pytest.raises(DataError, match=f"answer key #0: .*{field}") as key_error:
-                load_answer_keys(io.StringIO(json.dumps([{**key, field: value}])))
+                load_answer_keys(write_file(tmp_path, json.dumps([{**key, field: value}])))
             # The same fault reads the same in both files.
             assert str(key_error.value) == str(sub_error.value).replace(
                 "submission #0", "answer key #0")
@@ -293,30 +294,30 @@ class TestJsonIngest:
         pytest.param("times_cited", -(10**308), "negative citation count",
                      id="times_cited--1e308"),
     ])
-    def test_answer_key_checks_what_a_submission_checks(self, field, value, message):
+    def test_answer_key_checks_what_a_submission_checks(self, field, value, message, tmp_path):
         sub = {"submission_id": "s1", "paper_id": "p1", "impact_factor": 1.5,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
         key = {k: sub[k] for k in ("paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                    "times_cited")}
         with pytest.raises(DataError, match=f"submission #0: submission s1: {message}"):
-            load_submissions(io.StringIO(json.dumps([{**sub, field: value}])))
+            load_submissions(write_file(tmp_path, json.dumps([{**sub, field: value}])))
         with pytest.raises(DataError, match=f"answer key #0: answer key p1: {message}"):
-            load_answer_keys(io.StringIO(json.dumps([{**key, field: value}])))
+            load_answer_keys(write_file(tmp_path, json.dumps([{**key, field: value}])))
 
     @pytest.mark.parametrize("field", ["paper_id", "impact_factor", "ref_rsc", "ref_acs",
                                        "times_cited"])
-    def test_missing_answer_key_field_is_named(self, field):
+    def test_missing_answer_key_field_is_named(self, field, tmp_path):
         key = {"paper_id": "p1", "impact_factor": 1.5, "ref_rsc": "r", "ref_acs": "a",
                "times_cited": 3}
         del key[field]
         with pytest.raises(DataError) as error:
-            load_answer_keys(io.StringIO(json.dumps([key])))
+            load_answer_keys(write_file(tmp_path, json.dumps([key])))
         assert str(error.value) == f"answer key #0: missing key {field!r}"
 
-    def test_integer_impact_factor_loads_as_a_float(self):
+    def test_integer_impact_factor_loads_as_a_float(self, tmp_path):
         sub = {"submission_id": "7", "paper_id": "p1", "impact_factor": 6,
                "ref_rsc": "r", "ref_acs": "a", "times_cited": 3, "abstract": "Text."}
-        [loaded] = load_submissions(io.StringIO(json.dumps([sub])))
+        [loaded] = load_submissions(write_file(tmp_path, json.dumps([sub])))
         assert type(loaded.impact_factor) is float and loaded.submission_id == "7"
 
 
@@ -336,9 +337,16 @@ def test_mistyped_tsv_score_range_is_config_error(ranges):
         TsvSchema.from_dict({"score_ranges": json.loads(ranges)})
 
 
-def _returns_or_raises_afg_error(parse, data: bytes) -> None:
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # Hypothesis refuses function-scoped fixtures, which it would not reset
+    # between examples; each example overwrites the one input file here.
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _returns_or_raises_afg_error(parse, directory, data: bytes) -> None:
     try:
-        parse(io.BytesIO(data))
+        parse(write_file(directory, data))
     except AfgError:
         pass
 
@@ -346,15 +354,15 @@ def _returns_or_raises_afg_error(parse, data: bytes) -> None:
 @given(st.binary(max_size=300))
 @example(b"###a\nBACKGROUND\t\xff\n")
 @example(b"###a\nMETHOD\tText.\nRESULT")
-def test_parse_rct_raises_only_afg_errors(data):
-    _returns_or_raises_afg_error(parse_rct, data)
+def test_parse_rct_raises_only_afg_errors(fuzz_dir, data):
+    _returns_or_raises_afg_error(parse_rct, fuzz_dir, data)
 
 
 @given(st.binary(max_size=300))
 @example(b"id\tset\tessay\tscore\n1\t1\t\xfe\t3\n")
 @example(b"id\tset\tessay\tscore\n1\t1\tText\tnan\n")
-def test_parse_scored_tsv_raises_only_afg_errors(data):
-    _returns_or_raises_afg_error(lambda fh: parse_scored_tsv(fh, SCHEMA), data)
+def test_parse_scored_tsv_raises_only_afg_errors(fuzz_dir, data):
+    _returns_or_raises_afg_error(lambda path: parse_scored_tsv(path, SCHEMA), fuzz_dir, data)
 
 
 @given(st.binary(max_size=300))
@@ -362,8 +370,8 @@ def test_parse_scored_tsv_raises_only_afg_errors(data):
 @example(b"[1]")
 @example(b'[{"submission_id": 1, "paper_id": 1, "impact_factor": 1, "ref_rsc": "r", '
          b'"ref_acs": "a", "times_cited": 1e400, "abstract": "x"}]')
-def test_load_submissions_raises_only_afg_errors(data):
-    _returns_or_raises_afg_error(load_submissions, data)
+def test_load_submissions_raises_only_afg_errors(fuzz_dir, data):
+    _returns_or_raises_afg_error(load_submissions, fuzz_dir, data)
 
 
 @given(st.binary(max_size=300))
@@ -371,8 +379,8 @@ def test_load_submissions_raises_only_afg_errors(data):
 @example(b'[{"paper_id": "p", "impact_factor": 1, "ref_rsc": "r", "ref_acs": "a", '
          b'"times_cited": null}]')
 @example(b"[" * 100_000)
-def test_load_answer_keys_raises_only_afg_errors(data):
-    _returns_or_raises_afg_error(load_answer_keys, data)
+def test_load_answer_keys_raises_only_afg_errors(fuzz_dir, data):
+    _returns_or_raises_afg_error(load_answer_keys, fuzz_dir, data)
 
 
 @given(

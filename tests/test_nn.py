@@ -1,7 +1,6 @@
 """Encoder, heads, training loop, gradient checks and serialization."""
 
 import hashlib
-import io
 import math
 import struct
 import tracemalloc
@@ -24,6 +23,7 @@ from afg.nn import (
     _batch_forward,
     _backward,
     _chunks,
+    _encode_texts,
     _groups,
     _loss_and_dlogits,
     _sigmoid,
@@ -32,7 +32,6 @@ from afg.nn import (
     batch_loss,
     batch_loss_and_grads,
     classify_sentence,
-    encode,
     grad_check,
     init_params,
     load_model,
@@ -52,6 +51,7 @@ from afg.synthdata import (
     mapped_sentences,
 )
 from afg.textproc import Vocabulary, build_vocab, tokenize
+from conftest import context_and_attention
 
 
 def _lstm_forward_padded(x: np.ndarray, wx, wh, b):
@@ -218,37 +218,35 @@ class TestInitParams:
 class TestEncode:
     def test_singleton_attention_weight_is_one(self, reg_setup):
         _, params, _ = reg_setup
-        _, alpha = encode([3], params, return_weights=True)
+        _, alpha = context_and_attention(params, [3])
         assert alpha.shape == (1,)
         assert alpha[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_attention_sums_to_one(self, reg_setup):
         _, params, vocab = reg_setup
         for text in ("the cat sat on the mat", "dog park", "results show clear gains today"):
-            _, alpha = encode(tokenize(text, vocab), params, return_weights=True)
+            _, alpha = context_and_attention(params, tokenize(text, vocab).token_ids)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
             assert (alpha >= 0).all()
 
     def test_order_sensitivity(self, reg_setup):
         _, params, _ = reg_setup
-        fwd = encode([3, 7], params)
-        rev = encode([7, 3], params)
+        fwd, _ = context_and_attention(params, [3, 7])
+        rev, _ = context_and_attention(params, [7, 3])
         assert not np.allclose(fwd, rev)
 
     def test_context_dimension(self, reg_setup):
         config, params, _ = reg_setup
-        assert encode([2, 4, 5], params).shape == (2 * config.hidden_dim,)
-
-    def test_empty_sequence_rejected(self, reg_setup):
-        _, params, _ = reg_setup
-        with pytest.raises(ValueError):
-            encode([], params)
+        ctx, _ = context_and_attention(params, [2, 4, 5])
+        assert ctx.shape == (2 * config.hidden_dim,)
 
     def test_long_sequence_truncated_with_warning(self, reg_setup):
-        _, params, _ = reg_setup
+        _, _, vocab = reg_setup
         with pytest.warns(UserWarning, match="truncated"):
-            ctx = encode([1] * 40, params, max_sequence_length=8)
-        assert np.allclose(ctx, encode([1] * 8, params, max_sequence_length=8))
+            [ids] = _encode_texts(["the cat " * 20], vocab, max_sequence_length=8)
+        [first_eight] = _encode_texts(["the cat " * 4], vocab, max_sequence_length=8)
+        assert len(first_eight) == 8
+        assert np.array_equal(ids, first_eight)
 
 
 class TestBatchedForward:
@@ -982,12 +980,6 @@ class TestSerialization:
         assert loaded_config == config
         for a, b in zip(params.arrays().values(), loaded.arrays().values()):
             assert np.array_equal(a, b)
-
-    def test_stream_input(self, reg_setup):
-        config, params, _ = reg_setup
-        blob = save_model(params, config)
-        loaded, _ = load_model(io.BytesIO(blob))
-        assert np.array_equal(loaded.embed, params.embed)
 
     def test_wrong_magic(self, reg_setup):
         config, params, _ = reg_setup

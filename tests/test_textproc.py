@@ -157,8 +157,8 @@ class TestRewrittenTextLayers:
         assert term_vector(text) == _reference_term_vector(text)
 
     def test_regex_whitespace_is_str_isspace(self):
-        # The segmenter finds whitespace runs, and token spans find words,
-        # with re's \s; the rules are stated in terms of str.isspace.
+        # The segmenter finds whitespace runs with re's \s; its rules are
+        # stated in terms of str.isspace.
         space = re.compile(r"\s")
         assert [c for c in range(sys.maxunicode + 1)
                 if bool(space.match(chr(c))) != chr(c).isspace()] == []
@@ -320,21 +320,6 @@ class TestTokenize:
         seq = tokenize("über", v)  # no umlaut in the corpus alphabet
         assert list(seq.token_ids) == [v.unk_id]
 
-    def test_spans_cover_all_nonspace_bytes(self):
-        v = build_vocab(["the cat sat on the mat"], max_size=60, min_frequency=1)
-        text = "the cat demands a mat"
-        seq = tokenize(text, v)
-        raw = text.encode("utf-8")
-        covered = b"".join(raw[a:b] for a, b in seq.spans)
-        assert covered == "".join(text.split()).encode("utf-8")
-
-    def test_spans_are_computed_on_request(self):
-        v = build_vocab(["the cat sat"], max_size=60, min_frequency=1)
-        seq = tokenize("the café sat", v)
-        assert "spans" not in vars(seq)
-        assert seq.spans == ((0, 3), (4, 9), (10, 13))
-        assert "spans" in vars(seq)
-
     def test_case_folded_matching(self):
         v = build_vocab(["the cat sat"], max_size=60, min_frequency=1)
         assert tokenize("The CAT", v).token_ids == tokenize("the cat", v).token_ids
@@ -367,21 +352,19 @@ class TestTokenizePaths:
         n = len(fast)
         assert len(general) == n + 1
         assert general.token_ids[:n] == fast.token_ids
-        assert general.spans[:n] == fast.spans
 
     @given(st.one_of(ASCII_TEXT, MIXED_TEXT))
     def test_spans_hold_their_pieces(self, text):
-        seq = tokenize(text, MIXED_VOCAB)
-        raw = text.encode("utf-8")
+        # Each word's pieces, markers stripped, spell the lowered word, or the
+        # word is one unknown token; the text's ids are its words' ids in order.
         words = text.split()
-        assert len(seq.spans) == len(seq.token_ids)
-        for token_id, (a, b) in zip(seq.token_ids, seq.spans):
-            covered = raw[a:b].decode("utf-8")
-            if token_id == MIXED_VOCAB.unk_id:
-                assert covered in words
-            else:
-                piece = MIXED_VOCAB.id_to_token[token_id].removeprefix(CONTINUATION_MARKER)
-                assert _lower_keeping_length(covered) == piece
+        word_ids = [tokenize(word, MIXED_VOCAB).token_ids for word in words]
+        assert tokenize(text, MIXED_VOCAB).token_ids == sum(word_ids, ())
+        for word, ids in zip(words, word_ids):
+            if ids != (MIXED_VOCAB.unk_id,):
+                pieces = [MIXED_VOCAB.id_to_token[i].removeprefix(CONTINUATION_MARKER)
+                          for i in ids]
+                assert "".join(pieces) == _lower_keeping_length(word)
 
     @given(st.lists(st.text(alphabet=st.sampled_from("abcehmstzÜüßéωİÉ.-"), min_size=1,
                             max_size=12), min_size=1, max_size=8))
@@ -392,7 +375,7 @@ class TestTokenizePaths:
         for word in words:
             pieces = _match_word(_safe_lower(word), vocab)
             expected.extend([vocab.unk_id] if pieces is None
-                            else [vocab.token_to_id[token] for _, _, token in pieces])
+                            else [vocab.token_to_id[piece] for piece in pieces])
         text = " ".join(words)
         first = tokenize(text, vocab).token_ids
         assert first == tuple(expected)
