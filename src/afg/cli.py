@@ -127,8 +127,7 @@ _SCHEMA = {
         "fraction": _Key(float, 0.8, _TRAIN_SHARE), **_TRAIN, "schedule": _SCHEDULE,
     },
     "classifier": {
-        "corpus": Path, "five_class": _Key(bool, False),
-        "max_sentences": _Key(int, None, ("at least 2", lambda n: n >= 2)),
+        "corpus": Path, "max_sentences": _Key(int, None, ("at least 2", lambda n: n >= 2)),
         "fraction": _Key(float, 0.9, _TRAIN_SHARE), **_TRAIN,
     },
     "grade": {
@@ -363,18 +362,8 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
     abstracts = ingest.parse_rct(section["corpus"])
     if not abstracts:
         raise DataError(f"no abstracts in {section['corpus']}")
-    # Default: map corpus labels to the three-class scheme before training.
-    # five_class keeps the native labels and maps predictions afterwards,
-    # for comparing the two routes.
-    five_class = section["five_class"]
-    label5_list = list(ingest.Label5)
-    # The three-class label of each class index the model is trained on.
-    label3_of = [int(structure.map_label(l)) for l in label5_list] if five_class else [0, 1, 2]
-    pairs = [
-        (text, label5_list.index(label5) if five_class else int(structure.map_label(label5)))
-        for a in abstracts
-        for label5, text in a.sentences
-    ]
+    pairs = [(text, int(structure.map_label(label5)))
+             for a in abstracts for label5, text in a.sentences]
     if "max_sentences" in section:
         pairs = pairs[: section["max_sentences"]]
     ds = ingest.split(pairs, section["fraction"], cfg.seed)
@@ -382,11 +371,9 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
              len(ds.train), len(ds.eval))
 
     def evaluate(predictor: nn.Predictor, held_out: Sequence[tuple[str, int]]):
-        pred = [
-            label3_of[max(range(len(label3_of)), key=probs.__getitem__)]
-            for probs in predictor.probabilities([text for text, _ in held_out])
-        ]
-        true = [label3_of[label] for _, label in held_out]
+        pred = [max(range(3), key=probs.__getitem__)
+                for probs in predictor.probabilities([text for text, _ in held_out])]
+        true = [label for _, label in held_out]
         acc = objectives.accuracy(pred, true)
         baseline = max(true.count(k) for k in range(3)) / len(true)
         cm = objectives.confusion(pred, true, 3)
@@ -398,7 +385,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
         }, {"accuracy": acc, "baseline": baseline}
 
     return _train_and_write(cfg, args, "classifier", "classifier.afgm", ds.train, ds.eval,
-                            n_classes=len(label3_of), vocab_file="classifier_vocab.txt",
+                            n_classes=len(structure.Label3), vocab_file="classifier_vocab.txt",
                             evaluate=evaluate)
 
 

@@ -452,9 +452,8 @@ def _skeleton(format: str, color: bool) -> tuple:
 
 
 def render_report(report: FeedbackReport, format: str = "terminal", color: bool = True) -> str:
-    """Render one report's four sections in order; every sentence gets exactly one highlight."""
-    if format not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {format!r}")
+    """Render one report's four sections in order, in one of ``REPORT_FORMATS``; every
+    sentence gets exactly one highlight."""
     draw, marks = REPORT_FORMATS[format], report.marks
     marks_head, questions_head, structure_head, feedback_head, legend = _skeleton(format, color)
     mark_lines = [f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}"

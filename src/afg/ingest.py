@@ -120,8 +120,6 @@ class TsvSchema:
         """A corpus entry's schema: ``score_ranges`` maps each prompt to a finite [min, max]."""
         if "score_ranges" not in d:
             raise ConfigError("TSV schema missing key 'score_ranges'")
-        if type(d["score_ranges"]) is not dict:
-            raise ConfigError(f"TSV score_ranges {d['score_ranges']!r:.40} is not an object")
         columns = {f.name: d[f.name] for f in fields(cls) if f.name in d}
         columns["score_ranges"] = ranges = {}
         for prompt, bounds in d["score_ranges"].items():
@@ -282,11 +280,9 @@ def shuffled_indices(n: int, seed: int) -> list[int]:
 def split(samples: Sequence, fraction: float, seed: int) -> DatasetSplit:
     """Deterministic shuffle-then-partition split.
 
-    ``round(fraction * N)`` samples go to train (half rounds up), clamped
-    so that both sides stay non-empty.
+    ``round(fraction * N)`` samples go to train (half rounds up), for a
+    ``fraction`` in (0, 1), clamped so that both sides stay non-empty.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     n = len(samples)
     if n < 2:
         raise DataError(f"need at least 2 samples to split, got {n}")

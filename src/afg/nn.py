@@ -4,11 +4,12 @@ One encoder architecture serves both tasks, behind either a sigmoid
 regression head (abstract scoring) or a softmax classification head
 (sentence roles). Weights are stored as 32-bit floats, and the forward
 keeps the dtype of the weights it is given. ``Predictor.from_file`` loads a
-model file with its vocabulary. Inference (``Predictor``, ``predict_score``,
-``classify_sentence``) runs on the weights as loaded, at 32-bit;
-one function, ``_outputs``, checks the head against the weights' width and
-applies the sigmoid or softmax to the logits widened to 64-bit, the sigmoid's
-logit clamped at -700 so that its ``exp`` stays finite. Training is mixed
+model file with its vocabulary and checks its head width. Inference runs
+through ``Predictor``, whose one-text calls are ``predict_score`` and
+``classify_sentence``, on the weights as loaded, at 32-bit, truncating at the
+model's ``max_sequence_length``. ``scores`` and ``probabilities`` apply the
+sigmoid or softmax to the logits widened to 64-bit, the sigmoid's logit
+clamped at -700 so that its ``exp`` stays finite. Training is mixed
 precision (arXiv:1710.03740): a step's forward and backward run at 32-bit on a
 copy of 64-bit master weights, which ``_adam_step`` updates with its moments at
 64-bit. The gradient check runs at 64-bit and its probes at extended precision.
@@ -454,12 +455,10 @@ def _batch_forward(p: ModelParams, seqs: Sequence[np.ndarray], keep_cache: bool 
 
 
 def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_sequence_length: int):
-    """Token id arrays of non-empty ``texts``, truncated to ``max_sequence_length``
+    """Token id arrays of non-blank ``texts``, truncated to ``max_sequence_length``
     with a warning."""
     seqs = []
     for text in texts:
-        if not text or not text.strip():
-            raise ValueError("text must be non-empty")
         ids = tokenize(text, vocab).token_ids
         if len(ids) > max_sequence_length:
             warnings.warn(f"sequence of {len(ids)} tokens truncated to {max_sequence_length}",
@@ -470,58 +469,12 @@ def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_sequence_length: 
 
 
 def _encode_samples(samples, vocab: Vocabulary, head_dim: int, max_sequence_length: int):
-    """Token id arrays and a target vector for a non-empty list of (text, target)
-    samples: float scores in [0, 1] for a 1-wide head, int classes in [0, head_dim)
-    for a wider one. Any other target is a ValueError."""
-    if not samples:
-        raise ValueError("training data must be non-empty")
+    """Token id arrays and a target vector for (text, target) samples whose targets
+    fit the head: float scores in [0, 1] for a 1-wide head, int classes in
+    [0, head_dim) for a wider one."""
     seqs = _encode_texts([text for text, _ in samples], vocab, max_sequence_length)
     targets = np.array([y for _, y in samples], dtype=np.float64)
-    if head_dim == 1:
-        if not np.all((targets >= 0.0) & (targets <= 1.0)):  # NaN fails both
-            raise ValueError("a 1-wide head trains on finite scores in [0, 1]")
-        return seqs, targets
-    if not np.all((targets == np.round(targets)) & (targets >= 0) & (targets < head_dim)):
-        raise ValueError(f"a {head_dim}-wide head trains on integer classes in [0, {head_dim})")
-    return seqs, targets.astype(np.int64)
-
-
-def _checked_logits(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
-                    max_sequence_length: int) -> np.ndarray:
-    """Logits of ``texts`` in the dtype of ``params``. Finite weights can still
-    overflow: a text whose outputs are not all finite is a DataError."""
-    seqs = _encode_texts(texts, vocab, max_sequence_length)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = _batch_forward(params, seqs)[0]
-    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
-    if bad.size:
-        raise DataError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
-    return logits
-
-
-def _outputs(params: ModelParams, vocab: Vocabulary, texts: Sequence[str],
-             max_sequence_length: int, regression: bool) -> np.ndarray:
-    """Scores (``regression``) or (len(texts), C) class probabilities of ``texts``:
-    the sigmoid or softmax of the logits widened to float64. The weights must
-    have the head: a regression head is 1 wide, a classification head wider."""
-    if (params.head_dim == 1) != regression:
-        raise ValueError(f"a {REGRESSION if regression else CLASSIFICATION} head is needed, "
-                         f"the model has {params.head_dim} outputs")
-    logits = _checked_logits(params, vocab, texts, max_sequence_length).astype(np.float64)
-    return _sigmoid(logits[:, 0]) if regression else _softmax(logits)
-
-
-def predict_score(text: str, params: ModelParams, vocab: Vocabulary) -> float:
-    """Score free text in (0, 1) with the regression head; a non-finite logit
-    is a DataError."""
-    return float(_outputs(params, vocab, [text], DEFAULT_MAX_SEQUENCE_LENGTH, True)[0])
-
-
-def classify_sentence(sentence: str, params: ModelParams, vocab: Vocabulary) -> tuple[float, ...]:
-    """Class probabilities for one sentence from the classification head; a
-    non-finite logit is a DataError."""
-    return tuple(_outputs(params, vocab, [sentence], DEFAULT_MAX_SEQUENCE_LENGTH, False)[0]
-                 .tolist())
+    return seqs, targets if head_dim == 1 else targets.astype(np.int64)
 
 
 class Predictor:
@@ -559,18 +512,34 @@ class Predictor:
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """(len(texts), head_dim) head outputs before the sigmoid or softmax, in
-        the dtype of the weights; non-finite ones are a DataError."""
-        return _checked_logits(self.params, self.vocab, texts, self.config.max_sequence_length)
+        the dtype of the weights. Finite weights can still overflow: a text whose
+        outputs are not all finite is a DataError."""
+        seqs = _encode_texts(texts, self.vocab, self.config.max_sequence_length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = _batch_forward(self.params, seqs)[0]
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        if bad.size:
+            raise DataError(f"non-finite model output for text {texts[bad[0]]!r:.60}")
+        return logits
 
     def scores(self, texts: Sequence[str]) -> list[float]:
-        """Regression-head scores in (0, 1), from the logits widened to float64."""
-        return _outputs(self.params, self.vocab, texts, self.config.max_sequence_length,
-                        True).tolist()
+        """Regression-head scores in (0, 1): the sigmoid of the logits widened to float64."""
+        return _sigmoid(self.logits(texts).astype(np.float64)[:, 0]).tolist()
 
     def probabilities(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
-        """Classification-head class probabilities, from the logits widened to float64."""
-        return list(map(tuple, _outputs(self.params, self.vocab, texts,
-                                        self.config.max_sequence_length, False).tolist()))
+        """Classification-head class probabilities: the softmax of the logits widened
+        to float64."""
+        return list(map(tuple, _softmax(self.logits(texts).astype(np.float64)).tolist()))
+
+
+def predict_score(text: str, model: Predictor) -> float:
+    """``model``'s score of one text (see ``Predictor.scores``)."""
+    return model.scores([text])[0]
+
+
+def classify_sentence(sentence: str, model: Predictor) -> tuple[float, ...]:
+    """``model``'s class probabilities of one sentence (see ``Predictor.probabilities``)."""
+    return model.probabilities([sentence])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +673,7 @@ def train(
 
     The task follows the head shape: 1 output unit trains as regression
     with the scheduled STDE/MSE blend, anything wider as cross-entropy
-    classification; targets that do not fit the head are a ValueError (see
+    classification; ``data`` is non-empty and its targets fit the head (see
     ``_encode_samples``). The schedule horizon is fixed to the actual number
     of update steps before training starts. A step runs
     ``batch_loss_and_grads`` on a float32 copy of the float64 master weights,
@@ -813,7 +782,7 @@ def grad_check(
     """Max relative error between analytic and numeric gradients of the loss
     that ``train`` would use for the head of ``params``, at 64-bit.
 
-    ``samples`` is a list of (text, target) pairs whose targets fit the head
+    ``samples`` is a non-empty list of (text, target) pairs whose targets fit the head
     (see ``_encode_samples``). A 1-wide head blends STDE and MSE at weight
     ``p_weight``; the loss runs over the whole batch, so the blend's
     standard-deviation term is exercised when two or more samples are given.

@@ -62,10 +62,6 @@ class LabeledSentence(NamedTuple):
 class LabeledAbstract:
     sentences: tuple[LabeledSentence, ...]
 
-    def __post_init__(self):
-        if not self.sentences:
-            raise ValueError("labeled abstract needs at least one sentence")
-
     def to_json_list(self) -> list[dict]:
         return [{"text": text, "label": LABEL_NAMES[label], "confidence": confidence}
                 for text, label, confidence in self.sentences]
@@ -128,8 +124,7 @@ def label_cohort(abstracts: Sequence[Sequence[str]],
                  probabilities: Mapping[str, Sequence[float]]) -> LabeledCohort:
     """Label each sentence of the already segmented ``abstracts`` with the first most
     probable class of its triple in ``probabilities``, and count the labels. The caller
-    segments, so one abstract gets the same sentences wherever it is labelled. An
-    abstract of no sentences is a ValueError (see LabeledAbstract)."""
+    segments, so one abstract gets the same sentences wherever it is labelled."""
     texts = [text for sentences in abstracts for text in sentences]
     probs = np.array([probabilities[text] for text in texts], np.float64).reshape(len(texts), 3)
     labels = probs.argmax(axis=1)

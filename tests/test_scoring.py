@@ -54,10 +54,6 @@ class TestNumericBands:
         down = score_numeric(100 * 0.88, 100)
         assert up.value == down.value == 0.5
 
-    def test_zero_key_rejected(self):
-        with pytest.raises(DataError, match="correct value is zero"):
-            score_numeric(1, 0)
-
 
 class TestReferenceBands:
     @pytest.mark.parametrize(
@@ -93,10 +89,6 @@ class TestReferenceBands:
         mark = score_reference(given, correct)
         assert mark.value == 0.5
 
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
-            score_reference("", "something")
-
 
 class TestAbstractMark:
     @pytest.mark.parametrize(
@@ -105,12 +97,6 @@ class TestAbstractMark:
     )
     def test_denormalization(self, score, expected):
         assert abstract_mark(score) == expected
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            abstract_mark(1.2)
-        with pytest.raises(ValueError):
-            abstract_mark(-0.1)
 
 
 def _example2() -> tuple[Submission, AnswerKey]:
@@ -149,12 +135,6 @@ class TestMarkSubmission:
         a = mark_submission(sub, key, lambda text: 0.42)
         b = mark_submission(sub, key, lambda text: 0.42)
         assert a == b
-
-    def test_paper_id_mismatch(self):
-        sub, key = _example2()
-        wrong = AnswerKey(**{**EXAMPLE2_KEY, "paper_id": "other"})
-        with pytest.raises(DataError, match="key is for"):
-            mark_submission(sub, wrong, lambda text: 0.5)
 
 
 class TestMarkSheetJson:

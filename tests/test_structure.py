@@ -64,10 +64,6 @@ class TestClassifyAbstract:
         b = classify_abstract(segment_sentences(EXAMPLE2_ABSTRACT), oracle)
         assert a == b
 
-    def test_blank_text_rejected(self):
-        with pytest.raises(ValueError):
-            classify_abstract(segment_sentences("   "), lambda s: (1.0, 0.0, 0.0))
-
     @pytest.mark.parametrize("probs, first", [
         ((0.5, 0.5, 0.0), Label3.BACKGROUND),
         ((0.0, 0.5, 0.5), Label3.TECHNIQUE),

@@ -1,15 +1,18 @@
-"""Every public name in ``src/afg`` has a caller, or a stated reason to stay.
+"""Every name defined in ``src/afg`` has a caller; a public one may instead have a
+stated reason to stay.
 
-A public top-level function or class counts as called when it is read through
+A top-level function or class counts as called when it is read through
 its module, outside its own body: as a name in its own module, as a name that
 ``from .m import name`` bound, or as the attribute ``m.name`` of a module that
 ``from . import m`` bound (``afg.m`` and ``afg`` for the same imports in
 ``bench/*.py``, where a string constant also counts, since the bench's tracer
-binds functions by name). An import alone is not a read. A public method of a
+binds functions by name). An import alone is not a read. A method of a
 top-level class counts as called when an attribute of its name is read outside
-its own body, in src/afg or bench/. Methods are matched by name, not by class.
-A name that only tests call is a second spelling of a result the program
-computes some other way; it goes, or it is listed in KEEP with why.
+its own body, in src/afg or bench/. Methods are matched by name, not by class,
+and dunder methods, which Python calls, are exempt.
+A public name that only tests call is a second spelling of a result the program
+computes some other way; it goes, or it is listed in KEEP with why. A private
+name that only tests call is a helper the program no longer uses; it goes.
 """
 
 import ast
@@ -31,8 +34,6 @@ KEEP = {
                     "cohort.json is to call it",
     "generate_regression_samples": "the synthetic scored essays that the scorer, pretrain "
                                    "and transfer tests train on",
-    "Predictor.logits": "the bit-exactness seam: tests read a model's logits there, before "
-                        "the sigmoid or softmax of scores and probabilities",
 }
 
 
@@ -62,22 +63,26 @@ def _reads(path: Path, module: str | None):
             yield ("", node.value), node.lineno
 
 
-def _public_definitions(path: Path):
-    """(qualified name, keys whose read calls it, first line, last line) of each public
-    top-level function or class and each public method of a top-level class."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(path: Path):
+    """(qualified name, keys whose read calls it, first line, last line) of each
+    top-level function or class and each method of a top-level class but dunders."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             keys = ((path.stem, node.name), ("", node.name))
             yield node.name, keys, node.lineno, node.end_lineno
             for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     yield (f"{node.name}.{item.name}", ((".", item.name),),
                            item.lineno, item.end_lineno)
 
 
 def uncalled_names(root: Path = ROOT) -> list[str]:
-    """The qualified public names of ``root/src/afg`` that no file there or in
-    ``root/bench`` reads outside their own body (see the module docstring)."""
+    """The qualified names of ``root/src/afg`` that no file there or in ``root/bench``
+    reads outside their own body (see the module docstring)."""
     src = sorted((root / "src" / "afg").glob("*.py"))
     files = [(path, path.stem) for path in src]
     files += [(path, None) for path in sorted((root / "bench").glob("*.py"))]
@@ -86,13 +91,21 @@ def uncalled_names(root: Path = ROOT) -> list[str]:
         for key, line in _reads(path, module):
             reads[key].append((path, line))
     return [qualified for path in src
-            for qualified, keys, first, last in _public_definitions(path)
+            for qualified, keys, first, last in _definitions(path)
             if not any(where != path or not first <= line <= last
                        for key in keys for where, line in reads[key])]
 
 
+def _is_private(qualified: str) -> bool:
+    return any(part.startswith("_") for part in qualified.split("."))
+
+
 def test_every_public_name_is_called_or_kept():
-    uncalled = uncalled_names()
+    uncalled = [name for name in uncalled_names() if not _is_private(name)]
     assert [name for name in uncalled if name not in KEEP] == []
     # A kept name that has gained a caller no longer needs its place here.
     assert [name for name in KEEP if name not in uncalled] == []
+
+
+def test_every_private_name_is_called():
+    assert [name for name in uncalled_names() if _is_private(name)] == []
