@@ -1,8 +1,8 @@
 """Corpus and submission ingestion.
 
 Parsers for the scored-essay TSV corpora, the labelled-abstract corpus,
-and the submission/answer-key JSON files, plus score normalization,
-reproducible train/eval splits and modal answer-key derivation.
+and the submission/answer-key JSON files, plus score normalization and
+reproducible train/eval splits.
 
 Each parser takes the path of its file. Apart from that read, all functions
 are pure; parsed objects are plain frozen dataclasses.
@@ -11,7 +11,6 @@ are pure; parsed objects are plain frozen dataclasses.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum, auto
 from typing import Optional, Sequence
@@ -291,58 +290,6 @@ def split(samples: Sequence, fraction: float, seed: int) -> DatasetSplit:
     train = tuple(samples[i] for i in order[:n_train])
     evals = tuple(samples[i] for i in order[n_train:])
     return DatasetSplit(train=train, eval=evals)
-
-
-# ---------------------------------------------------------------------------
-# Answer keys
-# ---------------------------------------------------------------------------
-
-def canonical_reference(ref: str) -> str:
-    """Collapse whitespace and strip one trailing period, for comparison."""
-    collapsed = " ".join(ref.split())
-    return collapsed.removesuffix(".")
-
-
-def _modal(values: list, warnings: list[str], what: str):
-    counts = Counter(values)
-    top = max(counts.values())
-    candidates = sorted(v for v, c in counts.items() if c == top)
-    if len(candidates) > 1:
-        warnings.append(f"{what}: tie between {candidates}, using {candidates[0]}")
-    return candidates[0]
-
-
-def derive_answer_key(
-    submissions: Sequence[Submission], paper_id: str
-) -> tuple[AnswerKey, list[str]]:
-    """Derive the per-paper answer key as the modal value of each field.
-
-    Reference strings are compared in canonical form (whitespace collapsed,
-    trailing period stripped); the stored value is the first submitted raw
-    form of the winning canonical class. Ties resolve to the smallest
-    value and are reported in the returned warning list.
-    """
-    subs = [s for s in submissions if s.paper_id == paper_id]
-    if not subs:
-        raise DataError(f"no submissions for paper {paper_id!r}")
-    warnings: list[str] = []
-    impact = _modal([s.impact_factor for s in subs], warnings, f"{paper_id} impact_factor")
-    cited = _modal([s.times_cited for s in subs], warnings, f"{paper_id} times_cited")
-
-    def modal_reference(field_name: str) -> str:
-        raws = [getattr(s, field_name) for s in subs]
-        canonical = _modal([canonical_reference(r) for r in raws], warnings,
-                           f"{paper_id} {field_name}")
-        return next(r for r in raws if canonical_reference(r) == canonical)
-
-    key = AnswerKey(
-        paper_id=paper_id,
-        impact_factor=impact,
-        ref_rsc=modal_reference("ref_rsc"),
-        ref_acs=modal_reference("ref_acs"),
-        times_cited=cited,
-    )
-    return key, warnings
 
 
 # ---------------------------------------------------------------------------

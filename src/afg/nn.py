@@ -167,9 +167,6 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(**{k: v.astype(dtype) for k, v in self.arrays().items()})
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.arrays().items()})
-
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(v)) for v in self.arrays().values())
 

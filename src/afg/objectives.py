@@ -81,28 +81,21 @@ def max_error(preds, targets) -> float:
 
 def combined_loss(preds, targets, t: int, s: LossSchedule) -> float:
     """The blend at the scheduled weight p(t); needs at least two predictions."""
-    _pair(preds, targets, min_len=2)
-    return blended_loss(preds, targets, weight_p(t, s))
+    return float(blend_terms(*_pair(preds, targets, min_len=2), weight_p(t, s)))
 
 
 def blend_terms(x, y, p: float):
-    """p*STDE + (1 - p)*MSE, preserving the input dtype (the one copy of the formula)."""
-    sd_term = np.abs(np.std(y) - np.std(x))
-    return p * sd_term + (1.0 - p) * np.mean((x - y) ** 2)
-
-
-def blended_loss(preds, targets, p: float) -> float:
-    """The STDE/MSE blend at a fixed weight p.
+    """p*STDE + (1 - p)*MSE, preserving the input dtype (the one copy of the formula).
 
     Tolerates single-element batches: the standard-deviation term of one
     value is zero by convention, so the loss degrades to (1-p)*MSE.
     """
-    x, y = _pair(preds, targets)
-    return float(blend_terms(x, y, p))
+    sd_term = np.abs(np.std(y) - np.std(x))
+    return p * sd_term + (1.0 - p) * np.mean((x - y) ** 2)
 
 
 def blended_loss_grad(preds, targets, p: float) -> np.ndarray:
-    """Gradient of blended_loss with respect to the predictions.
+    """Gradient of ``blend_terms`` with respect to the predictions.
 
     At sigma(preds) == 0 or sigma(targets) == sigma(preds) the STDE term is
     not differentiable; the zero subgradient is used.

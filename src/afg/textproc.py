@@ -161,9 +161,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
 
@@ -311,9 +308,6 @@ class TokenSequence:
     """The token ids of a text."""
 
     token_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:

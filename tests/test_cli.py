@@ -818,6 +818,38 @@ class TestGrade:
         assert main(["--config", cfg, "eval"]) == 0
         assert batches == [("scores", [a, b, c])]
 
+    def test_non_ascii_abstract_grades_with_models_and_keeps_its_text(self, tmp_path):
+        # Chemistry abstracts hold units and symbols outside ASCII; "İ" is one of
+        # the characters whose lowercase is longer, which tokenizing keeps as is.
+        sentences = ["The α-helix bound the ligand at 3 µM.",
+                     "Samples from İzmir were stirred at 25 °C.",
+                     "Yields rose by 12 % (Δ = 0.4 kJ/mol)."]
+        abstract = " ".join(sentences)
+        example = json.loads((DATA / "example_submissions.json").read_text())[0]
+        subs = [dict(example, abstract=abstract)]
+        vocab = build_vocab([abstract], max_size=200, min_frequency=1)
+        vocab.save(tmp_path / "vocab.txt")
+        body = grade_config(tmp_path, tmp_path / "out")
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        for name, head in (("scorer", {}), ("classifier", {"head": CLASSIFICATION,
+                                                             "n_classes": 3})):
+            config = EncoderConfig(vocab_size=len(vocab), embed_dim=8, hidden_dim=8,
+                                   attention_dim=6, seed=1, **head)
+            save_model_file(tmp_path / f"{name}.afgm", init_params(config), config)
+            body["grade"][f"{name}_model"] = {"type": "file",
+                                              "path": str(tmp_path / f"{name}.afgm"),
+                                              "vocab": str(tmp_path / "vocab.txt")}
+        outputs = []
+        for run in ("first", "second"):
+            body["out_dir"] = str(tmp_path / run)
+            assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 0
+            out = tmp_path / run
+            outputs.append({str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        report = json.loads(outputs[0]["feedback.json"])["reports"][0]
+        assert [s["text"] for s in report["labeled_abstract"]] == sentences
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("spec", ["scorer_model", "classifier_model"])
     def test_non_finite_model_weight_exits_3_before_writing(self, tmp_path, capsys, spec):
         # At float32 the head bias is NaN; the file's checksum is valid.

@@ -1,4 +1,4 @@
-"""Corpus parsing, normalization, splitting and answer-key derivation."""
+"""Corpus parsing, normalization and splitting."""
 
 import json
 
@@ -9,10 +9,7 @@ from afg.errors import AfgError, ConfigError, DataError, RowError
 from afg.ingest import (
     Label5,
     RawSample,
-    Submission,
     TsvSchema,
-    canonical_reference,
-    derive_answer_key,
     load_answer_keys,
     load_submissions,
     parse_rct,
@@ -162,54 +159,6 @@ class TestSplit:
     def test_both_sides_nonempty_in_extremes(self):
         ds = split([1, 2], 0.99, seed=1)
         assert len(ds.train) == 1 and len(ds.eval) == 1
-
-
-def _sub(i, paper="p1", cited=42, impact=6.005, rsc="A, B, 2018.", acs="B; A; 2018."):
-    return Submission(
-        submission_id=f"s{i}", paper_id=paper, impact_factor=impact,
-        ref_rsc=rsc, ref_acs=acs, times_cited=cited,
-        abstract="One sentence abstract.",
-    )
-
-
-class TestDeriveAnswerKey:
-    def test_modal_citation_count(self):
-        subs = [_sub(0, cited=42), _sub(1, cited=42), _sub(2, cited=10)]
-        key, warnings = derive_answer_key(subs, "p1")
-        assert key.times_cited == 42
-        assert warnings == []
-
-    def test_single_submission(self):
-        key, _ = derive_answer_key([_sub(0)], "p1")
-        assert key.impact_factor == 6.005
-        assert key.ref_rsc == "A, B, 2018."
-
-    def test_tie_breaks_to_smallest_with_warning(self):
-        subs = [_sub(0, cited=5), _sub(1, cited=5), _sub(2, cited=9), _sub(3, cited=9)]
-        key, warnings = derive_answer_key(subs, "p1")
-        assert key.times_cited == 5
-        assert any("times_cited" in w for w in warnings)
-
-    def test_references_compared_canonically(self):
-        subs = [
-            _sub(0, rsc="A,  B, 2018."),
-            _sub(1, rsc="A, B, 2018"),
-            _sub(2, rsc="Different, 2020."),
-        ]
-        key, _ = derive_answer_key(subs, "p1")
-        # the two whitespace/period variants pool to one modal class;
-        # the first raw spelling is kept for display
-        assert canonical_reference(key.ref_rsc) == "A, B, 2018"
-        assert key.ref_rsc == "A,  B, 2018."
-
-    def test_value_always_from_input(self):
-        subs = [_sub(i, cited=i % 3) for i in range(9)]
-        key, _ = derive_answer_key(subs, "p1")
-        assert key.times_cited in {s.times_cited for s in subs}
-
-    def test_unknown_paper(self):
-        with pytest.raises(DataError, match="no submissions for paper"):
-            derive_answer_key([_sub(0)], "nope")
 
 
 class TestJsonIngest:

@@ -693,7 +693,7 @@ class TestInferencePrecision:
         config, params, vocab = reg_setup
         text = "the cat sat on the mat"
         for bias in (-100.0, -1000.0):
-            low = params.copy()
+            low = params.astype(np.float32)
             low.head_b[:] = bias
             model = Predictor(low, config, vocab)
             with warnings.catch_warnings():
@@ -701,7 +701,7 @@ class TestInferencePrecision:
                 scores = [predict_score(text, model), *model.scores([text, "dog"])]
             assert all(0.0 < s < 1e-40 for s in scores), bias
         config, params, vocab = cls_setup
-        spread = params.copy()
+        spread = params.astype(np.float32)
         spread.head_b[:] = [-100.0, 0.0, 100.0]
         model = Predictor(spread, config, vocab)
         for probs in (classify_sentence(text, model), *model.probabilities([text, "dog"])):
@@ -740,7 +740,7 @@ class TestPredictScore:
 
     def test_zeroed_head_gives_half(self, reg_setup):
         config, params, vocab = reg_setup
-        zeroed = params.copy()
+        zeroed = params.astype(np.float32)
         zeroed.head_w[:] = 0
         zeroed.head_b[:] = 0
         score = predict_score("any words at all", Predictor(zeroed, config, vocab))
@@ -750,7 +750,7 @@ class TestPredictScore:
 class TestClassifySentence:
     def test_zeroed_head_is_uniform(self, cls_setup):
         config, params, vocab = cls_setup
-        zeroed = params.copy()
+        zeroed = params.astype(np.float32)
         zeroed.head_w[:] = 0
         zeroed.head_b[:] = 0
         probs = classify_sentence("any words", Predictor(zeroed, config, vocab))
@@ -1006,7 +1006,7 @@ class TestSerialization:
         # transposed fw_wx (E != 4H) has the same size, so its bytes would load
         # without an error, as the transposed array reshaped to (E, 4H).
         config, params, _ = reg_setup
-        broken = params.copy()
+        broken = params.astype(np.float32)
         broken.fw_wx = params.fw_wx.T.copy()
         with pytest.raises(DataError, match="fw_wx: expected shape"):
             save_model(broken, config)
@@ -1017,7 +1017,7 @@ class TestSerialization:
     def test_non_finite_weight_is_corrupt(self, reg_setup, name, value):
         # The checksum is valid: only the weights themselves are wrong.
         config, params, _ = reg_setup
-        broken = params.copy()
+        broken = params.astype(np.float32)
         getattr(broken, name).flat[0] = value
         with pytest.raises(DataError, match="non-finite"):
             load_model(save_model(broken, config))

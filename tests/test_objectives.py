@@ -12,7 +12,7 @@ from afg.objectives import (
     ConfusionMatrix,
     LossSchedule,
     accuracy,
-    blended_loss,
+    blend_terms,
     blended_loss_grad,
     combined_loss,
     confusion,
@@ -144,7 +144,7 @@ class TestCombinedLoss:
             targets = rng.uniform(0, 1, 8)
             l1, l2 = stde(preds, targets), mse(preds, targets)
             for p in (0.0, 0.3, 0.7, 1.0):
-                val = blended_loss(preds, targets, p)
+                val = blend_terms(preds, targets, p)
                 assert min(l1, l2) - 1e-12 <= val <= max(l1, l2) + 1e-12
 
     def test_grad_matches_finite_differences(self):
@@ -157,9 +157,9 @@ class TestCombinedLoss:
             for j in range(6):
                 bumped = preds.copy()
                 bumped[j] += eps
-                hi = blended_loss(bumped, targets, p)
+                hi = blend_terms(bumped, targets, p)
                 bumped[j] -= 2 * eps
-                lo = blended_loss(bumped, targets, p)
+                lo = blend_terms(bumped, targets, p)
                 assert grad[j] == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
 
 

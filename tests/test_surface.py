@@ -25,11 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 KEEP = {
     "rules_to_json": "writes the rule file that load_rules reads back; "
                      "tests/golden/default_rules.json is its output",
-    "derive_answer_key": "the modal answer key of a cohort, for a paper with no key file "
-                         "(ROADMAP keep list)",
     "grad_check": "the finite-difference reference the tests compare nn's gradients against",
     "stde": "the paper's STDE term alone; tests compare combined_loss at its plateau with it",
-    "combined_loss": "the paper's loss at the scheduled weight p(t) (ROADMAP keep list)",
+    "combined_loss": "the paper's loss at the scheduled weight p(t); "
+                     "tests/test_acceptance.py::test_criterion_1_formula_oracles pins it",
     "corpus_stats": "the paper's pooled label shares of a cohort; ROADMAP item 4's "
                     "cohort.json is to call it",
     "generate_regression_samples": "the synthetic scored essays that the scorer, pretrain "

@@ -167,14 +167,14 @@ class TestRewrittenTextLayers:
 class TestBuildVocab:
     def test_reserved_tokens_present(self):
         v = build_vocab(["some words here"], max_size=50, min_frequency=1)
-        assert PAD_TOKEN in v and UNK_TOKEN in v
+        assert PAD_TOKEN in v.token_to_id and UNK_TOKEN in v.token_to_id
         assert v.pad_id != v.unk_id
         assert sorted(v.token_to_id.values()) == list(range(len(v)))
 
     def test_pair_merge_produces_piece(self):
         # "aa" appears twice; the ('a', '##a') merge must enter the vocabulary
         v = build_vocab(["aa aa"], max_size=8, min_frequency=2)
-        assert "aa" in v
+        assert "aa" in v.token_to_id
 
     def test_deterministic(self):
         corpus = ["the cat sat", "the mat sat flat"]
@@ -184,8 +184,8 @@ class TestBuildVocab:
 
     def test_min_frequency_blocks_rare_merges(self):
         v = build_vocab(["ab"], max_size=50, min_frequency=2)
-        assert "ab" not in v  # the pair occurs once
-        assert "a" in v and "##b" in v
+        assert "ab" not in v.token_to_id  # the pair occurs once
+        assert "a" in v.token_to_id and "##b" in v.token_to_id
 
     def test_respects_max_size(self):
         v = build_vocab(["abcdefgh " * 5], max_size=12, min_frequency=1)
@@ -297,9 +297,9 @@ class TestBuildVocabMergeOrder:
 class TestTokenize:
     def test_whole_word_hit(self):
         v = build_vocab(["hello hello world"], max_size=60, min_frequency=1)
-        assert "hello" in v
+        assert "hello" in v.token_to_id
         seq = tokenize("hello", v)
-        assert len(seq) == 1
+        assert len(seq.token_ids) == 1
         assert v.id_to_token[seq.token_ids[0]] == "hello"
 
     def test_greedy_longest_match_pieces(self):
@@ -345,8 +345,8 @@ class TestTokenizePaths:
         # general path; everything before it must come out the same.
         fast = tokenize(text, MIXED_VOCAB)
         general = tokenize(text + " é", MIXED_VOCAB)
-        n = len(fast)
-        assert len(general) == n + 1
+        n = len(fast.token_ids)
+        assert len(general.token_ids) == n + 1
         assert general.token_ids[:n] == fast.token_ids
 
     @given(st.one_of(ASCII_TEXT, MIXED_TEXT))
@@ -460,4 +460,4 @@ def test_tokenize_is_total(text):
     v = build_vocab(["abc abd dca d.d."], max_size=40, min_frequency=1)
     seq = tokenize(text, v)
     words = text.split()
-    assert len(seq) >= len(words) if words else len(seq) == 0
+    assert len(seq.token_ids) >= len(words) if words else len(seq.token_ids) == 0
