@@ -10,13 +10,10 @@ byte-identical apart from the timestamp in training-log headers.
 ``_SCHEMA`` is the config reference: each section's keys, their JSON types,
 defaults and ranges. ``RunConfig.load`` checks the whole file against it
 before any command runs; a wrong type, a value out of range and an unknown
-key (named with the closest known key) are configuration errors. Keys that
-go straight into ``nn.EncoderConfig``, ``nn.TrainConfig``,
-``objectives.LossSchedule`` or ``build_vocab`` get their range checks and
-defaults there, but for the defaults of ``epochs`` (5), ``batch_size`` (64)
-and ``vocab.max_size`` (512), which ``_SCHEMA`` sets. The report formats, and
-the file extension of each, are ``feedback.REPORT_FORMATS``. The three
-training commands share one skeleton.
+key (named with the closest known key) are configuration errors. ``_SCHEMA``
+holds every range except the model dimensions, which ``nn.EncoderConfig``
+checks. The report formats, and the file extension of each, are
+``feedback.REPORT_FORMATS``. The three training commands share one skeleton.
 
 ``grade`` works over the whole cohort in stages, in submission-id order:
 mark every submission, segment each abstract once, run one classifier
@@ -49,7 +46,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -100,9 +97,14 @@ def _one_of(*values: str) -> tuple[str, Callable]:
 
 
 _TRAIN_SHARE = ("in (0, 1)", lambda f: 0.0 < f < 1.0)
+_AT_LEAST_1 = ("at least 1", lambda n: n >= 1)
 # The nn.TrainConfig fields a training section sets.
-_TRAIN = {"epochs": _Key(int, 5), "batch_size": _Key(int, 64), "learning_rate": float}
-_SCHEDULE = _Key({"a": float, "b": float, "c": float}, {})
+_TRAIN = {"epochs": _Key(int, 5, _AT_LEAST_1), "batch_size": _Key(int, 64, _AT_LEAST_1),
+          "learning_rate": _Key(float, None, ("> 0", lambda r: r > 0.0))}
+# The objectives.LossSchedule constants.
+_SCHEDULE = _Key({"a": _Key(float, None, ("in (0, 1]", lambda a: 0.0 < a <= 1.0)),
+                  "b": _Key(float, None, ("in [0, 1]", lambda b: 0.0 <= b <= 1.0)),
+                  "c": _Key(float, None, (">= 0", lambda c: c >= 0.0))}, {})
 _MODEL_FILE = {"path": Path, "vocab": Path}
 _SCORER = _Key({**_MODEL_FILE, "type": _Key(str, "file", _one_of("file", "fixed_score")),
                 "score": _Key(float, None, ("in [0, 1]", lambda s: 0.0 <= s <= 1.0))}, {})
@@ -115,7 +117,9 @@ _SCHEMA = {
     "out_dir": _Key(str, "out"),
     "model": _Key({"embed_dim": int, "hidden_dim": int, "attention_dim": int,
                    "max_sequence_length": int}, {}),
-    "vocab": _Key({"path": Path, "max_size": _Key(int, 512), "min_frequency": int}, {}),
+    # build_vocab's two reserved tokens and at least one more.
+    "vocab": _Key({"path": Path, "max_size": _Key(int, 512, ("at least 3", lambda n: n >= 3)),
+                   "min_frequency": int}, {}),
     "segmenter": _Key({"abbreviations": Path}, {}),
     "pretrain": {
         "corpora": _Key([{"path": Path, "score_ranges": dict, "id_col": str, "prompt_col": str,
@@ -284,17 +288,17 @@ def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Se
     section = cfg.sections[name]
     if base is None:
         spec = cfg.sections["vocab"]
-        vocab = Vocabulary.load(spec["path"]) if "path" in spec else _config_value(
-            "vocab settings", lambda: build_vocab([text for text, _ in train], **spec))
+        vocab = (Vocabulary.load(spec["path"]) if "path" in spec
+                 else build_vocab([text for text, _ in train], **spec))
         config = _config_value("model settings", lambda: nn.EncoderConfig(
             vocab_size=len(vocab), head=nn.CLASSIFICATION if n_classes else nn.REGRESSION,
             n_classes=n_classes, seed=cfg.seed, **cfg.sections["model"],
         ))
         base = nn.Predictor(nn.init_params(config), config, vocab)
-    train_config = _config_value("training settings", lambda: nn.TrainConfig(
+    train_config = nn.TrainConfig(
         seed=cfg.seed, **{key: section[key] for key in _TRAIN if key in section},
         schedule=objectives.LossSchedule(**section["schedule"]) if "schedule" in section else None,
-    ))
+    )
     params, train_log = nn.train(list(train), train_config, base.params, base.vocab,
                                  max_sequence_length=base.config.max_sequence_length)
     evaluation, headline = (evaluate(nn.Predictor(params, base.config, base.vocab), held_out)
@@ -336,7 +340,7 @@ def _evaluate_scores(scores: Sequence[float], targets: Sequence[float]):
         report = objectives.evaluate_regression(scores, targets)
     except ValueError as exc:  # fewer than two samples, or constant scores or targets
         raise DataError(f"cannot evaluate the scores: {exc}") from None
-    return asdict(report), {"r2_paper": report.r2_paper}
+    return report, {"r2_paper": report["r2_paper"]}
 
 
 def cmd_finetune(cfg: RunConfig, args) -> int:
@@ -371,17 +375,16 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
              len(ds.train), len(ds.eval))
 
     def evaluate(predictor: nn.Predictor, held_out: Sequence[tuple[str, int]]):
-        pred = [max(range(3), key=probs.__getitem__)
+        pred = [max(structure.LABELS, key=probs.__getitem__)
                 for probs in predictor.probabilities([text for text, _ in held_out])]
         true = [label for _, label in held_out]
         acc = objectives.accuracy(pred, true)
-        baseline = max(true.count(k) for k in range(3)) / len(true)
-        cm = objectives.confusion(pred, true, 3)
+        baseline = max(map(true.count, structure.LABELS)) / len(true)
         return {
             "accuracy": acc,
             "majority_baseline": baseline,
             "n_eval": len(true),
-            "confusion": cm.to_json_dict(list(structure.LABEL_NAMES)),
+            "confusion": objectives.confusion(pred, true, list(structure.LABEL_NAMES)),
         }, {"accuracy": acc, "baseline": baseline}
 
     return _train_and_write(cfg, args, "classifier", "classifier.afgm", ds.train, ds.eval,
@@ -470,7 +473,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     human01 = [m / 6.0 for m in human_marks]
 
     abstract_score, headline = _evaluate_scores(machine01, human01)
-    cm = objectives.confusion(machine_marks, human_marks, 7)
     acc = objectives.accuracy(machine_marks, human_marks)
 
     eval_path = cfg.out_dir / "eval.json"
@@ -481,7 +483,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             "n": len(subs),
             "abstract_score": abstract_score,
             "exact_mark_agreement": acc,
-            "confusion": cm.to_json_dict(list(range(7))),
+            "confusion": objectives.confusion(machine_marks, human_marks, list(range(7))),
         },
     )
     _emit(args, {"eval": str(eval_path), "n": len(subs), "seed": cfg.seed, **headline},

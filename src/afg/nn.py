@@ -118,8 +118,6 @@ class EncoderConfig:
                      "max_sequence_length"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.head not in (REGRESSION, CLASSIFICATION):
-            raise ValueError(f"unknown head {self.head!r}")
         if self.head == CLASSIFICATION and self.n_classes < 2:
             raise ValueError("classification head needs n_classes >= 2")
 
@@ -631,14 +629,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     schedule: LossSchedule | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass

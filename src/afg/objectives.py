@@ -6,7 +6,8 @@ collapsing to the mean early on) and plain mean squared error. The weight
 p(t) = min(a, a * exp(-c * (t/T - b))) stays at its plateau value ``a``
 for the first ``b`` fraction of training and then decays exponentially.
 
-Everything here is pure and computed in 64-bit floats.
+Everything here is pure. The metrics and the gradient are computed in
+64-bit floats; ``blend_terms`` keeps the dtype of its input.
 """
 
 from __future__ import annotations
@@ -19,22 +20,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LossSchedule:
-    """Constants of the dynamic loss weight and the training horizon T."""
+    """Constants of the dynamic loss weight and the training horizon T.
+
+    ``cli._SCHEMA`` checks a in (0, 1], b in [0, 1] and c >= 0; ``nn.train`` sets T >= 1.
+    """
 
     a: float = 1.0
     b: float = 0.1
     c: float = 10.0
     T: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.a <= 1.0:
-            raise ValueError(f"a must be in (0, 1], got {self.a}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if self.c < 0.0:
-            raise ValueError(f"c must be >= 0, got {self.c}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
 
 
 def weight_p(t: int, s: LossSchedule) -> float:
@@ -111,76 +105,32 @@ def blended_loss_grad(preds, targets, p: float) -> np.ndarray:
     return grad
 
 
-def r2(preds, targets, variant: str = "paper") -> float:
-    """Coefficient of determination.
+def evaluate_regression(preds, targets) -> dict:
+    """The regression fields of an eval file: r2 two ways, MAE, RMSE, max error and n.
 
-    variant="paper" uses the mean and variance of the *predictions* in the
-    denominator; variant="standard" uses the targets'. Both are reported
-    side by side in evaluation output because they can differ a lot.
+    ``r2_paper`` divides the residual sum of squares by the spread of the
+    *predictions* around their mean, ``r2_standard`` by the targets'. Both
+    are reported side by side because they can differ a lot. Constant
+    predictions or targets are a ValueError.
     """
     p, t = _pair(preds, targets, min_len=2)
     residual = float(np.sum((p - t) ** 2))
-    if variant == "paper":
-        denom = float(np.sum((p - p.mean()) ** 2))
+    report = {}
+    for key, v, what in (("r2_paper", p, "predictions"), ("r2_standard", t, "targets")):
+        denom = float(np.sum((v - v.mean()) ** 2))
         if denom == 0.0:
-            raise ValueError("degenerate variance: constant predictions")
-    elif variant == "standard":
-        denom = float(np.sum((t - t.mean()) ** 2))
-        if denom == 0.0:
-            raise ValueError("degenerate variance: constant targets")
-    else:
-        raise ValueError(f"unknown r2 variant {variant!r}")
-    return 1.0 - residual / denom
+            raise ValueError(f"degenerate variance: constant {what}")
+        report[key] = 1.0 - residual / denom
+    return {**report, "mae": mae(p, t), "rmse": rmse(p, t), "max_error": max_error(p, t),
+            "n": int(p.shape[0])}
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Regression evaluation summary over one prediction/target set."""
-
-    r2_paper: float
-    r2_standard: float
-    mae: float
-    rmse: float
-    max_error: float
-    n: int
-
-
-def evaluate_regression(preds, targets) -> EvalReport:
-    p, t = _pair(preds, targets, min_len=2)
-    return EvalReport(
-        r2_paper=r2(p, t, "paper"),
-        r2_standard=r2(p, t, "standard"),
-        mae=mae(p, t),
-        rmse=rmse(p, t),
-        max_error=max_error(p, t),
-        n=int(p.shape[0]),
-    )
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Integer count matrix; rows are true labels, columns predictions."""
-
-    n_classes: int
-    counts: np.ndarray
-
-    def to_json_dict(self, labels: list | None = None) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "labels": labels if labels is not None else list(range(self.n_classes)),
-            "counts": self.counts.tolist(),
-        }
-
-
-def confusion(pred_labels, true_labels, n_classes: int) -> ConfusionMatrix:
-    pred = np.asarray(pred_labels, dtype=np.int64)
-    true = np.asarray(true_labels, dtype=np.int64)
-    for name, v in (("pred", pred), ("true", true)):
-        if v.min() < 0 or v.max() >= n_classes:
-            raise ValueError(f"{name} label out of range [0, {n_classes})")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (true, pred), 1)
-    return ConfusionMatrix(n_classes=n_classes, counts=counts)
+def confusion(pred_labels, true_labels, labels: list) -> dict:
+    """The confusion counts over ``labels``: rows are true labels, columns predictions."""
+    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    np.add.at(counts, (np.asarray(true_labels, dtype=np.int64),
+                       np.asarray(pred_labels, dtype=np.int64)), 1)
+    return {"n_classes": len(labels), "labels": labels, "counts": counts.tolist()}
 
 
 def accuracy(pred_labels, true_labels) -> float:

@@ -218,8 +218,6 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
     recounting every pair in every word before each merge.
     """
     n_reserved = 2
-    if max_size <= n_reserved:
-        raise ValueError(f"max_size must exceed the {n_reserved} reserved tokens")
 
     word_freq: dict[str, int] = {}
     for text in corpus:

@@ -126,12 +126,9 @@ def test_criterion_1_formula_oracles():
         assert objectives.combined_loss(preds, targets, t, sched) == pytest.approx(
             expected, abs=tol
         )
-        assert objectives.r2(preds, targets, "paper") == pytest.approx(
-            _b_r2_paper(preds, targets), abs=tol
-        )
-        assert objectives.r2(preds, targets, "standard") == pytest.approx(
-            _b_r2_standard(preds, targets), abs=tol
-        )
+        report = objectives.evaluate_regression(preds, targets)
+        assert report["r2_paper"] == pytest.approx(_b_r2_paper(preds, targets), abs=tol)
+        assert report["r2_standard"] == pytest.approx(_b_r2_standard(preds, targets), abs=tol)
     elapsed = time.time() - start
     assert elapsed < 5.0
     print(f"\nACCEPTANCE PASS criterion 1: 1000 random vectors, tol 1e-9, {elapsed:.2f}s")
@@ -314,7 +311,7 @@ def test_criterion_7_pretrain_finetune_trend():
     def eval_r2(params, config, eval_set):
         model = nn.Predictor(params, config, vocab)
         preds = [nn.predict_score(t, model) for t, _ in eval_set]
-        return objectives.r2(preds, [y for _, y in eval_set], "paper")
+        return objectives.evaluate_regression(preds, [y for _, y in eval_set])["r2_paper"]
 
     rows = []
     for seed in range(5):

@@ -389,7 +389,7 @@ class TestTrainClassifier:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command, keys, value", [
+BAD_CONFIG_VALUES = [
     ("pretrain", ("pretrain", "epochs"), 0),
     ("pretrain", ("pretrain", "epochs"), "x"),
     ("pretrain", ("pretrain", "batch_size"), 0),
@@ -406,7 +406,10 @@ class TestTrainClassifier:
     ("pretrain", ("vocab", "min_frequency"), "x"),
     ("train-classifier", ("classifier", "fraction"), 0.0),
     ("train-classifier", ("classifier", "fraction"), 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("command, keys, value", BAD_CONFIG_VALUES)
 def test_bad_config_value_exits_2_before_writing(tmp_path, capsys, command, keys, value):
     out = tmp_path / "out"
     if command == "pretrain":
@@ -1113,7 +1116,8 @@ def command_config(tmp_path: Path, command: str, out: Path) -> dict:
             "classifier": {"corpus": str(corpus), "epochs": 1}}
 
 
-@pytest.mark.parametrize("command, keys, value, message", [
+# A command's config is checked whole, so any command can carry a bad value of any section.
+SCHEMA_VIOLATIONS = [
     ("grade", ("grade", "scorer_model"), [], "invalid grade.scorer_model"),
     ("grade", ("out_dir",), [], "invalid out_dir"),
     ("grade", ("grade", "format"), [], "invalid grade.format"),
@@ -1133,7 +1137,49 @@ def command_config(tmp_path: Path, command: str, out: Path) -> dict:
      "invalid pretrain.corpora[0].score_ranges: None is not a JSON object"),
     ("grade", ("grade", "format"), "pdf",
      "invalid grade.format: 'pdf' is not terminal or html or markdown"),
-])
+    ("pretrain", ("pretrain", "schedule", "b"), 1.5,
+     "invalid pretrain.schedule.b: 1.5 is not in [0, 1]"),
+    ("pretrain", ("pretrain", "schedule", "c"), -1,
+     "invalid pretrain.schedule.c: -1.0 is not >= 0"),
+    ("pretrain", ("pretrain", "learning_rate"), 0,
+     "invalid pretrain.learning_rate: 0.0 is not > 0"),
+    ("pretrain", ("vocab", "max_size"), 2, "invalid vocab.max_size: 2 is not at least 3"),
+    ("pretrain", ("pretrain", "corpora"), [],
+     "invalid pretrain.corpora: [] is not a non-empty list"),
+    ("finetune", ("finetune", "fraction"), 1.0, "invalid finetune.fraction: 1.0 is not in (0, 1)"),
+    ("finetune", ("finetune", "epochs"), 0, "invalid finetune.epochs: 0 is not at least 1"),
+    ("finetune", ("finetune", "batch_size"), -4,
+     "invalid finetune.batch_size: -4 is not at least 1"),
+    ("finetune", ("finetune", "learning_rate"), -0.5,
+     "invalid finetune.learning_rate: -0.5 is not > 0"),
+    ("finetune", ("finetune", "schedule", "a"), 0,
+     "invalid finetune.schedule.a: 0.0 is not in (0, 1]"),
+    ("finetune", ("finetune", "schedule", "b"), -0.1,
+     "invalid finetune.schedule.b: -0.1 is not in [0, 1]"),
+    ("finetune", ("finetune", "schedule", "c"), -2.5,
+     "invalid finetune.schedule.c: -2.5 is not >= 0"),
+    ("train-classifier", ("classifier", "max_sentences"), 1,
+     "invalid classifier.max_sentences: 1 is not at least 2"),
+    ("train-classifier", ("classifier", "epochs"), 0,
+     "invalid classifier.epochs: 0 is not at least 1"),
+    ("train-classifier", ("classifier", "batch_size"), 0,
+     "invalid classifier.batch_size: 0 is not at least 1"),
+    ("train-classifier", ("classifier", "learning_rate"), 0,
+     "invalid classifier.learning_rate: 0.0 is not > 0"),
+    ("grade", ("grade", "scorer_model", "type"), "fixed_labels",
+     "invalid grade.scorer_model.type: 'fixed_labels' is not file or fixed_score"),
+    ("grade", ("grade", "scorer_model", "score"), 1.5,
+     "invalid grade.scorer_model.score: 1.5 is not in [0, 1]"),
+    ("grade", ("grade", "classifier_model", "type"), "fixed_score",
+     "invalid grade.classifier_model.type: 'fixed_score' is not file or fixed_labels"),
+    ("eval", ("eval", "scorer_model", "type"), "model",
+     "invalid eval.scorer_model.type: 'model' is not file or fixed_score"),
+    ("eval", ("eval", "scorer_model", "score"), -0.5,
+     "invalid eval.scorer_model.score: -0.5 is not in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command, keys, value, message", SCHEMA_VIOLATIONS)
 def test_config_checked_against_schema_before_writing(tmp_path, capsys, command, keys, value,
                                                       message):
     out = tmp_path / "out"
@@ -1145,6 +1191,33 @@ def test_config_checked_against_schema_before_writing(tmp_path, capsys, command,
     assert main(["--config", str(write_config(tmp_path, body)), "--out", str(out), command]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _ranged_key_paths(kind, path=()):
+    """(key path, entry) of each ``_SCHEMA`` key with a range; 0 steps into an array."""
+    if isinstance(kind, list):
+        yield from _ranged_key_paths(kind[0], path + (0,))
+    elif isinstance(kind, dict):
+        for key, entry in kind.items():
+            entry = entry if isinstance(entry, cli._Key) else cli._Key(entry)
+            if entry.range:
+                yield path + (key,), entry
+            yield from _ranged_key_paths(entry.kind, path + (key,))
+
+
+def _out_of_range(entry: cli._Key, value) -> bool:
+    """Whether ``value`` is of the kind of ``entry`` but fails its range."""
+    try:
+        checked = cli._check(value, entry.kind, "", Path())
+    except ConfigError:
+        return False
+    return not entry.range[1](checked)
+
+
+def test_every_schema_range_has_a_bad_value_row():
+    rows = [row[1:3] for row in BAD_CONFIG_VALUES + SCHEMA_VIOLATIONS]
+    assert [".".join(map(str, keys)) for keys, entry in _ranged_key_paths(cli._SCHEMA)
+            if not any(k == keys and _out_of_range(entry, v) for k, v in rows)] == []
 
 
 TSV_HEADER = "id\tset\tessay\tscore\n"
