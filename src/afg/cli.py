@@ -4,8 +4,8 @@ Subcommands: pretrain, finetune, train-classifier, grade, eval. One JSON
 config file drives a run (``--config`` or the AFG_CONFIG environment
 variable); ``--seed`` and ``--out`` flags override the config. All
 randomness flows from the single run seed, which is recorded in the JSON
-artifacts, so reruns with the same config and BLAS thread count are
-byte-identical apart from the timestamp in training-log headers.
+artifacts, so reruns with the same config are byte-identical apart from the
+timestamp in training-log headers.
 
 ``_SCHEMA`` is the config reference: each section's keys, their JSON types,
 defaults and ranges. ``RunConfig.load`` checks the whole file against it
@@ -105,12 +105,15 @@ _TRAIN = {"epochs": _Key(int, 5, _AT_LEAST_1), "batch_size": _Key(int, 64, _AT_L
 _SCHEDULE = _Key({"a": _Key(float, None, ("in (0, 1]", lambda a: 0.0 < a <= 1.0)),
                   "b": _Key(float, None, ("in [0, 1]", lambda b: 0.0 <= b <= 1.0)),
                   "c": _Key(float, None, (">= 0", lambda c: c >= 0.0))}, {})
+# A prompt's score range; normalizing divides by its width, so that is finite too.
+_SCORE_RANGE = _Key([float], None, ("[min, max] with min < max and a finite max - min",
+                                    lambda r: len(r) == 2 and 0.0 < r[1] - r[0] < float("inf")))
 _MODEL_FILE = {"path": Path, "vocab": Path}
 _SCORER = _Key({**_MODEL_FILE, "type": _Key(str, "file", _one_of("file", "fixed_score")),
                 "score": _Key(float, None, ("in [0, 1]", lambda s: 0.0 <= s <= 1.0))}, {})
 
-# A nested dict is a JSON object with those keys; a one-item list is an
-# array of such objects.
+# A nested dict is a JSON object with those keys, or with any keys if its one key is
+# ``str``; a one-item list is an array of such objects.
 _SCHEMA = {
     # The model file stores the seed as a signed 64-bit field.
     "seed": _Key(int, 0, ("in [0, 2**63)", lambda s: 0 <= s < 2**63)),
@@ -119,11 +122,13 @@ _SCHEMA = {
                    "max_sequence_length": int}, {}),
     # build_vocab's two reserved tokens and at least one more.
     "vocab": _Key({"path": Path, "max_size": _Key(int, 512, ("at least 3", lambda n: n >= 3)),
-                   "min_frequency": int}, {}),
+                   "min_frequency": _Key(int, None, _AT_LEAST_1)}, {}),
     "segmenter": _Key({"abbreviations": Path}, {}),
     "pretrain": {
-        "corpora": _Key([{"path": Path, "score_ranges": dict, "id_col": str, "prompt_col": str,
-                          "text_col": str, "score_col": str}], None, ("a non-empty list", bool)),
+        "corpora": _Key([{"path": Path, "score_ranges": {str: _SCORE_RANGE},
+                          "id_col": _Key(str, "id"), "prompt_col": _Key(str, "set"),
+                          "text_col": _Key(str, "essay"), "score_col": _Key(str, "score")}],
+                        None, ("a non-empty list", bool)),
         **_TRAIN, "schedule": _SCHEDULE,
     },
     "finetune": {
@@ -169,6 +174,7 @@ def _check(value, kind, where: str, base_dir: Path):
         return base_dir / value if kind is Path else kind(value)
     if type(value) is not dict:
         raise ConfigError(f"invalid {where or 'config'}: {value!r:.40} is not a JSON object")
+    kind = dict.fromkeys(value, kind[str]) if str in kind else kind
     prefix = f"{where}." if where else ""
     for key in value:
         if key not in kind:
@@ -307,12 +313,12 @@ def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Se
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     nn.save_model_file(out / model_file, params, base.config)
-    summary = {"model": str(out / model_file), "seed": cfg.seed, "steps": train_log.steps_total}
+    summary = {"model": str(out / model_file), "seed": cfg.seed, "steps": train_log["steps_total"]}
     if vocab_file is not None:
         base.vocab.save(out / vocab_file)
         summary["vocab"] = str(out / vocab_file)
     _write_json(out / f"{name}_log.json", {"created_at": datetime.now(timezone.utc).isoformat(),
-                                           "seed": cfg.seed, **train_log.to_json_dict()})
+                                           "seed": cfg.seed, **train_log})
     if evaluation is not None:
         _write_json(out / f"{name}_eval.json", {"seed": cfg.seed, **evaluation})
         summary["eval"] = str(out / f"{name}_eval.json")
@@ -325,7 +331,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
     section = cfg.sections["pretrain"]
     samples = []
     for entry in section["corpora"]:
-        samples.extend(ingest.parse_scored_tsv(entry["path"], ingest.TsvSchema.from_dict(entry)))
+        samples.extend(ingest.parse_scored_tsv(entry["path"], entry))
     if not samples:
         raise DataError("no training samples in the configured corpora")
     data = [(s.text, s.score01) for s in samples]

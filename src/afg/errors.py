@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the pipeline: ``AfgError`` and one class per
 CLI exit code, ``ConfigError`` -> 2, ``DataError`` -> 3 and ``TrainingDivergedError``
--> 4. ``RowError`` is the ``DataError`` of one bad line and carries ``.line``;
-``TrainingDivergedError`` carries ``.step``.
+-> 4. ``RowError`` is the ``DataError`` of one bad line; its message starts with the
+line number, as ``TrainingDivergedError``'s names the step.
 """
 
 
@@ -18,11 +18,10 @@ class DataError(AfgError):
 
 
 class RowError(DataError):
-    """A single bad row or line in a corpus file; ``line`` is its line number."""
+    """A single bad row or line in a corpus file, ``line`` its line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class TrainingDivergedError(AfgError):
@@ -30,4 +29,3 @@ class TrainingDivergedError(AfgError):
 
     def __init__(self, step: int, what: str):
         super().__init__(f"training diverged at step {step} (non-finite {what})")
-        self.step = step

@@ -4,14 +4,15 @@ Parsers for the scored-essay TSV corpora, the labelled-abstract corpus,
 and the submission/answer-key JSON files, plus score normalization and
 reproducible train/eval splits.
 
-Each parser takes the path of its file. Apart from that read, all functions
-are pure; parsed objects are plain frozen dataclasses.
+Each parser takes the path of its file, and the TSV parser also the checked
+``pretrain.corpora`` entry of the config (see ``cli._SCHEMA``). Apart from that
+read, all functions are pure; parsed objects are plain frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Optional, Sequence
 
@@ -104,53 +105,24 @@ class DatasetSplit:
 # Scored TSV corpora
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TsvSchema:
-    """Column names and per-prompt score ranges for a scored TSV corpus."""
-
-    id_col: str = "id"
-    prompt_col: str = "set"
-    text_col: str = "essay"
-    score_col: str = "score"
-    score_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TsvSchema":
-        """A corpus entry's schema: ``score_ranges`` maps each prompt to a finite [min, max]."""
-        if "score_ranges" not in d:
-            raise ConfigError("TSV schema missing key 'score_ranges'")
-        columns = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-        columns["score_ranges"] = ranges = {}
-        for prompt, bounds in d["score_ranges"].items():
-            if not (type(bounds) is list and len(bounds) == 2 and all(map(is_number, bounds))):
-                raise ConfigError(f"score range {bounds!r:.40} of prompt {prompt!r:.40} is not "
-                                  "a [min, max] array of finite numbers")
-            lo, hi = ranges[prompt] = float(bounds[0]), float(bounds[1])
-            if not lo < hi:
-                raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r:.40} is empty")
-            # Normalizing divides by the width, so it must be a finite float too.
-            if not math.isfinite(hi - lo):
-                raise ConfigError(f"score range [{lo}, {hi}] of prompt {prompt!r:.40} is "
-                                  "wider than a float can hold")
-        return cls(**columns)
-
-
-def parse_scored_tsv(path, schema: TsvSchema) -> list[RawSample]:
+def parse_scored_tsv(path, entry: dict) -> list[RawSample]:
     """Parse a tab-separated scored corpus into raw samples.
 
-    The first line must be a header. Plain tab splitting is used on
-    purpose: essay text may contain quote characters that csv-style
+    ``entry`` names the four columns and maps each prompt to its [min, max]
+    score range. The first line must be a header. Plain tab splitting is used
+    on purpose: essay text may contain quote characters that csv-style
     quoting would mangle.
     """
+    ranges = entry["score_ranges"]
     lines = read_text(path).splitlines()
     if not lines:
         raise DataError("empty TSV corpus")
     header = lines[0].split("\t")
-    col_index = {}
-    for col in (schema.id_col, schema.prompt_col, schema.text_col, schema.score_col):
+    columns = [entry[key] for key in ("id_col", "prompt_col", "text_col", "score_col")]
+    for col in columns:
         if col not in header:
             raise ConfigError(f"TSV header missing column {col!r}")
-        col_index[col] = header.index(col)
+    id_col, prompt_col, text_col, score_col = map(header.index, columns)
 
     samples: list[RawSample] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -159,23 +131,23 @@ def parse_scored_tsv(path, schema: TsvSchema) -> list[RawSample]:
         cells = line.split("\t")
         if len(cells) < len(header):
             raise RowError(f"expected {len(header)} columns, got {len(cells)}", lineno)
-        prompt = cells[col_index[schema.prompt_col]]
-        if prompt not in schema.score_ranges:
+        prompt = cells[prompt_col]
+        if prompt not in ranges:
             raise ConfigError(f"no score range configured for prompt {prompt!r}")
-        lo, hi = schema.score_ranges[prompt]
-        raw = cells[col_index[schema.score_col]]
+        lo, hi = ranges[prompt]
+        raw = cells[score_col]
         try:
             score = float(raw)
         except ValueError:
             raise RowError(f"unparseable score {raw!r}", lineno) from None
         if not lo <= score <= hi:
             raise RowError(f"score {score} outside declared range [{lo}, {hi}]", lineno)
-        text = cells[col_index[schema.text_col]]
+        text = cells[text_col]
         if not text.strip():
             raise RowError("empty text", lineno)
         samples.append(
             RawSample(
-                sample_id=cells[col_index[schema.id_col]],
+                sample_id=cells[id_col],
                 prompt_id=prompt,
                 text=text,
                 raw_score=score,

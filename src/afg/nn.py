@@ -87,7 +87,7 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -175,15 +175,6 @@ class ModelParams:
     @property
     def head_dim(self) -> int:
         return self.head_w.shape[1]
-
-
-def validate_shapes(params: ModelParams, config: EncoderConfig) -> None:
-    expected = _shapes(config)
-    for name, arr in params.arrays().items():
-        if tuple(arr.shape) != expected[name]:
-            raise DataError(
-                f"{name}: expected shape {expected[name]}, got {tuple(arr.shape)}"
-            )
 
 
 def init_params(config: EncoderConfig) -> ModelParams:
@@ -631,21 +622,6 @@ class TrainConfig:
     seed: int = 0
 
 
-@dataclass
-class TrainLog:
-    seed: int
-    task: str
-    epochs: int
-    batch_size: int
-    steps_total: int
-    schedule: LossSchedule | None = None
-    entries: list[dict] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        """The log's fields in field order; an unset schedule is left out."""
-        return {key: value for key, value in asdict(self).items() if value is not None}
-
-
 # A diverging run overflows before its loss turns non-finite. The loss check and
 # the final weights check report it; numpy's warnings on the way would be noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -655,8 +631,9 @@ def train(
     params: ModelParams,
     vocab: Vocabulary,
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-) -> tuple[ModelParams, TrainLog]:
-    """Mini-batch Adam training; returns updated float32 params and a step log.
+) -> tuple[ModelParams, dict]:
+    """Mini-batch Adam training; returns updated float32 params and the log file's dict:
+    the run's settings, ``schedule`` when one is set, and one entry per step.
 
     The task follows the head shape: 1 output unit trains as regression
     with the scheduled STDE/MSE blend, anything wider as cross-entropy
@@ -680,10 +657,11 @@ def train(
     m = _zero_grads(p64)
     v = _zero_grads(p64)
     rng = np.random.default_rng(config.seed)
-    log = TrainLog(
-        seed=config.seed, task=task, epochs=config.epochs,
-        batch_size=config.batch_size, steps_total=steps_total, schedule=schedule,
-    )
+    log = {"seed": config.seed, "task": task, "epochs": config.epochs,
+           "batch_size": config.batch_size, "steps_total": steps_total}
+    if schedule is not None:
+        log["schedule"] = asdict(schedule)
+    entries = log["entries"] = []
 
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -701,7 +679,7 @@ def train(
             entry = {"step": step, "epoch": epoch, "loss": loss, "grad_norm": grad_norm}
             if schedule is not None:
                 entry["p"] = p_weight
-            log.entries.append(entry)
+            entries.append(entry)
 
     out = p64.astype(np.float32)
     if not out.all_finite():
@@ -798,8 +776,8 @@ def _checksum(payload: bytes) -> bytes:
 
 
 def save_model(params: ModelParams, config: EncoderConfig) -> bytes:
-    """Serialize params + config; see the module docstring for field order."""
-    validate_shapes(params, config)
+    """Serialize params + config; see the module docstring for field order. ``params``
+    has the shapes of ``config``, as ``init_params`` and ``load_model`` give them."""
     # The config block holds the EncoderConfig fields in declaration order.
     values = asdict(config)
     values["head"] = _HEAD_CODE[config.head]

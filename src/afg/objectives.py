@@ -32,17 +32,15 @@ class LossSchedule:
 
 
 def weight_p(t: int, s: LossSchedule) -> float:
-    """Dynamic loss weight at step t; plateaus at ``a`` then decays."""
-    if t < 0 or t > s.T:
-        raise ValueError(f"step t={t} outside [0, {s.T}]")
+    """Dynamic loss weight at step t in [0, T]; plateaus at ``a`` then decays."""
     return min(s.a, s.a * math.exp(-s.c * (t / s.T - s.b)))
 
 
 def _pair(preds, targets, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and targets of one length as float64 arrays; fewer than ``min_len``
+    is a ValueError."""
     p = np.asarray(preds, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape[0]} predictions vs {t.shape[0]} targets")
     if p.shape[0] < min_len:
         raise ValueError(f"need at least {min_len} elements, got {p.shape[0]}")
     return p, t

@@ -142,42 +142,16 @@ def classify_abstract(sentences: Sequence[str], classifier: SentenceClassifier) 
     return label_cohort([sentences], {text: classifier(text) for text in sentences}).abstracts[0]
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n_abstracts: int
-    n_sentences: int
-    pooled_counts: tuple[int, int, int]
-    pooled_shares: tuple[float, float, float]
-    two_or_fewer_classes_fraction: float
-    reference_percent: dict[str, tuple[float, float, float]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_abstracts": self.n_abstracts,
-            "n_sentences": self.n_sentences,
-            "pooled_counts": list(self.pooled_counts),
-            "pooled_shares": list(self.pooled_shares),
-            "pooled_percent": [100.0 * s for s in self.pooled_shares],
-            "two_or_fewer_classes_fraction": self.two_or_fewer_classes_fraction,
-            "reference_percent": {k: list(v) for k, v in self.reference_percent.items()},
-        }
-
-
-def corpus_stats(abstracts: Sequence[LabeledAbstract]) -> CorpusStats:
-    """Pooled sentence-level shares and class-coverage stats over a corpus."""
-    if not abstracts:
-        raise ValueError("need at least one abstract")
+def corpus_stats(abstracts: Sequence[LabeledAbstract]) -> dict:
+    """Pooled sentence-level shares and class-coverage stats over a non-empty corpus,
+    with the reference rows, as a JSON dict."""
     counts = LabeledCohort.of(abstracts).counts
     pooled = counts.sum(axis=0)
     n_sentences = int(pooled.sum())
-    return CorpusStats(
-        n_abstracts=len(abstracts),
-        n_sentences=n_sentences,
-        pooled_counts=tuple(pooled.tolist()),
-        pooled_shares=tuple((pooled / n_sentences).tolist()),
-        two_or_fewer_classes_fraction=float(np.mean(np.count_nonzero(counts, axis=1) <= 2)),
-        reference_percent={
-            "pubmed_rct": PUBMED_RCT_LABEL_PERCENT,
-            "reported_student_data": STUDENT_DATA_LABEL_PERCENT,
-        },
-    )
+    shares = (pooled / n_sentences).tolist()
+    return {"n_abstracts": len(abstracts), "n_sentences": n_sentences,
+            "pooled_counts": pooled.tolist(), "pooled_shares": shares,
+            "pooled_percent": [100.0 * share for share in shares],
+            "two_or_fewer_classes_fraction": float(np.mean(np.count_nonzero(counts, axis=1) <= 2)),
+            "reference_percent": {"pubmed_rct": list(PUBMED_RCT_LABEL_PERCENT),
+                                  "reported_student_data": list(STUDENT_DATA_LABEL_PERCENT)}}

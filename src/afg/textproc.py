@@ -153,7 +153,6 @@ class Vocabulary:
         self.id_to_token = [None] * len(self.token_to_id)
         for tok, i in self.token_to_id.items():
             self.id_to_token[i] = tok
-        self.pad_id = self.token_to_id[PAD_TOKEN]
         self.unk_id = self.token_to_id[UNK_TOKEN]
         # Each lowered word's token ids, filled in by ``tokenize``.
         self._word_ids: dict[str, tuple[int, ...]] = {}
@@ -204,7 +203,7 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
     word-internal ones carrying the continuation marker) and repeatedly
     merges the most frequent adjacent symbol pair, lexicographically
     smallest pair first on ties, until ``max_size`` tokens exist or no
-    pair reaches ``min_frequency``.
+    pair reaches ``min_frequency``, which is at least 1.
 
     The pairs are counted once. After that, the loop keeps the counts, an
     index from each pair to the words that contain it and a heap of
@@ -250,7 +249,6 @@ def build_vocab(corpus: list[str], max_size: int, min_frequency: int = 2) -> Voc
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
 
-    min_frequency = max(1, min_frequency)
     while len(tokens) < max_size:
         while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)

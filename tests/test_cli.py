@@ -129,7 +129,7 @@ class TestPretrain:
         cfg.write_text(cfg.read_text(encoding="utf-8").replace('"max"', "1e400"),
                        encoding="utf-8")
         assert main(["--config", str(cfg), "pretrain"]) == 2
-        assert "finite numbers" in capsys.readouterr().err
+        assert "score_ranges.1[1]: inf is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_score_range_wider_than_a_float_exits_2_before_writing(self, tmp_path, capsys):
@@ -139,7 +139,8 @@ class TestPretrain:
         body["pretrain"]["corpora"][0]["score_ranges"] = {"1": [-1e308, 1e308]}
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "pretrain"]) == 2
-        assert "prompt '1' is wider than a float" in capsys.readouterr().err
+        assert "invalid pretrain.corpora[0].score_ranges.1: [-1e+308, 1e+308] is not" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_missing_config_section_exits_2(self, tmp_path):
@@ -1176,6 +1177,22 @@ SCHEMA_VIOLATIONS = [
      "invalid eval.scorer_model.type: 'model' is not file or fixed_score"),
     ("eval", ("eval", "scorer_model", "score"), -0.5,
      "invalid eval.scorer_model.score: -0.5 is not in [0, 1]"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges", "1"), [5, 5],
+     "invalid pretrain.corpora[0].score_ranges.1: [5.0, 5.0] is not [min, max] with min < max "
+     "and a finite max - min"),
+    # Each used to load: "06" as (0.0, 6.0), true as 1.0, strings as numbers, a third
+    # item was ignored, and 1e400 (read as inf) gave targets all 0.0.
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": "06"},
+     "invalid pretrain.corpora[0].score_ranges.1: '06' is not a JSON array"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [True, 5]},
+     "invalid pretrain.corpora[0].score_ranges.1[0]: True is not a finite number"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": ["0", "6"]},
+     "invalid pretrain.corpora[0].score_ranges.1[0]: '0' is not a finite number"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [0, 6, 9]},
+     "invalid pretrain.corpora[0].score_ranges.1: [0.0, 6.0, 9.0] is not [min, max]"),
+    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [0, float("inf")]},
+     "invalid pretrain.corpora[0].score_ranges.1[1]: inf is not a finite number"),
+    ("grade", ("vocab", "min_frequency"), 0, "invalid vocab.min_frequency: 0 is not at least 1"),
 ]
 
 
@@ -1194,7 +1211,8 @@ def test_config_checked_against_schema_before_writing(tmp_path, capsys, command,
 
 
 def _ranged_key_paths(kind, path=()):
-    """(key path, entry) of each ``_SCHEMA`` key with a range; 0 steps into an array."""
+    """(key path, entry) of each ``_SCHEMA`` key with a range; 0 steps into an array, and
+    ``str`` into an object of any keys."""
     if isinstance(kind, list):
         yield from _ranged_key_paths(kind[0], path + (0,))
     elif isinstance(kind, dict):
@@ -1216,8 +1234,13 @@ def _out_of_range(entry: cli._Key, value) -> bool:
 
 def test_every_schema_range_has_a_bad_value_row():
     rows = [row[1:3] for row in BAD_CONFIG_VALUES + SCHEMA_VIOLATIONS]
+
+    def on(row_keys, keys) -> bool:  # a row's string key steps into an object of any keys
+        return len(row_keys) == len(keys) and all(
+            k == key or (key is str and type(k) is str) for k, key in zip(row_keys, keys))
+
     assert [".".join(map(str, keys)) for keys, entry in _ranged_key_paths(cli._SCHEMA)
-            if not any(k == keys and _out_of_range(entry, v) for k, v in rows)] == []
+            if not any(on(k, keys) and _out_of_range(entry, v) for k, v in rows)] == []
 
 
 TSV_HEADER = "id\tset\tessay\tscore\n"
@@ -1239,7 +1262,7 @@ UNCITED_KEYS = json.dumps([dict(key, times_cited=0) for key in json.loads(
     ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER + "e0\t1\tx\n"),
      3, "line 2: expected 4 columns, got 3"),
     ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
-     2, "missing key 'score_ranges'"),
+     2, "config missing pretrain.corpora[0].score_ranges"),
     ("eval", ("eval",), {"submissions": UNMARKED,
                          "scorer_model": {"type": "fixed_score", "score": 0.5}},
      3, "no submissions with human marks"),

@@ -9,7 +9,9 @@ its module, outside its own body: as a name in its own module, as a name that
 binds functions by name). An import alone is not a read. A method of a
 top-level class counts as called when an attribute of its name is read outside
 its own body, in src/afg or bench/. Methods are matched by name, not by class,
-and dunder methods, which Python calls, are exempt.
+and dunder methods, which Python calls, are exempt. An attribute that a method of
+a top-level class assigns as ``self.<name>`` counts as read when an attribute of
+that name is read anywhere in src/afg or bench/, matched by name the same way.
 A public name that only tests call is a second spelling of a result the program
 computes some other way; it goes, or it is listed in KEEP with why. A private
 name that only tests call is a helper the program no longer uses; it goes.
@@ -54,7 +56,7 @@ def _reads(path: Path, module: str | None):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield names.get(node.id, (module, node.id)), node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield (".", node.attr), node.lineno
             if isinstance(node.value, ast.Name) and node.value.id in modules:
                 yield (modules[node.value.id], node.attr), node.lineno
@@ -79,9 +81,19 @@ def _definitions(path: Path):
                            item.lineno, item.end_lineno)
 
 
-def uncalled_names(root: Path = ROOT) -> list[str]:
-    """The qualified names of ``root/src/afg`` that no file there or in ``root/bench``
-    reads outside their own body (see the module docstring)."""
+def _assigned_attributes(path: Path):
+    """(``Class.name``, name) of each ``self.<name>`` that a top-level class assigns."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            for item in ast.walk(node):
+                if (isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store)
+                        and isinstance(item.value, ast.Name) and item.value.id == "self"):
+                    yield f"{node.name}.{item.attr}", item.attr
+
+
+def _all_reads(root: Path):
+    """The src/afg files of ``root``, and the (path, line) of each read by its key
+    in them and in the bench files."""
     src = sorted((root / "src" / "afg").glob("*.py"))
     files = [(path, path.stem) for path in src]
     files += [(path, None) for path in sorted((root / "bench").glob("*.py"))]
@@ -89,6 +101,13 @@ def uncalled_names(root: Path = ROOT) -> list[str]:
     for path, module in files:
         for key, line in _reads(path, module):
             reads[key].append((path, line))
+    return src, reads
+
+
+def uncalled_names(root: Path = ROOT) -> list[str]:
+    """The qualified names of ``root/src/afg`` that no file there or in ``root/bench``
+    reads outside their own body (see the module docstring)."""
+    src, reads = _all_reads(root)
     return [qualified for path in src
             for qualified, keys, first, last in _definitions(path)
             if not any(where != path or not first <= line <= last
@@ -108,3 +127,9 @@ def test_every_public_name_is_called_or_kept():
 
 def test_every_private_name_is_called():
     assert [name for name in uncalled_names() if _is_private(name)] == []
+
+
+def test_every_assigned_attribute_is_read():
+    src, reads = _all_reads(ROOT)
+    assert [qualified for path in src for qualified, name in _assigned_attributes(path)
+            if (".", name) not in reads] == []
