@@ -61,12 +61,12 @@ through every step, a one-row chunk as two copies:
     the confidences ``grade`` writes.
 Results come back in input order. Backprop runs each chunk as a whole from
 its cache: one time loop per direction over (B, H) rows, against the
-direction's step order, each weight gradient one matmul over the chunk's
-T x B steps. It needs no mask: padded positions get exactly zero gradient
+direction's step order, each weight gradient summed over the chunk's T x B
+steps. It needs no mask: padded positions get exactly zero gradient
 from the attention and their gate slots hold zeros, so the dh and dc they
 pass on are exact zeros. Gradients are summed chunk by chunk in ``_chunks``
-order, a fixed order, so the same inputs and BLAS thread count give the same bytes;
-OpenBLAS splits ``x.T @ dz`` by thread once its T x B passes a few hundred rows.
+order and in blocks of SUM_ROWS steps (see ``_add_products``), a fixed order,
+so the same inputs give the same bytes at any BLAS thread count.
 One loss function serves training and the gradient probes, and the head's
 width picks it: a 1-wide head trains on the STDE/MSE blend of its sigmoid
 outputs against scores in [0, 1], a C-wide one on cross-entropy against
@@ -266,6 +266,18 @@ def _lstm_forward(x: np.ndarray, idx: np.ndarray, lengths: np.ndarray, wx, wh, b
     return {"hs": hs, "cs": cs, "gates": gates} if keep_cache else {"hs": hs}
 
 
+# OpenBLAS 0.3.31 splits a product's summed rows between threads for some counts from
+# 385 on, which changes its rounding; no product of at most 384 rows differed.
+SUM_ROWS = 256
+
+
+def _add_products(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Add ``a.T @ b``, each flattened to rows, into ``out`` in blocks of SUM_ROWS rows."""
+    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+    for lo in range(0, len(a), SUM_ROWS):
+        out += a[lo : lo + SUM_ROWS].T @ b[lo : lo + SUM_ROWS]
+
+
 def _lstm_backward(dh_out: np.ndarray, x: np.ndarray, cache, wx, wh, grads, prefix, reverse):
     """Backprop one direction over time-major (T, B, H) output gradients.
 
@@ -297,8 +309,8 @@ def _lstm_backward(dh_out: np.ndarray, x: np.ndarray, cache, wx, wh, grads, pref
         dc_next = dc * f[t]
         dh_next = dz[t].reshape(n, 4 * h_dim) @ wh.T
     dz = dz.reshape(t_len * n, 4 * h_dim)
-    grads[prefix + "_wx"] += x.reshape(t_len * n, -1).T @ dz
-    grads[prefix + "_wh"] += hs[before].reshape(t_len * n, h_dim).T @ dz
+    _add_products(x, dz, grads[prefix + "_wx"])
+    _add_products(hs[before], dz, grads[prefix + "_wh"])
     grads[prefix + "_b"] += dz.sum(axis=0)
     return (dz @ wx.T).reshape(t_len, n, -1)
 
@@ -337,7 +349,7 @@ def _backward(cache, dlogits: np.ndarray, p: ModelParams, grads):
     dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     grads["att_v"] += np.tensordot(dscores, u, axes=2)
     dpre = dscores[:, :, None] * p.att_v * (1.0 - u * u)
-    grads["att_w"] += np.tensordot(h_cat, dpre, axes=([0, 1], [0, 1]))
+    _add_products(h_cat, dpre, grads["att_w"])
     dh_cat += dpre @ p.att_w.T
 
     dh_fw, dh_bw = np.split(dh_cat.swapaxes(0, 1), 2, axis=2)
@@ -568,8 +580,8 @@ def batch_loss_and_grads(
     The head's width picks the loss (see ``_loss_and_dlogits``). The forward
     runs over length-sorted padded chunks and each chunk is backpropagated
     as a whole from its cache. Gradients are summed in a fixed order, chunk
-    by chunk in ``_chunks`` order and then inside each chunk's matmuls: same
-    inputs and BLAS thread count, same bytes.
+    by chunk in ``_chunks`` order and then block by block inside each chunk's
+    matmuls: same inputs, same bytes, at any BLAS thread count.
     """
     logits, caches = _batch_forward(p, seqs, keep_cache=True)
     loss, dlogits = _loss_and_dlogits(logits, targets, p_weight)

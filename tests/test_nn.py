@@ -2,10 +2,14 @@
 
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -836,6 +840,33 @@ class TestTrain:
         widened = [g.astype(np.float64) for g in grads.values()]
         assert log["entries"][0]["grad_norm"] == math.sqrt(
             sum(float(np.sum(g * g)) for g in widened))
+
+    def test_same_model_bytes_at_one_and_two_blas_threads(self):
+        # OpenBLAS splits a product of a few hundred summed rows or more between
+        # threads, which can change its rounding. 46 texts of 10 one-letter tokens are
+        # one 460-token chunk, so each LSTM weight-gradient product sums 460 rows, a
+        # count at which one and two threads round differently; at 64 wide, att_w's
+        # product does too. (On a one-core machine both runs use one thread.)
+        script = """if True:
+            import sys
+            from afg import nn
+            from afg.textproc import build_vocab
+            data = [(" ".join("abcdefghijklmnop"[(i + k) % 16] for k in range(10)), i % 3)
+                    for i in range(46)]
+            vocab = build_vocab([text for text, _ in data], max_size=40)
+            config = nn.EncoderConfig(vocab_size=len(vocab), attention_dim=64,
+                                      head=nn.CLASSIFICATION, n_classes=3, seed=3)
+            params, _ = nn.train(data, nn.TrainConfig(epochs=3, batch_size=64, seed=3),
+                                 nn.init_params(config), vocab)
+            sys.stdout.buffer.write(nn.save_model(params, config))
+        """
+        src = str(Path(nn.__file__).resolve().parent.parent)
+        models = [subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True, timeout=120,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                     PYTHONPATH=src),
+        ).stdout for threads in ("1", "2")]
+        assert len(models[0]) > 0 and models[0] == models[1]
 
 
 class TestLoss:
