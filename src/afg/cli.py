@@ -11,8 +11,7 @@ timestamp in training-log headers.
 defaults and ranges. ``RunConfig.load`` checks the whole file against it
 before any command runs; a wrong type, a value out of range and an unknown
 key (named with the closest known key) are configuration errors. ``_SCHEMA``
-holds every range except the model dimensions, which ``nn.EncoderConfig``
-checks. The report formats, and the file extension of each, are
+holds every range. The report formats, and the file extension of each, are
 ``feedback.REPORT_FORMATS``. The three training commands share one skeleton.
 
 ``grade`` works over the whole cohort in stages, in submission-id order:
@@ -23,9 +22,8 @@ and only then write the reports and the JSON files, so a failure before the
 writes leaves no output. Each model runs once, on its texts in input order,
 each text once. The scorer's pass runs inside the first
 ``scoring.mark_submission`` call, because the benchmark's set-up time ends
-there; run earlier, it would count as set-up. ``_write`` encodes each
-output's text before it opens the file, so a failed encode truncates
-nothing, and calls ``os.write`` until all is written; an OSError names it.
+there; run earlier, it would count as set-up. ``textproc.write_file`` writes
+every output, model files and vocabularies too; an OSError names the file.
 
 Every JSON output file comes from the C encoder with its default
 separators and ASCII escaping, not indented. Each item of a top-level
@@ -62,6 +60,7 @@ from .textproc import (
     load_abbreviations,
     read_json,
     segment_sentences,
+    write_file,
 )
 
 log = logging.getLogger("afg")
@@ -118,16 +117,16 @@ _SCHEMA = {
     # The model file stores the seed as a signed 64-bit field.
     "seed": _Key(int, 0, ("in [0, 2**63)", lambda s: 0 <= s < 2**63)),
     "out_dir": _Key(str, "out"),
-    "model": _Key({"embed_dim": int, "hidden_dim": int, "attention_dim": int,
-                   "max_sequence_length": int}, {}),
+    "model": _Key(dict.fromkeys(("embed_dim", "hidden_dim", "attention_dim",
+                                 "max_sequence_length"), _Key(int, None, _AT_LEAST_1)), {}),
     # build_vocab's two reserved tokens and at least one more.
     "vocab": _Key({"path": Path, "max_size": _Key(int, 512, ("at least 3", lambda n: n >= 3)),
                    "min_frequency": _Key(int, None, _AT_LEAST_1)}, {}),
     "segmenter": _Key({"abbreviations": Path}, {}),
     "pretrain": {
         "corpora": _Key([{"path": Path, "score_ranges": {str: _SCORE_RANGE},
-                          "id_col": _Key(str, "id"), "prompt_col": _Key(str, "set"),
-                          "text_col": _Key(str, "essay"), "score_col": _Key(str, "score")}],
+                          "prompt_col": _Key(str, "set"), "text_col": _Key(str, "essay"),
+                          "score_col": _Key(str, "score")}],
                         None, ("a non-empty list", bool)),
         **_TRAIN, "schedule": _SCHEDULE,
     },
@@ -208,32 +207,12 @@ class RunConfig:
         raw = read_json(path, f"config {path}", ConfigError)
         checked = _check(raw, _SCHEMA, "", Path(path).parent)
         overrides = {key: v for key, v in (("seed", seed), ("out_dir", out)) if v is not None}
-        # JSON can spell a lone surrogate; argv, decoded from bytes, always encodes back.
-        _config_value("out_dir", lambda: os.fsencode(checked["out_dir"]))
+        try:  # JSON can spell a lone surrogate; argv, decoded from bytes, always encodes back.
+            os.fsencode(checked["out_dir"])
+        except ValueError as exc:
+            raise ConfigError(f"invalid out_dir: {exc}") from None
         checked.update(_check(overrides, {key: _SCHEMA[key] for key in overrides}, "", Path()))
         return cls(seed=checked["seed"], out_dir=Path(checked["out_dir"]), sections=checked)
-
-
-def _config_value(what: str, build: Callable):
-    """``build()``, with a value it rejects as a ConfigError."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from None
-
-
-def _write(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 (see the module docstring)."""
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    except OSError as exc:
-        exc.filename = str(path)
-        raise
-    finally:
-        os.close(fd)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -251,7 +230,7 @@ def _write_json(path: Path, obj) -> None:
     else:
         text = records(obj)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write(path, text + "\n")
+    write_file(path, (text + "\n").encode())
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -296,10 +275,10 @@ def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Se
         spec = cfg.sections["vocab"]
         vocab = (Vocabulary.load(spec["path"]) if "path" in spec
                  else build_vocab([text for text, _ in train], **spec))
-        config = _config_value("model settings", lambda: nn.EncoderConfig(
+        config = nn.EncoderConfig(
             vocab_size=len(vocab), head=nn.CLASSIFICATION if n_classes else nn.REGRESSION,
             n_classes=n_classes, seed=cfg.seed, **cfg.sections["model"],
-        ))
+        )
         base = nn.Predictor(nn.init_params(config), config, vocab)
     train_config = nn.TrainConfig(
         seed=cfg.seed, **{key: section[key] for key in _TRAIN if key in section},
@@ -329,12 +308,11 @@ def _train_and_write(cfg: RunConfig, args, name: str, model_file: str, train: Se
 
 def cmd_pretrain(cfg: RunConfig, args) -> int:
     section = cfg.sections["pretrain"]
-    samples = []
+    data = []
     for entry in section["corpora"]:
-        samples.extend(ingest.parse_scored_tsv(entry["path"], entry))
-    if not samples:
+        data.extend(ingest.parse_scored_tsv(entry["path"], entry))
+    if not data:
         raise DataError("no training samples in the configured corpora")
-    data = [(s.text, s.score01) for s in samples]
     log.info("pretraining on %d samples", len(data))
     return _train_and_write(cfg, args, "pretrain", "pretrained.afgm", data, [],
                             vocab_file="vocab.txt")
@@ -423,7 +401,7 @@ def cmd_grade(cfg: RunConfig, args) -> int:
                      if "abbreviations" in segmenter else DEFAULT_ABBREVIATIONS)
     score = _model_from_spec(section["scorer_model"], "scorer")
     classify = _model_from_spec(section["classifier_model"], "classifier")
-    rules = fb.load_rules(section["rules"]) if "rules" in section else fb.default_rules()
+    rules = fb.load_rules(section["rules"]) if "rules" in section else fb.DEFAULT_RULES
 
     cohort = sorted(subs, key=lambda s: s.submission_id)
     # Each model pass takes its texts in input order, each once: its length-bucketed
@@ -449,7 +427,7 @@ def cmd_grade(cfg: RunConfig, args) -> int:
     reports_dir = f"{cfg.out_dir}/reports"
     os.makedirs(reports_dir, exist_ok=True)
     for sub, text in zip(cohort, rendered):
-        _write(f"{reports_dir}/{sub.submission_id}.{ext}", text)
+        write_file(f"{reports_dir}/{sub.submission_id}.{ext}", text.encode())
     # marks.json is a bare array ordered by submission id (the documented
     # interchange shape); the run seed lives in the manifest and feedback.
     feedback = [report.to_json_dict() for report in reports]

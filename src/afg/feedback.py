@@ -1,10 +1,11 @@
 """Feedback generation: fixed comments, the structure rule engine, reports.
 
 Question feedback comes from a pre-prepared comment table keyed by
-(question, verdict). Abstract feedback comes from a small declarative
-rule set over the sentence-label distribution and order; the defaults are
-calibrated so that a strongly background-heavy abstract draws per-class
-suggestions while an observation-dominated one draws the balance nudge.
+(question key, verdict) over ``scoring.QUESTIONS``. Abstract feedback comes
+from a small declarative rule set over the sentence-label distribution and
+order; ``DEFAULT_RULES`` are calibrated so that a strongly background-heavy
+abstract draws per-class suggestions while an observation-dominated one draws
+the balance nudge.
 Each rule is evaluated once over a cohort, as one boolean column over its
 (N, 3) share matrix; each distinct row of fired rules becomes comments once.
 Reports render to terminal, HTML, or markdown with one highlight per
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import MISSING, dataclass, fields
-from enum import Enum
 from html import escape
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -24,53 +24,43 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .scoring import Mark, MarkSheet, Verdict, fmt_number
+from .scoring import QUESTIONS, Mark, MarkSheet, Question, Verdict, fmt_number
 from .structure import LABEL_NAMES, LABELS, Label3, LabeledAbstract, LabeledCohort
 from .textproc import is_number, is_text, read_json_records
 
 
-class Question(str, Enum):
-    """The four database questions, in mark-sheet order; each value labels its report mark line."""
-
-    IMPACT = "Impact Factor"
-    RSC = "Reference in RSC format"
-    ACS = "Reference in ACS format"
-    CITED = "Number of times Cited"
-
-
-_QUESTIONS = tuple(Question)  # bound once: iterating an Enum is slow
 _INCORRECT = Verdict.INCORRECT  # bound once: reading a member off its Enum class is slow
 
-COMMENT_TABLE: dict[tuple[Question, Verdict], str] = {
-    (Question.IMPACT, Verdict.FULLY_CORRECT):
+COMMENT_TABLE: dict[tuple[str, Verdict], str] = {
+    ("q1_impact", Verdict.FULLY_CORRECT):
         "That is the correct Impact Factor, Well done!",
-    (Question.IMPACT, Verdict.PARTIALLY_CORRECT):
+    ("q1_impact", Verdict.PARTIALLY_CORRECT):
         "Your Impact Factor is close but not quite right, double-check the "
         "latest value for the journal.",
-    (Question.IMPACT, Verdict.INCORRECT):
+    ("q1_impact", Verdict.INCORRECT):
         "That is not the correct Impact Factor",
-    (Question.RSC, Verdict.FULLY_CORRECT):
+    ("q2_rsc", Verdict.FULLY_CORRECT):
         "Your Royal Society of Chemistry reference is formatted correctly, Well done!",
-    (Question.RSC, Verdict.PARTIALLY_CORRECT):
+    ("q2_rsc", Verdict.PARTIALLY_CORRECT):
         "Your Royal Society of Chemistry reference is nearly right, check the "
         "formatting details against the style guide.",
-    (Question.RSC, Verdict.INCORRECT):
+    ("q2_rsc", Verdict.INCORRECT):
         "Make sure your Royal Society of Chemistry reference has exactly the "
         "correct format",
-    (Question.ACS, Verdict.FULLY_CORRECT):
+    ("q3_acs", Verdict.FULLY_CORRECT):
         "Your American Chemical Society reference is formatted correctly, Well done!",
-    (Question.ACS, Verdict.PARTIALLY_CORRECT):
+    ("q3_acs", Verdict.PARTIALLY_CORRECT):
         "Your American Chemical Society reference is nearly right, check the "
         "formatting details against the style guide.",
-    (Question.ACS, Verdict.INCORRECT):
+    ("q3_acs", Verdict.INCORRECT):
         "Make sure your American Chemical Society reference has exactly the "
         "correct format",
-    (Question.CITED, Verdict.FULLY_CORRECT):
+    ("q4_cited", Verdict.FULLY_CORRECT):
         "That is the correct number of citations, Well done!",
-    (Question.CITED, Verdict.PARTIALLY_CORRECT):
+    ("q4_cited", Verdict.PARTIALLY_CORRECT):
         "Your citation count is close, the database may have been updated "
         "since you looked it up.",
-    (Question.CITED, Verdict.INCORRECT):
+    ("q4_cited", Verdict.INCORRECT):
         "That is not the correct number of citations",
 }
 
@@ -84,7 +74,7 @@ def _answer_clause(mark: Mark) -> str:
 
 def fixed_comment(question: Question, mark: Mark) -> str:
     """Look up the cognitivist comment; wrong numeric answers get the values."""
-    return COMMENT_TABLE[(question, mark.verdict)] + _answer_clause(mark)
+    return COMMENT_TABLE[(question.key, mark.verdict)] + _answer_clause(mark)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +207,7 @@ def _guard_ok(guard, shares: np.ndarray):
 
 _FALLBACK_COMMENT = "The structure of the abstract covers the main aspects of the paper."
 
-_DEFAULT_RULES = (
+DEFAULT_RULES = (
     FeedbackRule(
         id="balance_suggest", cls="spread", comparator="gt", threshold=0.40,
         template=(
@@ -291,10 +281,6 @@ _DEFAULT_RULES = (
 )
 
 
-def default_rules() -> list[FeedbackRule]:
-    return list(_DEFAULT_RULES)
-
-
 # Each rule-file key and its FeedbackRule field; the file says "class" for ``cls``.
 _RULE_KEYS = {"class" if f.name == "cls" else f.name: f for f in fields(FeedbackRule)}
 
@@ -325,10 +311,10 @@ def rules_to_json(rules: Sequence[FeedbackRule]) -> str:
 
 
 def cohort_feedback(shares: np.ndarray, in_order: np.ndarray,
-                    rules: Sequence[FeedbackRule] | None = None) -> list[tuple[str, ...]]:
+                    rules: Sequence[FeedbackRule] = DEFAULT_RULES) -> list[tuple[str, ...]]:
     """Each row's comments: the templates of the rules that fire on it, by priority then
     id; if none does, of its fallback rules, or the built-in fallback comment."""
-    rules = sorted(_DEFAULT_RULES if rules is None else rules, key=lambda r: (r.priority, r.id))
+    rules = sorted(rules, key=lambda r: (r.priority, r.id))
     fired = np.array([r.fires(shares, in_order) for r in rules], bool).reshape(-1, len(shares))
     fallback = tuple(r.template for r in rules if r.cls == "fallback") or (_FALLBACK_COMMENT,)
     patterns, rows = np.unique(fired.T, axis=0, return_inverse=True)
@@ -344,7 +330,7 @@ def cohort_feedback(shares: np.ndarray, in_order: np.ndarray,
 @dataclass(frozen=True)
 class FeedbackReport:
     submission_id: str
-    question_comments: tuple[str, str, str, str]
+    question_comments: tuple[str, ...]
     abstract_comments: tuple[str, ...]
     labeled_abstract: LabeledAbstract
     marks: MarkSheet
@@ -361,17 +347,17 @@ class FeedbackReport:
 
 def build_reports(submission_ids: Sequence[str], sheets: Sequence[MarkSheet],
                   labeled: LabeledCohort,
-                  rules: Sequence[FeedbackRule] | None = None) -> list[FeedbackReport]:
+                  rules: Sequence[FeedbackRule] = DEFAULT_RULES) -> list[FeedbackReport]:
     """Each submission's FeedbackReport, from its id, its mark sheet and its row of ``labeled``."""
     comments = cohort_feedback(labeled.shares(), labeled.in_order, rules)
-    return [FeedbackReport(sid, tuple(map(fixed_comment, _QUESTIONS, marks.question_marks())),
+    return [FeedbackReport(sid, tuple(map(fixed_comment, QUESTIONS, marks.marks)),
                            abstract_comments, abstract, marks)
             for sid, marks, abstract_comments, abstract
             in zip(submission_ids, sheets, comments, labeled.abstracts)]
 
 
 def build_report(submission_id: str, marks: MarkSheet, labeled: LabeledAbstract,
-                 rules: Sequence[FeedbackRule] | None = None) -> FeedbackReport:
+                 rules: Sequence[FeedbackRule] = DEFAULT_RULES) -> FeedbackReport:
     return build_reports([submission_id], [marks], LabeledCohort.of([labeled]), rules)[0]
 
 
@@ -381,8 +367,6 @@ LABEL_STYLES = {
     Label3.TECHNIQUE: {"tag": "[T]", "html": "#90EE90", "ansi": "\x1b[42;30m"},
     Label3.OBSERVATION: {"tag": "[O]", "html": "#FFC0CB", "ansi": "\x1b[45;30m"},
 }
-# The Question values, read once per process: an Enum's iteration and .value are slow.
-_MARK_LINE_LABELS = tuple(question.value for question in _QUESTIONS)
 
 
 def _marks_value(value: float) -> str:
@@ -456,8 +440,8 @@ def render_report(report: FeedbackReport, format: str = "terminal", color: bool 
     sentence gets exactly one highlight."""
     draw, marks = REPORT_FORMATS[format], report.marks
     marks_head, questions_head, structure_head, feedback_head, legend = _skeleton(format, color)
-    mark_lines = [f"{label}: {_marks_value(mark.value)}{_answer_clause(mark)}"
-                  for label, mark in zip(_MARK_LINE_LABELS, marks.question_marks())]
+    mark_lines = [f"{q.label}: {_marks_value(mark.value)}{_answer_clause(mark)}"
+                  for q, mark in zip(QUESTIONS, marks.marks)]
     marked = [draw.highlight(text, label, color)
               for text, label, _ in report.labeled_abstract.sentences]
     return "\n".join([

@@ -1,12 +1,12 @@
 """Corpus and submission ingestion.
 
 Parsers for the scored-essay TSV corpora, the labelled-abstract corpus,
-and the submission/answer-key JSON files, plus score normalization and
-reproducible train/eval splits.
+and the submission/answer-key JSON files, plus reproducible train/eval splits.
 
 Each parser takes the path of its file, and the TSV parser also the checked
 ``pretrain.corpora`` entry of the config (see ``cli._SCHEMA``). Apart from that
-read, all functions are pure; parsed objects are plain frozen dataclasses.
+read, all functions are pure. A scored essay parses to the (text, score) pair
+``pretrain`` trains on; the other records are plain frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum, auto
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DataError, RowError
-from .scoring import MarkSheet, marksheet_from_json
+from .scoring import QUESTIONS, MarkSheet, marksheet_from_json
 from .textproc import is_number, is_text, read_json_records, read_text
 
 
@@ -29,21 +29,6 @@ class Label5(Enum):
     METHOD = auto()
     RESULT = auto()
     CONCLUSION = auto()
-
-
-@dataclass(frozen=True)
-class RawSample:
-    sample_id: str
-    prompt_id: str
-    text: str
-    raw_score: float
-    min_score: float
-    max_score: float
-
-    @property
-    def score01(self) -> float:
-        """The score min-max normalized to [0, 1] within its prompt's range."""
-        return (self.raw_score - self.min_score) / (self.max_score - self.min_score)
 
 
 @dataclass(frozen=True)
@@ -105,10 +90,11 @@ class DatasetSplit:
 # Scored TSV corpora
 # ---------------------------------------------------------------------------
 
-def parse_scored_tsv(path, entry: dict) -> list[RawSample]:
-    """Parse a tab-separated scored corpus into raw samples.
+def parse_scored_tsv(path, entry: dict) -> list[tuple[str, float]]:
+    """Parse a tab-separated scored corpus into (essay text, score) pairs, each score
+    min-max normalized to [0, 1] within its prompt's range.
 
-    ``entry`` names the four columns and maps each prompt to its [min, max]
+    ``entry`` names the three columns and maps each prompt to its [min, max]
     score range. The first line must be a header. Plain tab splitting is used
     on purpose: essay text may contain quote characters that csv-style
     quoting would mangle.
@@ -118,13 +104,13 @@ def parse_scored_tsv(path, entry: dict) -> list[RawSample]:
     if not lines:
         raise DataError("empty TSV corpus")
     header = lines[0].split("\t")
-    columns = [entry[key] for key in ("id_col", "prompt_col", "text_col", "score_col")]
+    columns = [entry[key] for key in ("prompt_col", "text_col", "score_col")]
     for col in columns:
         if col not in header:
             raise ConfigError(f"TSV header missing column {col!r}")
-    id_col, prompt_col, text_col, score_col = map(header.index, columns)
+    prompt_col, text_col, score_col = map(header.index, columns)
 
-    samples: list[RawSample] = []
+    samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -145,16 +131,7 @@ def parse_scored_tsv(path, entry: dict) -> list[RawSample]:
         text = cells[text_col]
         if not text.strip():
             raise RowError("empty text", lineno)
-        samples.append(
-            RawSample(
-                sample_id=cells[id_col],
-                prompt_id=prompt,
-                text=text,
-                raw_score=score,
-                min_score=lo,
-                max_score=hi,
-            )
-        )
+        samples.append((text, (score - lo) / (hi - lo)))
     return samples
 
 
@@ -269,8 +246,8 @@ def split(samples: Sequence, fraction: float, seed: int) -> DatasetSplit:
 # ---------------------------------------------------------------------------
 
 # The four answers a submission gives and an answer key holds. In both
-# dataclasses they follow the id fields, in this order.
-_ANSWER_FIELDS = ("impact_factor", "ref_rsc", "ref_acs", "times_cited")
+# dataclasses they follow the id fields, in QUESTIONS order.
+_ANSWER_FIELDS = tuple(q.answer for q in QUESTIONS)
 _SUBMISSION_KEYS = ("submission_id", "paper_id", *_ANSWER_FIELDS, "abstract")
 _ANSWER_KEY_KEYS = ("paper_id", *_ANSWER_FIELDS)
 
@@ -292,8 +269,8 @@ def _string(entry: dict, key: str) -> str:
 def _answers(entry: dict) -> tuple[float, str, str, int]:
     """The four answer fields of a submission or answer-key record, type-checked.
 
-    The checks are written out and the fields passed by position: a loop or keyword
-    arguments are slower, and loading the submissions is much of ``grade``'s set-up.
+    The checks are written out, not looped over ``QUESTIONS``, and the fields passed by
+    position: a loop or keyword arguments are slower, and loading is much of ``grade``'s set-up.
     """
     impact, rsc, acs, cited = (entry["impact_factor"], entry["ref_rsc"], entry["ref_acs"],
                                entry["times_cited"])

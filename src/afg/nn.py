@@ -95,7 +95,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .objectives import LossSchedule, blend_terms, blended_loss_grad, weight_p
-from .textproc import Vocabulary, tokenize
+from .textproc import Vocabulary, tokenize, write_file
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 512
 
@@ -847,7 +847,7 @@ def load_model(data: bytes) -> tuple[ModelParams, EncoderConfig]:
 
 
 def save_model_file(path, params: ModelParams, config: EncoderConfig) -> None:
-    Path(path).write_bytes(save_model(params, config))
+    write_file(path, save_model(params, config))
 
 
 def load_model_file(path) -> tuple[ModelParams, EncoderConfig]:

@@ -1,9 +1,10 @@
 """Rubric scoring of the four factual questions and mark-sheet assembly.
 
-Numeric answers are banded by percentage difference from the key value
-(within 10% full marks, 10-25% half marks), reference strings by cosine
-similarity of their term vectors (0.9 and 0.65 boundaries). The model's
-[0,1] abstract score is denormalized to an integer 0-6 mark.
+``QUESTIONS`` is the rubric. Numeric answers are banded by percentage
+difference from the key value (within 10% full marks, 10-25% half marks),
+reference strings by cosine similarity of their term vectors (0.9 and 0.65
+boundaries). The model's [0,1] abstract score is denormalized to an integer
+0-6 mark.
 
 Band boundaries are inclusive on the favourable side: d == 10 is still
 fully correct and s == 0.9 is fully correct, so the bands partition the
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import DataError
 from .textproc import cosine_similarity, is_number, term_vector
@@ -112,31 +112,38 @@ def abstract_mark(score01: float) -> int:
     return int(math.floor(score01 * 6.0 + 0.5))
 
 
-# The four question fields of a MarkSheet, in question order.
-_QUESTION_FIELDS = ("q1_impact", "q2_rsc", "q3_acs", "q4_cited")
-_question_marks = operator.attrgetter(*_QUESTION_FIELDS)
+class Question(NamedTuple):
+    """A question's mark-sheet key, the answer field it compares, its marker, its mark line."""
+
+    key: str
+    answer: str
+    mark: Callable[..., Mark]
+    label: str
+
+
+# The four questions, in mark-sheet order.
+QUESTIONS = (
+    Question("q1_impact", "impact_factor", score_numeric, "Impact Factor"),
+    Question("q2_rsc", "ref_rsc", score_reference, "Reference in RSC format"),
+    Question("q3_acs", "ref_acs", score_reference, "Reference in ACS format"),
+    Question("q4_cited", "times_cited", score_numeric, "Number of times Cited"),
+)
 
 
 @dataclass(frozen=True)
 class MarkSheet:
-    q1_impact: Mark
-    q2_rsc: Mark
-    q3_acs: Mark
-    q4_cited: Mark
+    """Each question's mark, in ``QUESTIONS`` order, and the 0-6 abstract mark."""
+
+    marks: tuple[Mark, ...]
     abstract_mark: int
 
     @property
     def total(self) -> float:
-        return sum(m.value for m in self.question_marks()) + self.abstract_mark
-
-    def question_marks(self) -> tuple[Mark, Mark, Mark, Mark]:
-        return _question_marks(self)
+        return sum(m.value for m in self.marks) + self.abstract_mark
 
     def to_json_dict(self) -> dict:
-        sheet = {
-            name: {"value": m.value, "verdict": m.verdict.value, "evidence": m.evidence}
-            for name, m in zip(_QUESTION_FIELDS, self.question_marks())
-        }
+        sheet = {q.key: {"value": m.value, "verdict": m.verdict.value, "evidence": m.evidence}
+                 for q, m in zip(QUESTIONS, self.marks)}
         sheet["abstract_mark"] = self.abstract_mark
         sheet["total"] = self.total
         return sheet
@@ -163,12 +170,12 @@ def marksheet_from_json(obj: dict) -> MarkSheet:
         raise DataError("mark sheet missing integer 'abstract_mark'")
     if not 0 <= abstract <= 6:
         raise DataError(f"abstract mark {abstract} outside 0-6")
-    marks = {}
-    for name in _QUESTION_FIELDS:
-        if name not in obj:
-            raise DataError(f"mark sheet missing {name!r}")
-        marks[name] = _mark_from_json(obj[name], name)
-    return MarkSheet(abstract_mark=abstract, **marks)
+    marks = []
+    for q in QUESTIONS:
+        if q.key not in obj:
+            raise DataError(f"mark sheet missing {q.key!r}")
+        marks.append(_mark_from_json(obj[q.key], q.key))
+    return MarkSheet(tuple(marks), abstract)
 
 
 ScoreFn = Callable[[str], float]
@@ -181,10 +188,5 @@ def mark_submission(sub: "Submission", key: "AnswerKey", score_fn: ScoreFn) -> M
     or a fixed stub.
     """
     score01 = float(score_fn(sub.abstract))
-    return MarkSheet(
-        q1_impact=score_numeric(sub.impact_factor, key.impact_factor),
-        q2_rsc=score_reference(sub.ref_rsc, key.ref_rsc),
-        q3_acs=score_reference(sub.ref_acs, key.ref_acs),
-        q4_cited=score_numeric(sub.times_cited, key.times_cited),
-        abstract_mark=abstract_mark(score01),
-    )
+    return MarkSheet(tuple(q.mark(getattr(sub, q.answer), getattr(key, q.answer))
+                           for q in QUESTIONS), abstract_mark(score01))

@@ -1,5 +1,6 @@
 """Text processing: sentence segmentation, subword tokenization, term vectors,
-and the one reader of UTF-8 text and JSON files that the other modules use.
+the one reader of UTF-8 text and JSON files that the other modules use, and
+the one writer of every output file.
 
 The tokenizer splits words into vocabulary pieces by greedy longest-prefix
 matching, with ``##`` marking word-internal continuation pieces, so
@@ -17,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -101,6 +103,21 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"input is not UTF-8: {exc}") from None
 
 
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, calling ``os.write`` until all is written; an OSError
+    names the path. Callers encode their text first, so a failed encode truncates nothing."""
+    view = memoryview(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    finally:
+        os.close(fd)
+
+
 def read_json(path: str | Path, what: str, error: type[Exception] = DataError):
     """The parsed JSON of a file; text that is not JSON is ``error``."""
     text = read_text(path)
@@ -161,7 +178,7 @@ class Vocabulary:
         return len(self.token_to_id)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        write_file(path, ("\n".join(self.id_to_token) + "\n").encode())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

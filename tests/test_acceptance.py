@@ -16,7 +16,7 @@ import pytest
 
 from afg import nn, objectives
 from afg.feedback import build_report, cohort_feedback, render_report
-from afg.ingest import AnswerKey, Submission, parse_rct, serialize_rct, split
+from afg.ingest import AnswerKey, Submission, parse_rct, parse_scored_tsv, serialize_rct, split
 from afg.scoring import (
     Verdict,
     band_for_percent_diff,
@@ -199,9 +199,7 @@ def test_criterion_3_rubric_boundaries():
     sub = Submission(**EXAMPLE2_SUBMISSION)
     key = AnswerKey(**EXAMPLE2_KEY)
     sheet = mark_submission(sub, key, lambda text: 0.5)
-    values = (sheet.q1_impact.value, sheet.q2_rsc.value, sheet.q3_acs.value,
-              sheet.q4_cited.value)
-    assert values == (1.0, 1.0, 1.0, 0.0)
+    assert tuple(m.value for m in sheet.marks) == (1.0, 1.0, 1.0, 0.0)
     print("\nACCEPTANCE PASS criterion 3: 10 boundary bands + example marks 1/1/1/0")
 
 
@@ -350,7 +348,7 @@ def test_criterion_7_pretrain_finetune_trend():
 # Criterion 8: property suites, 1000 cases each
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_property_suites(tiny_vocab):
+def test_criterion_8_property_suites(tiny_vocab, tmp_path):
     start = time.time()
     rng = np.random.default_rng(777)
 
@@ -378,19 +376,23 @@ def test_criterion_8_property_suites(tiny_vocab):
         ds = split(items, fraction, int(rng.integers(0, 2**62)))
         assert sorted(ds.train + ds.eval) == sorted(items)
 
-    from afg.ingest import RawSample
-
-    for _ in range(1000):  # normalization is affine and monotone
+    # normalization is affine and monotone: 1000 prompts of two essays each, in one corpus
+    ranges, raws, rows = {}, [], ["set\tessay\tscore"]
+    for i in range(1000):
         lo = float(rng.uniform(-10, 10))
         hi = lo + float(rng.uniform(0.5, 20))
-        raw_a, raw_b = sorted(rng.uniform(lo, hi, 2))
-        na = RawSample("a", "p", "t", float(raw_a), lo, hi)
-        nb = RawSample("b", "p", "t", float(raw_b), lo, hi)
-        assert 0.0 <= na.score01 <= 1.0
-        expected = (raw_a - lo) / (hi - lo)
-        assert na.score01 == pytest.approx(expected, abs=1e-12)
+        ranges[str(i)] = [lo, hi]
+        raws.append([float(raw) for raw in sorted(rng.uniform(lo, hi, 2))])
+        rows += [f"{i}\tt\t{raw!r}" for raw in raws[-1]]
+    entry = {"prompt_col": "set", "text_col": "essay", "score_col": "score",
+             "score_ranges": ranges}
+    pairs = parse_scored_tsv(write_file(tmp_path, "\n".join(rows) + "\n"), entry)
+    for i, ((lo, hi), (raw_a, raw_b)) in enumerate(zip(ranges.values(), raws)):
+        (_, na), (_, nb) = pairs[2 * i:2 * i + 2]
+        assert 0.0 <= na <= 1.0
+        assert na == pytest.approx((raw_a - lo) / (hi - lo), abs=1e-12)
         if raw_a < raw_b:
-            assert na.score01 < nb.score01
+            assert na < nb
 
     terms = "abcdefghij"
     for _ in range(1000):  # cosine symmetry and scale invariance

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from afg import cli, feedback, nn, structure, textproc
 from afg.cli import main
 from afg.errors import AfgError, ConfigError, DataError, RowError, TrainingDivergedError
-from afg.feedback import build_report, default_rules, rules_to_json
+from afg.feedback import DEFAULT_RULES, build_report, rules_to_json
 from afg.ingest import load_answer_keys, load_submissions
 from afg.ingest import serialize_rct
 from afg.nn import (
@@ -112,9 +114,8 @@ class TestPretrain:
         renamed = tmp_path / "renamed.tsv"
         rows = corpus.read_text(encoding="utf-8").split("\n", 1)[1]
         renamed.write_text("ident\tprompt\ttext\tmark\n" + rows, encoding="utf-8")
-        body["pretrain"]["corpora"][0].update(path=str(renamed), id_col="ident",
-                                              prompt_col="prompt", text_col="text",
-                                              score_col="mark")
+        body["pretrain"]["corpora"][0].update(path=str(renamed), prompt_col="prompt",
+                                              text_col="text", score_col="mark")
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "--out", str(renamed_out), "pretrain"]) == 0
         model = (out / "pretrained.afgm").read_bytes()
@@ -318,6 +319,22 @@ class TestTrainClassifier:
         assert report["accuracy"] >= report["majority_baseline"]
         assert (out / "classifier.afgm").exists()
 
+    def test_write_past_the_file_size_limit_names_the_model_file(self, tmp_path):
+        # A child process under RLIMIT_FSIZE: the kernel refuses the model file's write
+        # past 4 KiB with EFBIG (Python ignores SIGXFSZ), and the message names the file.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, command_config(tmp_path, "train-classifier", out))
+        script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)); "
+                  "from afg.cli import main; sys.exit(main(sys.argv[1:]))")
+        run = subprocess.run(
+            [sys.executable, "-c", script, "--config", str(cfg), "train-classifier"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent),
+                     PYTHONDONTWRITEBYTECODE="1"))
+        assert run.returncode == 2
+        assert os.strerror(errno.EFBIG) in run.stderr
+        assert str(out / "classifier.afgm") in run.stderr
+
     def test_deterministic_across_runs(self, tmp_path):
         corpus = tmp_path / "rct.txt"
         corpus.write_text(serialize_rct(generate_rct_corpus(40, seed=4)), encoding="utf-8")
@@ -390,27 +407,34 @@ class TestTrainClassifier:
         assert not out.exists()
 
 
-BAD_CONFIG_VALUES = [
-    ("pretrain", ("pretrain", "epochs"), 0),
-    ("pretrain", ("pretrain", "epochs"), "x"),
-    ("pretrain", ("pretrain", "batch_size"), 0),
-    ("pretrain", ("pretrain", "learning_rate"), -1),
-    ("pretrain", ("model", "embed_dim"), 0),
-    ("pretrain", ("pretrain", "schedule", "a"), 2),
-    ("train-classifier", ("classifier", "fraction"), 1.5),
-    ("train-classifier", ("classifier", "max_sentences"), "x"),
-    ("pretrain", ("seed",), "x"),
-    ("pretrain", ("seed",), -1),
-    ("pretrain", ("seed",), 2**63),
-    ("pretrain", ("vocab", "max_size"), "x"),
-    ("pretrain", ("vocab", "max_size"), 2),
-    ("pretrain", ("vocab", "min_frequency"), "x"),
-    ("train-classifier", ("classifier", "fraction"), 0.0),
-    ("train-classifier", ("classifier", "fraction"), 1.0),
-]
+# Every row of the parametrized tables below has an explicit id, so rewording a message
+# or removing a row renames no other row. The rows that predate explicit ids keep the ids
+# pytest generated for them, from their command, position, value and message.
+BAD_CONFIG_VALUES = {
+    "pretrain-keys0-0": ("pretrain", ("pretrain", "epochs"), 0),
+    "pretrain-keys1-x": ("pretrain", ("pretrain", "epochs"), "x"),
+    "pretrain-keys2-0": ("pretrain", ("pretrain", "batch_size"), 0),
+    "pretrain-keys3--1": ("pretrain", ("pretrain", "learning_rate"), -1),
+    "pretrain-keys4-0": ("pretrain", ("model", "embed_dim"), 0),
+    "pretrain-keys5-2": ("pretrain", ("pretrain", "schedule", "a"), 2),
+    "train-classifier-keys6-1.5": ("train-classifier", ("classifier", "fraction"), 1.5),
+    "train-classifier-keys7-x": ("train-classifier", ("classifier", "max_sentences"), "x"),
+    "pretrain-keys8-x": ("pretrain", ("seed",), "x"),
+    "pretrain-keys9--1": ("pretrain", ("seed",), -1),
+    "pretrain-keys10-9223372036854775808": ("pretrain", ("seed",), 2**63),
+    "pretrain-keys11-x": ("pretrain", ("vocab", "max_size"), "x"),
+    "pretrain-keys12-2": ("pretrain", ("vocab", "max_size"), 2),
+    "pretrain-keys13-x": ("pretrain", ("vocab", "min_frequency"), "x"),
+    "train-classifier-keys14-0.0": ("train-classifier", ("classifier", "fraction"), 0.0),
+    "train-classifier-keys15-1.0": ("train-classifier", ("classifier", "fraction"), 1.0),
+    "model.hidden_dim-0": ("pretrain", ("model", "hidden_dim"), 0),
+    "model.attention_dim--1": ("pretrain", ("model", "attention_dim"), -1),
+    "model.max_sequence_length-0": ("train-classifier", ("model", "max_sequence_length"), 0),
+}
 
 
-@pytest.mark.parametrize("command, keys, value", BAD_CONFIG_VALUES)
+@pytest.mark.parametrize("command, keys, value", list(BAD_CONFIG_VALUES.values()),
+                         ids=list(BAD_CONFIG_VALUES))
 def test_bad_config_value_exits_2_before_writing(tmp_path, capsys, command, keys, value):
     out = tmp_path / "out"
     if command == "pretrain":
@@ -616,6 +640,13 @@ class TestGrade:
             "[\n" + ",\n".join(map(json.dumps, marks)) + "\n]\n")
         assert (out / "feedback.json").read_text() == (
             '{"seed": 7, "reports": [\n' + ",\n".join(map(json.dumps, reports)) + "\n]}\n")
+
+    def test_json_outputs_match_the_goldens(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(write_config(tmp_path, grade_config(tmp_path, out))),
+                     "grade"]) == 0
+        for name in ("marks.json", "feedback.json"):
+            assert (out / name).read_bytes() == (GOLDEN / f"example_{name}").read_bytes()
 
     def test_blank_reference_exits_3_before_writing(self, tmp_path):
         subs = json.loads((DATA / "example_submissions.json").read_text())
@@ -1118,85 +1149,130 @@ def command_config(tmp_path: Path, command: str, out: Path) -> dict:
 
 
 # A command's config is checked whole, so any command can carry a bad value of any section.
-SCHEMA_VIOLATIONS = [
-    ("grade", ("grade", "scorer_model"), [], "invalid grade.scorer_model"),
-    ("grade", ("out_dir",), [], "invalid out_dir"),
-    ("grade", ("grade", "format"), [], "invalid grade.format"),
-    ("grade", ("grade", "submissions"), 5, "invalid grade.submissions"),
-    ("grade", ("segmenter", "abbreviations"), [], "invalid segmenter.abbreviations"),
-    ("grade", ("grade", "fromat"), "html", "did you mean 'format'"),
-    ("train-classifier", ("classifier", "epoch"), 1, "did you mean 'epochs'"),
-    ("pretrain", ("pretrain", "epochs"), "3", "invalid pretrain.epochs"),
-    ("pretrain", ("pretrain", "epochs"), 2.5, "invalid pretrain.epochs"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), [[0, 6]],
-     "invalid pretrain.corpora[0].score_ranges: [[0, 6]] is not a JSON object"),
-    ("pretrain", ("pretrain", "corpora"), {}, "invalid pretrain.corpora: {} is not a JSON array"),
-    ("grade", ("out_dir",), "o\ud800", "invalid out_dir: 'utf-8' codec can't encode"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), "x",
-     "invalid pretrain.corpora[0].score_ranges: 'x' is not a JSON object"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
-     "invalid pretrain.corpora[0].score_ranges: None is not a JSON object"),
-    ("grade", ("grade", "format"), "pdf",
-     "invalid grade.format: 'pdf' is not terminal or html or markdown"),
-    ("pretrain", ("pretrain", "schedule", "b"), 1.5,
-     "invalid pretrain.schedule.b: 1.5 is not in [0, 1]"),
-    ("pretrain", ("pretrain", "schedule", "c"), -1,
-     "invalid pretrain.schedule.c: -1.0 is not >= 0"),
-    ("pretrain", ("pretrain", "learning_rate"), 0,
-     "invalid pretrain.learning_rate: 0.0 is not > 0"),
-    ("pretrain", ("vocab", "max_size"), 2, "invalid vocab.max_size: 2 is not at least 3"),
-    ("pretrain", ("pretrain", "corpora"), [],
-     "invalid pretrain.corpora: [] is not a non-empty list"),
-    ("finetune", ("finetune", "fraction"), 1.0, "invalid finetune.fraction: 1.0 is not in (0, 1)"),
-    ("finetune", ("finetune", "epochs"), 0, "invalid finetune.epochs: 0 is not at least 1"),
-    ("finetune", ("finetune", "batch_size"), -4,
-     "invalid finetune.batch_size: -4 is not at least 1"),
-    ("finetune", ("finetune", "learning_rate"), -0.5,
-     "invalid finetune.learning_rate: -0.5 is not > 0"),
-    ("finetune", ("finetune", "schedule", "a"), 0,
-     "invalid finetune.schedule.a: 0.0 is not in (0, 1]"),
-    ("finetune", ("finetune", "schedule", "b"), -0.1,
-     "invalid finetune.schedule.b: -0.1 is not in [0, 1]"),
-    ("finetune", ("finetune", "schedule", "c"), -2.5,
-     "invalid finetune.schedule.c: -2.5 is not >= 0"),
-    ("train-classifier", ("classifier", "max_sentences"), 1,
-     "invalid classifier.max_sentences: 1 is not at least 2"),
-    ("train-classifier", ("classifier", "epochs"), 0,
-     "invalid classifier.epochs: 0 is not at least 1"),
-    ("train-classifier", ("classifier", "batch_size"), 0,
-     "invalid classifier.batch_size: 0 is not at least 1"),
-    ("train-classifier", ("classifier", "learning_rate"), 0,
-     "invalid classifier.learning_rate: 0.0 is not > 0"),
-    ("grade", ("grade", "scorer_model", "type"), "fixed_labels",
-     "invalid grade.scorer_model.type: 'fixed_labels' is not file or fixed_score"),
-    ("grade", ("grade", "scorer_model", "score"), 1.5,
-     "invalid grade.scorer_model.score: 1.5 is not in [0, 1]"),
-    ("grade", ("grade", "classifier_model", "type"), "fixed_score",
-     "invalid grade.classifier_model.type: 'fixed_score' is not file or fixed_labels"),
-    ("eval", ("eval", "scorer_model", "type"), "model",
-     "invalid eval.scorer_model.type: 'model' is not file or fixed_score"),
-    ("eval", ("eval", "scorer_model", "score"), -0.5,
-     "invalid eval.scorer_model.score: -0.5 is not in [0, 1]"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges", "1"), [5, 5],
-     "invalid pretrain.corpora[0].score_ranges.1: [5.0, 5.0] is not [min, max] with min < max "
-     "and a finite max - min"),
+SCHEMA_VIOLATIONS = {
+    "grade-keys0-value0-invalid grade.scorer_model":
+        ("grade", ("grade", "scorer_model"), [], "invalid grade.scorer_model"),
+    "grade-keys1-value1-invalid out_dir": ("grade", ("out_dir",), [], "invalid out_dir"),
+    "grade-keys2-value2-invalid grade.format":
+        ("grade", ("grade", "format"), [], "invalid grade.format"),
+    "grade-keys3-5-invalid grade.submissions":
+        ("grade", ("grade", "submissions"), 5, "invalid grade.submissions"),
+    "grade-keys4-value4-invalid segmenter.abbreviations":
+        ("grade", ("segmenter", "abbreviations"), [], "invalid segmenter.abbreviations"),
+    "grade-keys5-html-did you mean 'format'":
+        ("grade", ("grade", "fromat"), "html", "did you mean 'format'"),
+    "train-classifier-keys6-1-did you mean 'epochs'":
+        ("train-classifier", ("classifier", "epoch"), 1, "did you mean 'epochs'"),
+    "pretrain-keys7-3-invalid pretrain.epochs":
+        ("pretrain", ("pretrain", "epochs"), "3", "invalid pretrain.epochs"),
+    "pretrain-keys8-2.5-invalid pretrain.epochs":
+        ("pretrain", ("pretrain", "epochs"), 2.5, "invalid pretrain.epochs"),
+    "pretrain-keys9-value9-invalid pretrain.corpora[0].score_ranges: [[0, 6]] is not a JSON object":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), [[0, 6]],
+         "invalid pretrain.corpora[0].score_ranges: [[0, 6]] is not a JSON object"),
+    "pretrain-keys10-value10-invalid pretrain.corpora: {} is not a JSON array":
+        ("pretrain", ("pretrain", "corpora"), {}, "invalid pretrain.corpora: {} is not a JSON array"),
+    "grade-keys11-o\ud800-invalid out_dir: 'utf-8' codec can't encode":
+        ("grade", ("out_dir",), "o\ud800", "invalid out_dir: 'utf-8' codec can't encode"),
+    "pretrain-keys12-x-invalid pretrain.corpora[0].score_ranges: 'x' is not a JSON object":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), "x",
+         "invalid pretrain.corpora[0].score_ranges: 'x' is not a JSON object"),
+    "pretrain-keys13-None-invalid pretrain.corpora[0].score_ranges: None is not a JSON object":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
+         "invalid pretrain.corpora[0].score_ranges: None is not a JSON object"),
+    "grade-keys14-pdf-invalid grade.format: 'pdf' is not terminal or html or markdown":
+        ("grade", ("grade", "format"), "pdf",
+         "invalid grade.format: 'pdf' is not terminal or html or markdown"),
+    "pretrain-keys15-1.5-invalid pretrain.schedule.b: 1.5 is not in [0, 1]":
+        ("pretrain", ("pretrain", "schedule", "b"), 1.5,
+         "invalid pretrain.schedule.b: 1.5 is not in [0, 1]"),
+    "pretrain-keys16--1-invalid pretrain.schedule.c: -1.0 is not >= 0":
+        ("pretrain", ("pretrain", "schedule", "c"), -1,
+         "invalid pretrain.schedule.c: -1.0 is not >= 0"),
+    "pretrain-keys17-0-invalid pretrain.learning_rate: 0.0 is not > 0":
+        ("pretrain", ("pretrain", "learning_rate"), 0,
+         "invalid pretrain.learning_rate: 0.0 is not > 0"),
+    "pretrain-keys18-2-invalid vocab.max_size: 2 is not at least 3":
+        ("pretrain", ("vocab", "max_size"), 2, "invalid vocab.max_size: 2 is not at least 3"),
+    "pretrain-keys19-value19-invalid pretrain.corpora: [] is not a non-empty list":
+        ("pretrain", ("pretrain", "corpora"), [],
+         "invalid pretrain.corpora: [] is not a non-empty list"),
+    "finetune-keys20-1.0-invalid finetune.fraction: 1.0 is not in (0, 1)":
+        ("finetune", ("finetune", "fraction"), 1.0, "invalid finetune.fraction: 1.0 is not in (0, 1)"),
+    "finetune-keys21-0-invalid finetune.epochs: 0 is not at least 1":
+        ("finetune", ("finetune", "epochs"), 0, "invalid finetune.epochs: 0 is not at least 1"),
+    "finetune-keys22--4-invalid finetune.batch_size: -4 is not at least 1":
+        ("finetune", ("finetune", "batch_size"), -4,
+         "invalid finetune.batch_size: -4 is not at least 1"),
+    "finetune-keys23--0.5-invalid finetune.learning_rate: -0.5 is not > 0":
+        ("finetune", ("finetune", "learning_rate"), -0.5,
+         "invalid finetune.learning_rate: -0.5 is not > 0"),
+    "finetune-keys24-0-invalid finetune.schedule.a: 0.0 is not in (0, 1]":
+        ("finetune", ("finetune", "schedule", "a"), 0,
+         "invalid finetune.schedule.a: 0.0 is not in (0, 1]"),
+    "finetune-keys25--0.1-invalid finetune.schedule.b: -0.1 is not in [0, 1]":
+        ("finetune", ("finetune", "schedule", "b"), -0.1,
+         "invalid finetune.schedule.b: -0.1 is not in [0, 1]"),
+    "finetune-keys26--2.5-invalid finetune.schedule.c: -2.5 is not >= 0":
+        ("finetune", ("finetune", "schedule", "c"), -2.5,
+         "invalid finetune.schedule.c: -2.5 is not >= 0"),
+    "train-classifier-keys27-1-invalid classifier.max_sentences: 1 is not at least 2":
+        ("train-classifier", ("classifier", "max_sentences"), 1,
+         "invalid classifier.max_sentences: 1 is not at least 2"),
+    "train-classifier-keys28-0-invalid classifier.epochs: 0 is not at least 1":
+        ("train-classifier", ("classifier", "epochs"), 0,
+         "invalid classifier.epochs: 0 is not at least 1"),
+    "train-classifier-keys29-0-invalid classifier.batch_size: 0 is not at least 1":
+        ("train-classifier", ("classifier", "batch_size"), 0,
+         "invalid classifier.batch_size: 0 is not at least 1"),
+    "train-classifier-keys30-0-invalid classifier.learning_rate: 0.0 is not > 0":
+        ("train-classifier", ("classifier", "learning_rate"), 0,
+         "invalid classifier.learning_rate: 0.0 is not > 0"),
+    "grade-keys31-fixed_labels-invalid grade.scorer_model.type: 'fixed_labels' is not file or fixed_score":
+        ("grade", ("grade", "scorer_model", "type"), "fixed_labels",
+         "invalid grade.scorer_model.type: 'fixed_labels' is not file or fixed_score"),
+    "grade-keys32-1.5-invalid grade.scorer_model.score: 1.5 is not in [0, 1]":
+        ("grade", ("grade", "scorer_model", "score"), 1.5,
+         "invalid grade.scorer_model.score: 1.5 is not in [0, 1]"),
+    "grade-keys33-fixed_score-invalid grade.classifier_model.type: 'fixed_score' is not file or fixed_labels":
+        ("grade", ("grade", "classifier_model", "type"), "fixed_score",
+         "invalid grade.classifier_model.type: 'fixed_score' is not file or fixed_labels"),
+    "eval-keys34-model-invalid eval.scorer_model.type: 'model' is not file or fixed_score":
+        ("eval", ("eval", "scorer_model", "type"), "model",
+         "invalid eval.scorer_model.type: 'model' is not file or fixed_score"),
+    "eval-keys35--0.5-invalid eval.scorer_model.score: -0.5 is not in [0, 1]":
+        ("eval", ("eval", "scorer_model", "score"), -0.5,
+         "invalid eval.scorer_model.score: -0.5 is not in [0, 1]"),
+    "pretrain-keys36-value36-invalid pretrain.corpora[0].score_ranges.1: [5.0, 5.0] is not [min, max] with min < max and a finite max - min":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges", "1"), [5, 5],
+         "invalid pretrain.corpora[0].score_ranges.1: [5.0, 5.0] is not [min, max] with min < max "
+         "and a finite max - min"),
     # Each used to load: "06" as (0.0, 6.0), true as 1.0, strings as numbers, a third
     # item was ignored, and 1e400 (read as inf) gave targets all 0.0.
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": "06"},
-     "invalid pretrain.corpora[0].score_ranges.1: '06' is not a JSON array"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [True, 5]},
-     "invalid pretrain.corpora[0].score_ranges.1[0]: True is not a finite number"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": ["0", "6"]},
-     "invalid pretrain.corpora[0].score_ranges.1[0]: '0' is not a finite number"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [0, 6, 9]},
-     "invalid pretrain.corpora[0].score_ranges.1: [0.0, 6.0, 9.0] is not [min, max]"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [0, float("inf")]},
-     "invalid pretrain.corpora[0].score_ranges.1[1]: inf is not a finite number"),
-    ("grade", ("vocab", "min_frequency"), 0, "invalid vocab.min_frequency: 0 is not at least 1"),
-]
+    "pretrain-keys37-value37-invalid pretrain.corpora[0].score_ranges.1: '06' is not a JSON array":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": "06"},
+         "invalid pretrain.corpora[0].score_ranges.1: '06' is not a JSON array"),
+    "pretrain-keys38-value38-invalid pretrain.corpora[0].score_ranges.1[0]: True is not a finite number":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [True, 5]},
+         "invalid pretrain.corpora[0].score_ranges.1[0]: True is not a finite number"),
+    "pretrain-keys39-value39-invalid pretrain.corpora[0].score_ranges.1[0]: '0' is not a finite number":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": ["0", "6"]},
+         "invalid pretrain.corpora[0].score_ranges.1[0]: '0' is not a finite number"),
+    "pretrain-keys40-value40-invalid pretrain.corpora[0].score_ranges.1: [0.0, 6.0, 9.0] is not [min, max]":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [0, 6, 9]},
+         "invalid pretrain.corpora[0].score_ranges.1: [0.0, 6.0, 9.0] is not [min, max]"),
+    "pretrain-keys41-value41-invalid pretrain.corpora[0].score_ranges.1[1]: inf is not a finite number":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), {"1": [0, float("inf")]},
+         "invalid pretrain.corpora[0].score_ranges.1[1]: inf is not a finite number"),
+    "grade-keys42-0-invalid vocab.min_frequency: 0 is not at least 1":
+        ("grade", ("vocab", "min_frequency"), 0, "invalid vocab.min_frequency: 0 is not at least 1"),
+    "grade-model.embed_dim-0":
+        ("grade", ("model", "embed_dim"), 0, "invalid model.embed_dim: 0 is not at least 1"),
+}
 
 
-@pytest.mark.parametrize("command, keys, value, message", SCHEMA_VIOLATIONS)
+@pytest.mark.parametrize("command, keys, value, message", list(SCHEMA_VIOLATIONS.values()),
+                         ids=list(SCHEMA_VIOLATIONS))
 def test_config_checked_against_schema_before_writing(tmp_path, capsys, command, keys, value,
                                                       message):
     out = tmp_path / "out"
@@ -1233,7 +1309,7 @@ def _out_of_range(entry: cli._Key, value) -> bool:
 
 
 def test_every_schema_range_has_a_bad_value_row():
-    rows = [row[1:3] for row in BAD_CONFIG_VALUES + SCHEMA_VIOLATIONS]
+    rows = [row[1:3] for row in [*BAD_CONFIG_VALUES.values(), *SCHEMA_VIOLATIONS.values()]]
 
     def on(row_keys, keys) -> bool:  # a row's string key steps into an object of any keys
         return len(row_keys) == len(keys) and all(
@@ -1253,34 +1329,50 @@ UNCITED_KEYS = json.dumps([dict(key, times_cited=0) for key in json.loads(
 
 # A (name, text) value is a file of that text in the config's directory; None drops the
 # key. Relative paths resolve against the config's directory.
-@pytest.mark.parametrize("command, keys, value, code, message", [
-    ("train-classifier", ("classifier", "corpus"), ("input.txt", ""), 3, "no abstracts in"),
-    ("train-classifier", ("classifier", "corpus"), ("input.txt", "###1\nBACKGROUND\t   \n"),
-     3, "line 2: empty sentence"),
-    ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER),
-     3, "no training samples"),
-    ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER + "e0\t1\tx\n"),
-     3, "line 2: expected 4 columns, got 3"),
-    ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
-     2, "config missing pretrain.corpora[0].score_ranges"),
-    ("eval", ("eval",), {"submissions": UNMARKED,
-                         "scorer_model": {"type": "fixed_score", "score": 0.5}},
-     3, "no submissions with human marks"),
-    ("finetune", ("finetune",), {"submissions": UNMARKED,
-                                 "base_model": {"path": "scorer.afgm", "vocab": "vocab.txt"}},
-     3, "no submissions carry human marks"),
-    ("grade", ("grade", "scorer_model"),
-     {"type": "file", "path": "scorer.afgm", "vocab": "no_unk.txt"},
-     3, "missing reserved token [UNK]"),
-    ("grade", ("grade", "submissions"), ("input.json", BLANK_ABSTRACTS), 3, "empty abstract"),
-    ("grade", ("grade", "submissions"), ("input.json", '{"submission_id": "ex1"}'),
-     3, "submission file must be a JSON array"),
-    ("pretrain", ("pretrain", "corpora", 0, "path"),
-     ("input.tsv", TSV_HEADER + "1\t1\tA short essay.\t4\n2\t1\t   \t3\n"),
-     3, "line 3: empty text"),
-    ("grade", ("grade", "keys"), ("input.json", UNCITED_KEYS),
-     3, "answer key #0: paper 'ol-2018-amines' has 0 citations"),
-])
+UNUSABLE_INPUTS = {
+    "train-classifier-keys0-value0-3-no abstracts in":
+        ("train-classifier", ("classifier", "corpus"), ("input.txt", ""), 3, "no abstracts in"),
+    "train-classifier-keys1-value1-3-line 2: empty sentence":
+        ("train-classifier", ("classifier", "corpus"), ("input.txt", "###1\nBACKGROUND\t   \n"),
+         3, "line 2: empty sentence"),
+    "pretrain-keys2-value2-3-no training samples":
+        ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER),
+         3, "no training samples"),
+    "pretrain-keys3-value3-3-line 2: expected 4 columns, got 3":
+        ("pretrain", ("pretrain", "corpora", 0, "path"), ("input.tsv", TSV_HEADER + "e0\t1\tx\n"),
+         3, "line 2: expected 4 columns, got 3"),
+    "pretrain-keys4-None-2-config missing pretrain.corpora[0].score_ranges":
+        ("pretrain", ("pretrain", "corpora", 0, "score_ranges"), None,
+         2, "config missing pretrain.corpora[0].score_ranges"),
+    "eval-keys5-value5-3-no submissions with human marks":
+        ("eval", ("eval",), {"submissions": UNMARKED,
+                             "scorer_model": {"type": "fixed_score", "score": 0.5}},
+         3, "no submissions with human marks"),
+    "finetune-keys6-value6-3-no submissions carry human marks":
+        ("finetune", ("finetune",), {"submissions": UNMARKED,
+                                     "base_model": {"path": "scorer.afgm", "vocab": "vocab.txt"}},
+         3, "no submissions carry human marks"),
+    "grade-keys7-value7-3-missing reserved token [UNK]":
+        ("grade", ("grade", "scorer_model"),
+         {"type": "file", "path": "scorer.afgm", "vocab": "no_unk.txt"},
+         3, "missing reserved token [UNK]"),
+    "grade-keys8-value8-3-empty abstract":
+        ("grade", ("grade", "submissions"), ("input.json", BLANK_ABSTRACTS), 3, "empty abstract"),
+    "grade-keys9-value9-3-submission file must be a JSON array":
+        ("grade", ("grade", "submissions"), ("input.json", '{"submission_id": "ex1"}'),
+         3, "submission file must be a JSON array"),
+    "pretrain-keys10-value10-3-line 3: empty text":
+        ("pretrain", ("pretrain", "corpora", 0, "path"),
+         ("input.tsv", TSV_HEADER + "1\t1\tA short essay.\t4\n2\t1\t   \t3\n"),
+         3, "line 3: empty text"),
+    "grade-keys11-value11-3-answer key #0: paper 'ol-2018-amines' has 0 citations":
+        ("grade", ("grade", "keys"), ("input.json", UNCITED_KEYS),
+         3, "answer key #0: paper 'ol-2018-amines' has 0 citations"),
+}
+
+
+@pytest.mark.parametrize("command, keys, value, code, message", list(UNUSABLE_INPUTS.values()),
+                         ids=list(UNUSABLE_INPUTS))
 def test_unusable_input_exits_with_its_code_before_writing(tmp_path, capsys, command, keys,
                                                            value, code, message):
     vocab = build_vocab(["tiny corpus text"], max_size=40, min_frequency=1)
@@ -1411,7 +1503,7 @@ def test_any_json_value_anywhere_in_the_config_exits_cleanly(path, new_key, valu
         assert main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "grade"]) in (0, 2, 3)
 
 
-RULE_FILE_ENTRIES = json.loads(rules_to_json(default_rules()))
+RULE_FILE_ENTRIES = json.loads(rules_to_json(DEFAULT_RULES))
 RULE_FILE_KEYS = sorted({key for entry in RULE_FILE_ENTRIES for key in entry})
 
 

@@ -10,18 +10,24 @@ from hypothesis import given, settings, strategies as st
 from afg.errors import ConfigError
 from afg.feedback import (
     COMMENT_TABLE,
+    DEFAULT_RULES,
     FeedbackRule,
-    Question,
     build_report,
     cohort_feedback,
-    default_rules,
     fixed_comment,
     load_rules,
     render_report,
     rules_to_json,
 )
 from afg.ingest import AnswerKey, Submission
-from afg.scoring import MarkSheet, Verdict, mark_submission, score_numeric, score_reference
+from afg.scoring import (
+    QUESTIONS,
+    MarkSheet,
+    Verdict,
+    mark_submission,
+    score_numeric,
+    score_reference,
+)
 from afg.structure import (
     Label3,
     LabeledAbstract,
@@ -47,34 +53,36 @@ from conftest import (
 )
 
 B, T, O = Label3.BACKGROUND, Label3.TECHNIQUE, Label3.OBSERVATION
+IMPACT, RSC, ACS, CITED = QUESTIONS
 
 
 class TestFixedComments:
     def test_correct_impact_factor(self):
         mark = score_numeric(6.005, 6.005)
-        assert fixed_comment(Question.IMPACT, mark) == (
+        assert fixed_comment(IMPACT, mark) == (
             "That is the correct Impact Factor, Well done!"
         )
 
     def test_incorrect_rsc_reference(self):
         mark = score_reference("alpha beta gamma", "delta epsilon zeta")
-        assert fixed_comment(Question.RSC, mark) == (
+        assert fixed_comment(RSC, mark) == (
             "Make sure your Royal Society of Chemistry reference has exactly "
             "the correct format"
         )
 
     def test_incorrect_citation_appends_values(self):
         mark = score_numeric(10, 42)
-        comment = fixed_comment(Question.CITED, mark)
+        comment = fixed_comment(CITED, mark)
         assert "the correct answer is 42, you gave 10" in comment
 
     def test_table_total_and_nonempty(self):
-        for q in Question:
+        assert len(COMMENT_TABLE) == len(QUESTIONS) * len(Verdict)
+        for q in QUESTIONS:
             for v in Verdict:
-                assert COMMENT_TABLE[(q, v)].strip()
+                assert COMMENT_TABLE[(q.key, v)].strip()
 
 
-def comments_for(labels, rules=None) -> list[str]:
+def comments_for(labels, rules=DEFAULT_RULES) -> list[str]:
     """The structure comments of one abstract carrying ``labels``, as a one-row cohort."""
     cohort = one_row(labels)
     return list(cohort_feedback(cohort.shares(), cohort.in_order, rules)[0])
@@ -123,7 +131,7 @@ class TestAbstractFeedback:
 
 class TestRuleConfig:
     def test_roundtrip_preserves_behavior(self, tmp_path):
-        rules = default_rules()
+        rules = DEFAULT_RULES
         path = tmp_path / "rules.json"
         path.write_text(rules_to_json(rules), encoding="utf-8")
         loaded = load_rules(path)
@@ -133,7 +141,7 @@ class TestRuleConfig:
     def test_duplicate_ids_rejected(self, tmp_path):
         from afg.errors import ConfigError
 
-        rules = default_rules()[:2]
+        rules = DEFAULT_RULES[:2]
         doubled = json.loads(rules_to_json(rules + rules))
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(doubled), encoding="utf-8")
@@ -147,7 +155,7 @@ class TestRuleConfig:
         from afg.errors import ConfigError
 
         if text is None:
-            [rule] = json.loads(rules_to_json(default_rules()[:1]))
+            [rule] = json.loads(rules_to_json(DEFAULT_RULES[:1]))
             text = json.dumps([{**rule, "priority": priority}])
         path = tmp_path / "rules.json"
         path.write_text(text, encoding="utf-8")
@@ -182,14 +190,14 @@ class TestRuleConfig:
     def test_invalid_rule_rejected_at_load(self, tmp_path, change):
         from afg.errors import ConfigError
 
-        [rule] = json.loads(rules_to_json([default_rules()[2]]))  # background_praise
+        [rule] = json.loads(rules_to_json([DEFAULT_RULES[2]]))  # background_praise
         path = tmp_path / "rules.json"
         path.write_text(json.dumps([{**rule, **change}]), encoding="utf-8")
         with pytest.raises(ConfigError, match="background_praise"):
             load_rules(path)
 
     def test_valid_rule_variants_load(self, tmp_path):
-        [rule] = json.loads(rules_to_json([default_rules()[2]]))
+        [rule] = json.loads(rules_to_json([DEFAULT_RULES[2]]))
         assert "guard" not in rule  # background_praise has none
         bare = {key: rule[key] for key in ("template", "priority")}
         variants = [
@@ -209,9 +217,9 @@ class TestRuleConfig:
         assert comments_for(labels, load_rules(path))
 
     def test_rule_file_format_is_unchanged_and_reads_back_equal(self, tmp_path):
-        golden = Path(__file__).parent / "golden" / "default_rules.json"
-        assert rules_to_json(default_rules()) == golden.read_text(encoding="utf-8")
-        assert load_rules(golden) == default_rules()
+        golden = Path(__file__).parent / "golden" / "default_rule_file.json"
+        assert rules_to_json(DEFAULT_RULES) == golden.read_text(encoding="utf-8")
+        assert load_rules(golden) == list(DEFAULT_RULES)
 
     # An unknown key used to be ignored, so a misspelt guard dropped the
     # guard; a missing key's message did not name the entry.
@@ -223,7 +231,7 @@ class TestRuleConfig:
     ], ids=repr)
     def test_unknown_or_missing_rule_key_names_entry_and_key(self, tmp_path, index, change,
                                                              message):
-        entries = json.loads(rules_to_json(default_rules()))
+        entries = json.loads(rules_to_json(DEFAULT_RULES))
         for key, value in change.items():
             if value is None:
                 del entries[index][key]
@@ -237,7 +245,7 @@ class TestRuleConfig:
 
     @pytest.mark.parametrize("rule_id", [7, None, ["a"], {"a": 1}], ids=repr)
     def test_non_string_rule_id_rejected(self, tmp_path, rule_id):
-        [rule] = json.loads(rules_to_json([default_rules()[2]]))
+        [rule] = json.loads(rules_to_json([DEFAULT_RULES[2]]))
         path = tmp_path / "rules.json"
         path.write_text(json.dumps([{**rule, "id": rule_id}]), encoding="utf-8")
         with pytest.raises(ConfigError, match="is not a string"):
@@ -306,15 +314,11 @@ class TestRenderReport:
     @pytest.mark.parametrize("fmt", ["terminal", "html", "markdown"])
     def test_half_marks_and_non_integer_answers(self, fmt):
         sub, key = Submission(**EXAMPLE2_SUBMISSION), AnswerKey(**EXAMPLE2_KEY)
-        sheet = MarkSheet(
-            q1_impact=score_numeric(4.1, 3.2),
-            q2_rsc=score_reference(sub.ref_rsc, key.ref_rsc),
-            q3_acs=score_reference(sub.ref_acs, key.ref_acs),
-            q4_cited=score_numeric(42, 50),
-            abstract_mark=3,
-        )
-        assert sheet.q1_impact.verdict is Verdict.INCORRECT
-        assert sheet.q4_cited.verdict is Verdict.PARTIALLY_CORRECT
+        sheet = MarkSheet((score_numeric(4.1, 3.2), score_reference(sub.ref_rsc, key.ref_rsc),
+                           score_reference(sub.ref_acs, key.ref_acs), score_numeric(42, 50)),
+                          abstract_mark=3)
+        assert sheet.marks[0].verdict is Verdict.INCORRECT
+        assert sheet.marks[3].verdict is Verdict.PARTIALLY_CORRECT
         report = build_report("half", sheet, example2_report().labeled_abstract)
         text = render_report(report, fmt, color=False)
         assert "Impact Factor: 0 marks, the correct answer is 3.2, you gave 4.1" in text
@@ -516,7 +520,7 @@ def test_fires_matches_the_reference(rule, labels):
 @given(st.lists(st.integers(0, 9).flatmap(lambda i: rules(f"r{i}")), max_size=6), label_lists)
 def test_abstract_feedback_matches_the_reference(rule_set, labels):
     # One abstract alone, as a one-row cohort, under the default rules and a random rule set.
-    assert comments_for(labels) == _reference_comments(labels, default_rules())
+    assert comments_for(labels) == _reference_comments(labels, DEFAULT_RULES)
     assert comments_for(labels, rule_set) == _reference_comments(labels, rule_set)
 
 
@@ -525,8 +529,8 @@ def test_abstract_feedback_matches_the_reference(rule_set, labels):
        st.lists(label_lists, min_size=1, max_size=30))
 def test_cohort_feedback_matches_the_reference_row_by_row(rule_set, cohort):
     labeled = LabeledCohort.of([labeled_abstract(labels) for labels in cohort])
-    for given_rules in (None, rule_set):
-        comments = cohort_feedback(labeled.shares(), labeled.in_order, given_rules)
+    default = cohort_feedback(labeled.shares(), labeled.in_order)
+    given = cohort_feedback(labeled.shares(), labeled.in_order, rule_set)
+    for comments, rules_used in ((default, DEFAULT_RULES), (given, rule_set)):
         assert [list(row) for row in comments] == [
-            _reference_comments(labels, default_rules() if given_rules is None else given_rules)
-            for labels in cohort]
+            _reference_comments(labels, rules_used) for labels in cohort]

@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from afg.errors import AfgError, ConfigError, DataError, RowError
 from afg.ingest import (
     Label5,
-    RawSample,
     load_answer_keys,
     load_submissions,
     parse_rct,
@@ -19,8 +18,11 @@ from afg.ingest import (
 from conftest import write_file
 
 # A checked pretrain.corpora entry: the default columns and two prompts' ranges.
-SCHEMA = {"id_col": "id", "prompt_col": "set", "text_col": "essay", "score_col": "score",
+SCHEMA = {"prompt_col": "set", "text_col": "essay", "score_col": "score",
           "score_ranges": {"1": [0, 6], "2": [2, 12]}}
+
+
+TSV_HEADER = "id\tset\tessay\tscore"
 
 
 def tsv(directory, *rows: str):
@@ -30,10 +32,11 @@ def tsv(directory, *rows: str):
 class TestParseScoredTsv:
     def test_basic_row(self, tmp_path):
         out = parse_scored_tsv(tsv(tmp_path, "id\tset\tessay\tscore", "1\t1\tSome text\t4"), SCHEMA)
-        assert len(out) == 1
-        s = out[0]
-        assert (s.raw_score, s.min_score, s.max_score) == (4.0, 0.0, 6.0)
-        assert s.text == "Some text"
+        assert out == [("Some text", (4.0 - 0.0) / (6.0 - 0.0))]
+
+    def test_rows_need_no_identifier_column(self, tmp_path):
+        out = parse_scored_tsv(tsv(tmp_path, "essay\tscore\tset", "Some text\t4\t1"), SCHEMA)
+        assert out == [("Some text", 4.0 / 6.0)]
 
     def test_out_of_range_score_is_row_error(self, tmp_path):
         with pytest.raises(RowError, match="^line 2: score 7.0 outside"):
@@ -52,7 +55,7 @@ class TestParseScoredTsv:
                     "c\t1\tz\t3"),
                 SCHEMA,
             )
-            assert [s.sample_id for s in out] == ["a", "b", "c"]
+            assert [text for text, _ in out] == ["x", "y", "z"]
 
     def test_missing_column_names_it(self, tmp_path):
         with pytest.raises(ConfigError, match="essay"):
@@ -76,24 +79,27 @@ class TestParseScoredTsv:
             parse_scored_tsv(tsv(tmp_path, "id\tset\tessay\tscore", "1\t9\tx\t1"), SCHEMA)
 
 
+def normalized(directory, *rows: tuple[str, int]) -> list[float]:
+    """The normalized scores of (prompt, score) rows, parsed as one corpus."""
+    lines = (f"{i}\t{prompt}\tt\t{score}" for i, (prompt, score) in enumerate(rows))
+    return [score for _, score in parse_scored_tsv(tsv(directory, TSV_HEADER, *lines), SCHEMA)]
+
+
 class TestNormalizeScores:
-    def test_midpoint(self):
-        assert RawSample("1", "1", "t", 3.0, 0.0, 6.0).score01 == pytest.approx(0.5)
+    def test_midpoint(self, tmp_path):
+        assert normalized(tmp_path, ("1", 3)) == [pytest.approx(0.5)]
 
-    def test_full_marks_map_to_one(self):
-        assert RawSample("1", "1", "t", 6.0, 0.0, 6.0).score01 == 1.0
+    def test_full_marks_map_to_one(self, tmp_path):
+        assert normalized(tmp_path, ("1", 6)) == [1.0]
 
-    def test_shifted_range(self):
-        assert RawSample("1", "2", "t", 7.0, 2.0, 12.0).score01 == pytest.approx(0.5)
+    def test_shifted_range(self, tmp_path):
+        assert normalized(tmp_path, ("2", 7)) == [pytest.approx(0.5)]
 
-    def test_endpoints_exact(self):
-        lo = RawSample("a", "1", "t", 0.0, 0.0, 6.0)
-        hi = RawSample("b", "1", "t", 6.0, 0.0, 6.0)
-        assert lo.score01 == 0.0 and hi.score01 == 1.0
+    def test_endpoints_exact(self, tmp_path):
+        assert normalized(tmp_path, ("1", 0), ("1", 6)) == [0.0, 1.0]
 
-    def test_affine_order_preserving(self):
-        samples = [RawSample(str(i), "1", "t", float(i), 0.0, 6.0) for i in range(7)]
-        scores = [s.score01 for s in samples]
+    def test_affine_order_preserving(self, tmp_path):
+        scores = normalized(tmp_path, *(("1", i) for i in range(7)))
         assert scores == sorted(scores)
         assert all(b > a for a, b in zip(scores, scores[1:]))
 

@@ -107,10 +107,7 @@ class TestMarkSubmission:
     def test_worked_example_marks(self):
         sub, key = _example2()
         sheet = mark_submission(sub, key, lambda text: 0.5)
-        assert sheet.q1_impact.value == 1.0
-        assert sheet.q2_rsc.value == 1.0
-        assert sheet.q3_acs.value == 1.0
-        assert sheet.q4_cited.value == 0.0
+        assert [m.value for m in sheet.marks] == [1.0, 1.0, 1.0, 0.0]
         assert sheet.abstract_mark == 3
         assert sheet.total == 6.0
 
@@ -143,7 +140,7 @@ class TestMarkSheetJson:
         sheet = mark_submission(sub, key, lambda text: 0.5)
         parsed = marksheet_from_json(sheet.to_json_dict())
         assert parsed.total == sheet.total
-        assert parsed.q4_cited.verdict is Verdict.INCORRECT
+        assert parsed.marks[3].verdict is Verdict.INCORRECT
 
     def test_bare_number_marks(self):
         parsed = marksheet_from_json(

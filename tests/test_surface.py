@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Public names that nothing in src/afg or bench/ reads, and why each stays.
 KEEP = {
     "rules_to_json": "writes the rule file that load_rules reads back; "
-                     "tests/golden/default_rules.json is its output",
+                     "tests/golden/default_rule_file.json is its output",
     "grad_check": "the finite-difference reference the tests compare nn's gradients against",
     "stde": "the paper's STDE term alone; tests compare combined_loss at its plateau with it",
     "combined_loss": "the paper's loss at the scheduled weight p(t); "
