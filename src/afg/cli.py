@@ -20,10 +20,10 @@ pass, label and count every sentence at once (``structure.label_cohort``),
 evaluate each rule once over the cohort to build every report, render them,
 and only then write the reports and the JSON files, so a failure before the
 writes leaves no output. Each model runs once, on its texts in input order,
-each text once. The scorer's pass runs inside the first
-``scoring.mark_submission`` call, because the benchmark's set-up time ends
-there; run earlier, it would count as set-up. ``textproc.write_file`` writes
-every output, model files and vocabularies too; an OSError names the file.
+each text once. The scorer's pass runs in the first ``scoring.mark_submission``
+call, because the benchmark's set-up time ends there; run earlier, it would
+count as set-up. ``textproc.write_file`` writes every output, model files and
+vocabularies too; an OSError names the file and removes it.
 
 Every JSON output file comes from the C encoder with its default
 separators and ASCII escaping, not indented. Each item of a top-level
@@ -215,13 +215,14 @@ class RunConfig:
         return cls(seed=checked["seed"], out_dir=Path(checked["out_dir"]), sections=checked)
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as one-record-per-line JSON (see the module docstring)."""
+def _write_json(path: Path, obj, encode_item: Callable[..., str] = json.dumps) -> None:
+    """Write ``obj`` as one-record-per-line JSON (see the module docstring), each array
+    item as ``encode_item`` gives it: ``str`` for items that are JSON text already."""
 
     def records(value) -> str:
         if type(value) is not list:
             return json.dumps(value)
-        return "[" + ",".join("\n" + json.dumps(item) for item in value) + "\n]"
+        return "[" + ",".join("\n" + encode_item(item) for item in value) + "\n]"
 
     # No indent: with one, json falls back from its C encoder to pure Python.
     if type(obj) is dict:
@@ -430,10 +431,17 @@ def cmd_grade(cfg: RunConfig, args) -> int:
         write_file(f"{reports_dir}/{sub.submission_id}.{ext}", text.encode())
     # marks.json is a bare array ordered by submission id (the documented
     # interchange shape); the run seed lives in the manifest and feedback.
-    feedback = [report.to_json_dict() for report in reports]
-    _write_json(cfg.out_dir / "marks.json", [
-        {"submission_id": d["submission_id"], **d["marks"]} for d in feedback])
-    _write_json(cfg.out_dir / "feedback.json", {"seed": cfg.seed, "reports": feedback})
+    # Each mark sheet is encoded once, for both files: spliced after the id, it gives the
+    # bytes json.dumps gives each whole record, whose first keys are the id and the sheet.
+    marks, feedback = [], []
+    for record in map(fb.FeedbackReport.to_json_dict, reports):
+        head = '{"submission_id": ' + json.dumps(record.pop("submission_id")) + ", "
+        sheet = json.dumps(record.pop("marks"))
+        marks.append(head + sheet[1:])
+        feedback.append(f'{head}"marks": {sheet}, {json.dumps(record)[1:]}')
+    _write_json(cfg.out_dir / "marks.json", marks, encode_item=str)
+    _write_json(cfg.out_dir / "feedback.json", {"seed": cfg.seed, "reports": feedback},
+                encode_item=str)
     _write_json(cfg.out_dir / "run.json",
                 {"command": "grade", "seed": cfg.seed, "format": fmt, "graded": len(subs)})
     _emit(args, {"graded": len(subs), "out": str(cfg.out_dir), "seed": cfg.seed},

@@ -50,10 +50,12 @@ through every step, a one-row chunk as two copies:
     it, and a one-row group (a batch of one text, or a group left with one
     row) runs as two copies of its row, whose chunk reads row 0. That row
     independence does not hold for every width: with OpenBLAS, a row of a
-    product whose output width n has n % 8 in {1, 2, 3} can depend on the
-    row count. So the head, 1 or C wide, is an ``einsum``, which sums each
-    row on its own whatever the row count; the one-wide attention score
-    ``u @ att_v`` can still depend on it;
+    product of output width n can depend on the row count. The attention's
+    ``h_cat @ att_w`` did at n = 3, 6, 10 and 17, so no rule on n % 8 alone
+    predicts it; padded to a multiple of 8 columns, every width tried was
+    row-independent. So the head, 1 or C wide, is an ``einsum``, which sums
+    each row on its own whatever the row count; ``h_cat @ att_w`` and the
+    one-wide attention score ``u @ att_v`` can still depend on it;
   - so the attention and head run over a chunk, not a group; a chunk's
     softmax and attention-weighted sum run over its padded T, and their
     summation order depends on T. So the chunks, and with them

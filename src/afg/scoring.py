@@ -40,9 +40,8 @@ _VALUE_FOR_VERDICT = {
 _VERDICT_FOR_VALUE = {v: k for k, v in _VALUE_FOR_VERDICT.items()}
 
 
-@dataclass(frozen=True)
-class Mark:
-    """One question's mark with the statistic that produced it."""
+class Mark(NamedTuple):
+    """One question's mark and the statistic behind it; cheaper to build than a dataclass."""
 
     verdict: Verdict
     evidence: str

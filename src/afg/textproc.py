@@ -15,9 +15,12 @@ recounting every pair before every merge.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -105,7 +108,8 @@ def read_text(path: str | Path) -> str:
 
 def write_file(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path``, calling ``os.write`` until all is written; an OSError
-    names the path. Callers encode their text first, so a failed encode truncates nothing."""
+    names the path and removes the file, whose part-written bytes would read as corrupt.
+    Callers encode their text first, so a failed encode truncates nothing."""
     view = memoryview(data)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
     try:
@@ -113,6 +117,8 @@ def write_file(path: str | Path, data: bytes) -> None:
             view = view[os.write(fd, view):]
     except OSError as exc:
         exc.filename = str(path)
+        with contextlib.suppress(OSError):
+            os.unlink(path)
         raise
     finally:
         os.close(fd)
@@ -396,7 +402,8 @@ def cosine_similarity(a: dict[str, int], b: dict[str, int]) -> float:
         return 0.0
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(count * b[term] for term, count in a.items() if term in b)
-    norm_a = math.sqrt(sum(c * c for c in a.values()))
-    norm_b = math.sqrt(sum(c * c for c in b.values()))
+    # Each sum runs in C over ints, so it is exact; a term of a that b lacks adds 0.
+    dot = sum(map(operator.mul, a.values(), map(b.get, a, itertools.repeat(0))))
+    norm_a = math.sqrt(sum(map(operator.mul, a.values(), a.values())))
+    norm_b = math.sqrt(sum(map(operator.mul, b.values(), b.values())))
     return dot / (norm_a * norm_b)

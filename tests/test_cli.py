@@ -334,6 +334,7 @@ class TestTrainClassifier:
         assert run.returncode == 2
         assert os.strerror(errno.EFBIG) in run.stderr
         assert str(out / "classifier.afgm") in run.stderr
+        assert not (out / "classifier.afgm").exists()
 
     def test_deterministic_across_runs(self, tmp_path):
         corpus = tmp_path / "rct.txt"
@@ -564,6 +565,39 @@ class TestGrade:
         body["grade"]["submissions"] = str(empty)
         cfg = write_config(tmp_path, body)
         assert main(["--config", str(cfg), "grade"]) == 3
+
+    def test_json_records_escape_ids_and_text_like_json_dumps(self, tmp_path):
+        # Ids holding a quote and non-ASCII characters (one outside the BMP), abstracts
+        # holding a tab and non-ASCII characters: each record is json.dumps of it whole.
+        example = json.loads((DATA / "example_submissions.json").read_text())[0]
+        abstracts = ["Café catalysts\tare used in Zürich. We measured ΔH at 25 °C.",
+                     "Wir haben gemessen.\tThe yield rose to 90 % — über alles."]
+        subs = [dict(example, submission_id=sid, abstract=abstracts[i % 2])
+                for i, sid in enumerate(['q"1', "é2", "名3", 'x"😀'])]
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({text: "BACKGROUND" for a in abstracts
+                                      for text in textproc.segment_sentences(a)}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        body = grade_config(tmp_path, out)
+        body["grade"]["submissions"] = str(self._grade_subs(tmp_path, subs))
+        body["grade"]["classifier_model"]["path"] = str(labels)
+        assert main(["--config", str(write_config(tmp_path, body)), "grade"]) == 0
+
+        key = load_answer_keys(DATA / "example_keys.json")[example["paper_id"]]
+        cohort = sorted(load_submissions(self._grade_subs(tmp_path, subs)),
+                        key=lambda sub: sub.submission_id)
+        marks, reports = ([line.rstrip(",") for line in lines.splitlines()[1:-1]]
+                          for lines in ((out / "marks.json").read_text(),
+                                        (out / "feedback.json").read_text()))
+        assert len(marks) == len(reports) == len(subs)
+        for sub, line, report in zip(cohort, marks, reports):
+            sheet = mark_submission(sub, key, lambda text: 0.5).to_json_dict()
+            assert line == json.dumps({"submission_id": sub.submission_id, **sheet})
+            record = json.loads(report)
+            assert list(record)[:2] == ["submission_id", "marks"]
+            assert (record["submission_id"], record["marks"]) == (sub.submission_id, sheet)
+            assert report == json.dumps(record)
 
     def _grade_subs(self, tmp_path, subs) -> Path:
         path = tmp_path / "subs.json"

@@ -133,6 +133,12 @@ class TestMarkSubmission:
         b = mark_submission(sub, key, lambda text: 0.42)
         assert a == b
 
+    def test_a_mark_is_immutable(self):
+        mark = score_numeric(6.0, 6.005)
+        with pytest.raises(AttributeError):
+            mark.verdict = Verdict.INCORRECT
+        assert mark.value == 1.0
+
 
 class TestMarkSheetJson:
     def test_roundtrip(self):

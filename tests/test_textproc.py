@@ -446,6 +446,31 @@ def test_cosine_scale_invariance_property(a, b, k):
     )
 
 
+def reference_cosine(a, b):
+    """The per-term formula in generator expressions, summed in Python."""
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(count * b[term] for term, count in a.items() if term in b)
+    norm_a = math.sqrt(sum(c * c for c in a.values()))
+    norm_b = math.sqrt(sum(c * c for c in b.values()))
+    return dot / (norm_a * norm_b)
+
+
+counts = st.dictionaries(
+    st.text(alphabet="abcdefgh", min_size=1, max_size=3),
+    st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=10**12)),
+    max_size=12,
+)
+
+
+@given(counts, counts)
+@example({"a": 10**12, "b": 1}, {"a": 10**12 - 1, "b": 10**12, "c": 3})
+def test_cosine_is_the_reference_formula_bit_for_bit(a, b):
+    assert cosine_similarity(a, b).hex() == reference_cosine(a, b).hex()
+
+
 @given(st.text(min_size=1, max_size=200))
 def test_segmentation_preserves_nonspace_text(text):
     parts = segment_sentences(text)
